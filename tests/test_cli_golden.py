@@ -46,6 +46,7 @@ QUERIES = (
     ("pn",),
     ("hp0", "--phi", "3,1,1"),
     ("walg", "--phi", "2,1", "--truncate", "8"),
+    ("walg", "--phi", "1", "--truncate", "0"),
     ("walg", "--phi", "2", "--truncate", "-1"),
     ("ih", "--lambda", "3,1"),
     ("s3", "--nu", "3,1", "--phi", "2,1,1"),
