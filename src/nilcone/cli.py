@@ -3,7 +3,9 @@ persistent cache of Kostka tables, and run the verification suites.
 
 Exit codes: 0 on success, 1 on a usage error (malformed partition,
 unsupported Weyl type, negative truncation, ...), 2 on a failed
-verification.
+verification, 3 when an internal invariant breaks (an exact division
+leaves a remainder, an assertion fails); 1 and 3 print a one-line
+diagnostic on stderr.
 
 Output formats: text (ascending exponents, explicit signs), json (the
 schema below), latex.  JSON coefficients are decimal strings so arbitrary
@@ -24,7 +26,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -35,7 +37,7 @@ from .kostka import (
     fake_degree_qhook,
     kostka_foulkes,
 )
-from .laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries
+from .laurent import LaurentPoly, TruncatedSeries, render
 from .partitions import Partition
 from .springer import (
     hp0_slice_series,
@@ -47,7 +49,7 @@ from .springer import (
     proudfoot_check,
     springer_fiber_series,
 )
-from .verify import SUITES, VerificationReport, run_suite
+from .verify import SUITES, run_suite
 from .weyl import fake_degree_molien, pn_series_molien, sn_character_values, weyl_type
 
 ENV_CACHE_DIR = "NILCONE_CACHE_DIR"
@@ -85,52 +87,19 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def _terms_of(obj) -> tuple[tuple[str, ...], list[tuple[tuple[int, ...], int]]]:
-    if isinstance(obj, LaurentPoly):
-        return (obj.var,), [((e,), c) for e, c in sorted(obj.terms.items())]
-    if isinstance(obj, BiLaurentPoly):
-        return (obj.xvar, obj.yvar), [(k, c) for k, c in sorted(obj.terms.items())]
-    if isinstance(obj, TruncatedSeries):
-        return (obj.var,), [
-            ((e,), c) for e, c in enumerate(obj.coefficients) if c != 0
-        ]
-    raise TypeError(f"cannot render {type(obj).__name__}")
-
-
 def encode_poly(obj) -> dict:
-    variables, terms = _terms_of(obj)
-    encoded = [
-        {**{v: e for v, e in zip(variables, exps)}, "coeff": str(c)}
-        for exps, c in terms
-    ]
-    out = {"variables": list(variables), "terms": encoded}
+    variables, terms = obj.monomials()
+    out = {
+        "variables": list(variables),
+        "terms": [{**dict(zip(variables, exps)), "coeff": str(c)} for exps, c in terms],
+    }
     if isinstance(obj, TruncatedSeries):
         out["truncation_order"] = obj.order
     return out
 
 
 def latex_poly(obj) -> str:
-    variables, terms = _terms_of(obj)
-    if not terms:
-        body = "0"
-    else:
-        pieces = []
-        for exps, coeff in terms:
-            mono = "".join(
-                v if e == 1 else f"{v}^{{{e}}}"
-                for v, e in zip(variables, exps)
-                if e != 0
-            )
-            mag = abs(coeff)
-            body_term = str(mag) if not mono else (mono if mag == 1 else f"{mag}{mono}")
-            if not pieces:
-                pieces.append(body_term if coeff > 0 else f"-{body_term}")
-            else:
-                pieces.append(f"+ {body_term}" if coeff > 0 else f"- {body_term}")
-        body = " ".join(pieces)
-    if isinstance(obj, TruncatedSeries):
-        body += f" + O({obj.var}^{{{obj.order + 1}}})"
-    return body
+    return render(obj, latex=True)
 
 
 @dataclass
@@ -142,17 +111,11 @@ class QueryResult:
     meta: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"query": self.query, "result": self.result, "meta": self.meta},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "QueryResult":
-        payload = json.loads(text)
-        return cls(
-            query=payload["query"], result=payload["result"], meta=payload["meta"]
-        )
+        return cls(**json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -196,214 +159,153 @@ def cache_load_store(
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommands.  A compute function takes the parsed options as a dict and
+# returns (value, cache_hit, exit_code); the value is a polynomial, a
+# payload already in the requested format, or None for no stdout.  The JSON
+# query echoes the options, less those that steer it without changing it.
 # ---------------------------------------------------------------------------
 
-
-def _emit(args, query: dict, payload, started: float, cache_hit: bool = False) -> int:
-    meta = {
-        "version": __version__,
-        "convention": CONVENTION_TAG,
-        "ms": int((time.perf_counter() - started) * 1000),
-        "cache_hit": cache_hit,
-    }
-    if args.format == "json":
-        if isinstance(payload, dict):
-            result = payload
-        else:
-            result = encode_poly(payload)
-        print(QueryResult(query=query, result=result, meta=meta).to_json())
-    elif args.format == "latex":
-        print(payload if isinstance(payload, str) else latex_poly(payload))
-    else:
-        print(payload if isinstance(payload, str) else str(payload))
-    return 0
+_RENDERERS = {"text": str, "latex": latex_poly, "json": encode_poly}
+_UNQUERIED = ("format", "cache_dir", "budget")
+_EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6}
+_WEYL_FAMILIES = ("A", "B", "C", "D", *_EXCEPTIONAL_RANK)
+_FAKE_DEGREE_ROUTES = ("charge", "qhook", "molien")
 
 
-def _cmd_kostka(args) -> int:
-    started = time.perf_counter()
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
+def _kostka(o: dict):
+    lam, mu = o["lambda"], o["mu"]
     if lam.size != mu.size:
         raise UsageError(f"|lambda| = {lam.size} and |mu| = {mu.size} differ")
-    directory = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
-    if directory is not None:
-        table, hit = cache_load_store(lam.size, directory)
-        poly = table.lookup(lam, mu)
-    else:
-        poly, hit = kostka_foulkes(lam, mu), False
-    query = {"command": "kostka", "lambda": list(lam.parts), "mu": list(mu.parts)}
-    return _emit(args, query, poly, started, cache_hit=hit)
+    directory = o["cache_dir"] or os.environ.get(ENV_CACHE_DIR)
+    if directory is None:
+        return kostka_foulkes(lam, mu), False, 0
+    table, hit = cache_load_store(lam.size, directory)
+    return table.lookup(lam, mu), hit, 0
 
 
-def _cmd_fake_degree(args) -> int:
-    started = time.perf_counter()
-    lam = parse_partition(args.lam)
+def _fake_degree(o: dict):
+    lam = o["lambda"]
     n = lam.size
     top = n * (n - 1) // 2
-    routes: dict[str, LaurentPoly] = {}
-    wanted = (
-        ["charge", "qhook", "molien"] if args.algorithm == "all" else [args.algorithm]
-    )
-    if "charge" in wanted:
-        routes["charge"] = (
-            kostka_g(lam).substitute_power(-1).shift(top).with_var("q")
-        )
-    if "qhook" in wanted:
-        routes["qhook"] = fake_degree_qhook(lam)
-    if "molien" in wanted:
-        if n >= 2:
-            routes["molien"] = fake_degree_molien(
-                weyl_type("A", n - 1), sn_character_values(lam)
-            )
-        else:
-            routes["molien"] = LaurentPoly.one("q")
-    values = list(routes.values())
-    if any(v != values[0] for v in values[1:]):
-        print(
-            f"error: fake-degree cross-check failed for {lam}: "
-            + "; ".join(f"{k}: {v}" for k, v in routes.items()),
-            file=sys.stderr,
-        )
-        return 2
-    query = {
-        "command": "fake-degree",
-        "lambda": list(lam.parts),
-        "algorithm": args.algorithm,
+    routes = {
+        "charge": lambda: kostka_g(lam).substitute_power(-1).shift(top).with_var("q"),
+        "qhook": lambda: fake_degree_qhook(lam),
+        "molien": lambda: LaurentPoly.one("q") if n < 2 else fake_degree_molien(
+            weyl_type("A", n - 1), sn_character_values(lam)
+        ),
     }
-    return _emit(args, query, values[0], started)
+    wanted = _FAKE_DEGREE_ROUTES if o["algorithm"] == "all" else (o["algorithm"],)
+    values = {name: routes[name]() for name in wanted}
+    first = values[wanted[0]]
+    if any(v != first for v in values.values()):
+        detail = "; ".join(f"{k}: {v}" for k, v in values.items())
+        print(f"error: fake-degree cross-check failed for {lam}: {detail}", file=sys.stderr)
+        return None, False, 2
+    return first, False, 0
 
 
-def _cmd_pn(args) -> int:
-    started = time.perf_counter()
-    if args.n is not None and args.family is not None:
+def _pn(o: dict):
+    """Drops the other route's options from the query, and fills in the
+    rank of an exceptional type."""
+    if o["n"] is not None and o["type"] is not None:
         raise UsageError("give either --n (type A, per-partition) or --type/--rank")
-    if args.n is not None:
-        if args.n < 1:
+    if o["n"] is not None:
+        if o["n"] < 1:
             raise UsageError("--n must be at least 1")
-        poly = pn_series(args.n).poly
-        query = {"command": "pn", "n": args.n}
-    elif args.family is not None:
-        family = args.family
-        default_rank = {"G2": 2, "F4": 4, "E6": 6}.get(family)
-        rank = args.rank if args.rank is not None else default_rank
-        if rank is None:
-            raise UsageError(f"--rank is required for type {family}")
-        poly = pn_series_molien(weyl_type(family, rank), budget=args.budget)
-        query = {"command": "pn", "type": family, "rank": rank}
-    else:
+        del o["type"], o["rank"]
+        return pn_series(o["n"]).poly, False, 0
+    if o["type"] is None:
         raise UsageError("give --n or --type")
-    return _emit(args, query, poly, started)
+    del o["n"]
+    if o["rank"] is None:
+        o["rank"] = _EXCEPTIONAL_RANK.get(o["type"])
+    if o["rank"] is None:
+        raise UsageError(f"--rank is required for type {o['type']}")
+    return pn_series_molien(weyl_type(o["type"], o["rank"]), budget=o["budget"]), False, 0
 
 
-def _cmd_hp0(args) -> int:
-    started = time.perf_counter()
-    phi = parse_partition(args.phi)
-    return _emit(
-        args,
-        {"command": "hp0", "phi": list(phi.parts)},
-        hp0_slice_series(phi),
-        started,
-    )
-
-
-def _cmd_walg(args) -> int:
-    started = time.perf_counter()
-    phi = parse_partition(args.phi)
-    if args.truncate < 0:
+def _walg(o: dict):
+    if o["truncate"] < 0:
         raise UsageError("--truncate must be nonnegative")
-    series = hp0_walg_full_series(phi, args.truncate)
-    query = {"command": "walg", "phi": list(phi.parts), "truncate": args.truncate}
-    return _emit(args, query, series, started)
+    return hp0_walg_full_series(o["phi"], o["truncate"]), False, 0
 
 
-def _cmd_ih(args) -> int:
-    started = time.perf_counter()
-    lam = parse_partition(args.lam)
-    return _emit(
-        args,
-        {"command": "ih", "lambda": list(lam.parts)},
-        ih_orbit_closure(lam),
-        started,
-    )
-
-
-def _cmd_s3(args) -> int:
-    started = time.perf_counter()
-    nu = parse_partition(args.nu)
-    phi = parse_partition(args.phi)
-    poly = ih_s3_variety(nu, phi)
-    query = {"command": "s3", "nu": list(nu.parts), "phi": list(phi.parts)}
-    return _emit(args, query, poly, started)
-
-
-def _cmd_springer_fiber(args) -> int:
-    started = time.perf_counter()
-    phi = parse_partition(args.phi)
-    return _emit(
-        args,
-        {"command": "springer-fiber", "phi": list(phi.parts)},
-        springer_fiber_series(phi).poly,
-        started,
-    )
-
-
-def _cmd_proudfoot(args) -> int:
-    started = time.perf_counter()
-    lam = parse_partition(args.lam)
+def _proudfoot(o: dict):
+    lam, show = o["lambda"], _RENDERERS[o["format"]]
     report = proudfoot_check(lam)
-    query = {"command": "proudfoot", "lambda": list(lam.parts)}
+    hp0, ih = show(report.hp0_series), show(report.ih_dual_series)
+    if o["format"] == "json":
+        return {"equal": report.equal, "hp0_slice": hp0, "ih_dual_orbit": ih}, False, 0
     verdict = "equal" if report.equal else "NOT EQUAL"
-    if args.format == "json":
-        result = {
-            "equal": report.equal,
-            "hp0_slice": encode_poly(report.hp0_series),
-            "ih_dual_orbit": encode_poly(report.ih_dual_series),
-        }
-        return _emit(args, query, result, started)
-    if args.format == "latex":
-        text = (
-            f"hp0(slice {lam}): {latex_poly(report.hp0_series)}\n"
-            f"ih(closure {lam.conjugate()}): {latex_poly(report.ih_dual_series)}\n"
-            f"verdict: {verdict}"
-        )
-    else:
-        text = (
-            f"hp0(slice {lam}): {report.hp0_series}\n"
-            f"ih(closure {lam.conjugate()}): {report.ih_dual_series}\n"
-            f"verdict: {verdict}"
-        )
-    return _emit(args, query, text, started)
+    text = f"hp0(slice {lam}): {hp0}\nih(closure {lam.conjugate()}): {ih}\nverdict: {verdict}"
+    return text, False, 0
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    if args.max_n is not None and args.max_n < 0:
+def _verify(o: dict):
+    if o["max_n"] is not None and o["max_n"] < 0:
         raise UsageError("--max-n must be nonnegative")
-    report: VerificationReport = run_suite(args.suite, args.max_n)
-    query = {"command": "verify", "suite": args.suite, "max_n": args.max_n}
-    if args.format == "json":
-        result = {
-            "overall": "pass" if report.passed else "fail",
-            "checks": [
-                {
-                    "name": c.name,
-                    "params": c.params,
-                    "passed": c.passed,
-                    "counterexample": c.counterexample,
-                }
-                for c in report.checks
-            ],
-        }
-        _emit(args, query, result, started)
-    else:
-        _emit(args, query, "\n".join(report.lines()), started)
-    return 0 if report.passed else 2
+    report = run_suite(o["suite"], o["max_n"])
+    code = 0 if report.passed else 2
+    if o["format"] != "json":
+        return "\n".join(report.lines()), False, code
+    overall = "pass" if report.passed else "fail"
+    return {"overall": overall, "checks": [asdict(c) for c in report.checks]}, False, code
 
 
-# ---------------------------------------------------------------------------
-# Parser assembly and entry point.
-# ---------------------------------------------------------------------------
+_PARTS = {"type": parse_partition, "required": True, "metavar": "PARTS"}
+_LAMBDA, _PHI, _INT = ("--lambda", _PARTS), ("--phi", _PARTS), {"type": int}
+
+# name: (help, option specs, compute)
+COMMANDS = {
+    "kostka": (
+        "Kostka-Foulkes polynomial",
+        [_LAMBDA, ("--mu", _PARTS),
+         ("--cache-dir", {"help": f"table cache (or ${ENV_CACHE_DIR})"})],
+        _kostka,
+    ),
+    "fake-degree": (
+        "graded coinvariant multiplicity",
+        [_LAMBDA, ("--algorithm", {"choices": (*_FAKE_DEGREE_ROUTES, "all"), "default": "all"})],
+        _fake_degree,
+    ),
+    "pn": (
+        "bigraded nilpotent-cone series",
+        [
+            ("--n", {**_INT, "help": "type A, per-partition sum"}),
+            ("--type", {"choices": _WEYL_FAMILIES, "help": "class-average route"}),
+            ("--rank", _INT),
+            ("--budget", {**_INT, "help": "enumeration budget override"}),
+        ],
+        _pn,
+    ),
+    "hp0": (
+        "slice Poisson-homology series", [_PHI], lambda o: (hp0_slice_series(o["phi"]), False, 0)
+    ),
+    "walg": (
+        "full W-algebra series, truncated",
+        [_PHI, ("--truncate", {**_INT, "required": True})],
+        _walg,
+    ),
+    "ih": (
+        "orbit-closure IH series", [_LAMBDA], lambda o: (ih_orbit_closure(o["lambda"]), False, 0)
+    ),
+    "s3": (
+        "orbit-closure slice IH series",
+        [("--nu", _PARTS), _PHI],
+        lambda o: (ih_s3_variety(o["nu"], o["phi"]), False, 0),
+    ),
+    "springer-fiber": (
+        "bigraded Springer-fiber series",
+        [_PHI],
+        lambda o: (springer_fiber_series(o["phi"]).poly, False, 0),
+    ),
+    "proudfoot": ("slice/orbit duality check", [_LAMBDA], _proudfoot),
+    "verify": (
+        "identity verification suites",
+        [("--suite", {"choices": (*SUITES, "all"), "default": "all"}), ("--max-n", _INT)],
+        _verify,
+    ),
+}
 
 
 def build_parser() -> _Parser:
@@ -411,88 +313,41 @@ def build_parser() -> _Parser:
         prog="nilcone",
         description="Exact Kostka polynomials and bigraded nilpotent-cone series",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--format", choices=("text", "json", "latex"), default="text"
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("kostka", parents=[shared], help="Kostka-Foulkes polynomial")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
-    p.add_argument("--mu", required=True, metavar="PARTS")
-    p.add_argument("--cache-dir", default=None, help=f"table cache (or ${ENV_CACHE_DIR})")
-    p.set_defaults(handler=_cmd_kostka)
-
-    p = sub.add_parser(
-        "fake-degree", parents=[shared], help="graded coinvariant multiplicity"
-    )
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
-    p.add_argument(
-        "--algorithm", choices=("charge", "qhook", "molien", "all"), default="all"
-    )
-    p.set_defaults(handler=_cmd_fake_degree)
-
-    p = sub.add_parser("pn", parents=[shared], help="bigraded nilpotent-cone series")
-    p.add_argument("--n", type=int, default=None, help="type A, per-partition sum")
-    p.add_argument(
-        "--type",
-        dest="family",
-        choices=("A", "B", "C", "D", "G2", "F4", "E6"),
-        default=None,
-        help="class-average route",
-    )
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None, help="enumeration budget override")
-    p.set_defaults(handler=_cmd_pn)
-
-    p = sub.add_parser("hp0", parents=[shared], help="slice Poisson-homology series")
-    p.add_argument("--phi", required=True, metavar="PARTS")
-    p.set_defaults(handler=_cmd_hp0)
-
-    p = sub.add_parser("walg", parents=[shared], help="full W-algebra series, truncated")
-    p.add_argument("--phi", required=True, metavar="PARTS")
-    p.add_argument("--truncate", type=int, required=True)
-    p.set_defaults(handler=_cmd_walg)
-
-    p = sub.add_parser("ih", parents=[shared], help="orbit-closure IH series")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
-    p.set_defaults(handler=_cmd_ih)
-
-    p = sub.add_parser("s3", parents=[shared], help="orbit-closure slice IH series")
-    p.add_argument("--nu", required=True, metavar="PARTS")
-    p.add_argument("--phi", required=True, metavar="PARTS")
-    p.set_defaults(handler=_cmd_s3)
-
-    p = sub.add_parser(
-        "springer-fiber", parents=[shared], help="bigraded Springer-fiber series"
-    )
-    p.add_argument("--phi", required=True, metavar="PARTS")
-    p.set_defaults(handler=_cmd_springer_fiber)
-
-    p = sub.add_parser("proudfoot", parents=[shared], help="slice/orbit duality check")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
-    p.set_defaults(handler=_cmd_proudfoot)
-
-    p = sub.add_parser("verify", parents=[shared], help="identity verification suites")
-    p.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p.set_defaults(handler=_cmd_verify)
-
+    for name, (help_text, options, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("text", "json", "latex"), default="text")
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
     return parser
 
 
 def run(argv=None) -> int:
-    """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
+    """Parse, compute and emit; returns the process exit code."""
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
-    except UsageError as exc:
+        o = vars(build_parser().parse_args(argv))
+        started = time.perf_counter()
+        value, hit, code = COMMANDS[o["command"]][2](o)
+        if value is None:
+            return code
+        if not isinstance(value, (str, dict)):
+            value = _RENDERERS[o["format"]](value)
+        if o["format"] != "json":
+            print(value)
+            return code
+        echo = {k: v for k, v in o.items() if k not in _UNQUERIED}
+        query = {k: list(v) if isinstance(v, Partition) else v for k, v in echo.items()}
+        ms = int((time.perf_counter() - started) * 1000)
+        meta = {"version": __version__, "convention": CONVENTION_TAG, "ms": ms, "cache_hit": hit}
+        print(QueryResult(query=query, result=value, meta=meta).to_json())
+        return code
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ArithmeticError, AssertionError) as exc:
+        kind = type(exc).__name__
+        print(f"error: internal invariant failed: {kind}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
+Monomials = tuple[tuple[str, ...], list[tuple[tuple[int, ...], int]]]
 
 
 class ExactDivisionError(ArithmeticError):
@@ -25,6 +26,36 @@ class ExactDivisionError(ArithmeticError):
 
 def _clean(terms: Mapping[int, int]) -> dict[int, int]:
     return {e: c for e, c in terms.items() if c != 0}
+
+
+def render(
+    poly: "LaurentPoly | BiLaurentPoly | TruncatedSeries", latex: bool = False
+) -> str:
+    """Human-readable form, or LaTeX, of anything with monomials():
+    ascending exponent order, explicit signs, and an O(var^(order+1))
+    suffix on a truncated series."""
+    variables, terms = poly.monomials()
+    sep, times, power = ("", "", "{}^{{{}}}") if latex else (" ", "*", "{}^{}")
+    pieces: list[str] = []
+    for exps, coeff in terms:
+        mono = sep.join(
+            v if e == 1 else power.format(v, e) for v, e in zip(variables, exps) if e != 0
+        )
+        mag = abs(coeff)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}{times}{mono}"
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    text = " ".join(pieces) if pieces else "0"
+    if isinstance(poly, TruncatedSeries):
+        text += f" + O({power.format(poly.var, poly.order + 1)})"
+    return text
 
 
 class LaurentPoly:
@@ -188,10 +219,11 @@ class LaurentPoly:
                     rem.pop(ne, None)
         return LaurentPoly(quot, self.var)
 
-    def __str__(self) -> str:
-        return render_terms(
-            [((e,), c) for e, c in sorted(self.terms.items())], (self.var,)
-        )
+    def monomials(self) -> Monomials:
+        """Variable names and (exponents, coefficient) pairs, ascending."""
+        return (self.var,), [((e,), c) for e, c in sorted(self.terms.items())]
+
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(sorted(self.terms.items()))!r}, var={self.var!r})"
@@ -331,10 +363,11 @@ class BiLaurentPoly:
         shifted = {(x + dx, y + dy): c for (x, y), c in other.terms.items()}
         return (dx, dy) if shifted == self.terms else None
 
-    def __str__(self) -> str:
-        return render_terms(
-            [(k, c) for k, c in sorted(self.terms.items())], (self.xvar, self.yvar)
-        )
+    def monomials(self) -> Monomials:
+        """Variable names and (exponents, coefficient) pairs, ascending."""
+        return (self.xvar, self.yvar), sorted(self.terms.items())
+
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"BiLaurentPoly({dict(sorted(self.terms.items()))!r})"
@@ -409,12 +442,11 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __str__(self) -> str:
-        body = render_terms(
-            [((e,), c) for e, c in enumerate(self.coefficients) if c != 0],
-            (self.var,),
-        )
-        return f"{body} + O({self.var}^{self.order + 1})"
+    def monomials(self) -> Monomials:
+        """Variable name and the nonzero (exponent, coefficient) pairs, ascending."""
+        return (self.var,), [((e,), c) for e, c in enumerate(self.coefficients) if c != 0]
+
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.coefficients!r}, var={self.var!r})"
@@ -437,28 +469,3 @@ def series_invert_product(exponents: Iterable[int], truncation: int) -> Truncate
         for m in range(e, truncation + 1):
             coeffs[m] += coeffs[m - e]
     return TruncatedSeries(coeffs)
-
-
-def render_terms(
-    terms: Sequence[tuple[tuple[int, ...], int]], variables: tuple[str, ...]
-) -> str:
-    """Human-readable form: ascending exponent order, explicit signs."""
-    if not terms:
-        return "0"
-    pieces: list[str] = []
-    for exps, coeff in terms:
-        mono = " ".join(
-            v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e != 0
-        )
-        mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)

@@ -16,7 +16,11 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        for p in parts:
+            # no coercion: 2.7, True and "3" would silently become 2, 1 and 3
+            if type(p) is not int:
+                raise TypeError(f"partition parts must be ints, not {p!r}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for i, p in enumerate(parts):

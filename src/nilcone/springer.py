@@ -184,19 +184,12 @@ def springer_fiber_series(phi: Partition) -> BigradedSeries:
 
 def slice_series_typeA_printed(mu: Partition) -> BigradedSeries:
     """The slice series in its alternative printed normalization, with
-    prefactor y**(2 n_stat(mu)) in place of y**dim(O_mu).
-
-    Kept verbatim and separate from springer_fiber_series so the two
-    normalizations can be compared; see prefactor_audit."""
-    n = mu.size
-    acc = BiLaurentPoly.zero()
-    for nu in partitions_of(n):
-        if not nu.dominates(mu):
-            continue
-        acc = acc + BiLaurentPoly.from_x(
-            kostka_foulkes(nu, mu).substitute_power(2)
-        ) * BiLaurentPoly.from_y(kostka_g(nu).substitute_power(-2))
-    return BigradedSeries(acc.shift(0, 2 * mu.n_stat()))
+    prefactor y**(2 n_stat(mu)) in place of y**dim(O_mu): the same nu-sum
+    as springer_fiber_series, shifted in y.  prefactor_audit compares the
+    two normalizations."""
+    return BigradedSeries(
+        springer_fiber_series(mu).poly.shift(0, 2 * mu.n_stat() - orbit_dim(mu))
+    )
 
 
 def prefactor_audit(mu: Partition) -> PrefactorAudit:

@@ -12,7 +12,7 @@ from nilcone.cli import (
     run,
 )
 from nilcone.kostka import FORMAT_VERSION
-from nilcone.laurent import BiLaurentPoly, LaurentPoly
+from nilcone.laurent import BiLaurentPoly, ExactDivisionError, LaurentPoly
 from nilcone.verify import CheckResult
 
 
@@ -207,6 +207,33 @@ class TestOtherCommands:
         code, _, err = invoke(capsys, "frobnicate")
         assert code == 1
 
+    def test_fake_degree_disagreement_exits_two(self, capsys, monkeypatch):
+        import nilcone.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "fake_degree_qhook", lambda lam: LaurentPoly.one("q"))
+        code, out, err = invoke(capsys, "fake-degree", "--lambda", "2,1")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: fake-degree cross-check failed for (2,1): "
+            "charge: q + q^2; qhook: 1; molien: q + q^2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "error", [ExactDivisionError("(1 + y) does not divide y"), AssertionError("bad")]
+    )
+    def test_broken_invariant_exits_three(self, capsys, monkeypatch, error):
+        import nilcone.cli as cli_module
+
+        def broken(phi):
+            raise error
+
+        monkeypatch.setattr(cli_module, "hp0_slice_series", broken)
+        code, out, err = invoke(capsys, "hp0", "--phi", "2,1")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: internal invariant failed: {type(error).__name__}: {error}\n"
+
 
 class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys):
@@ -293,6 +320,17 @@ class TestCache:
         # overwritten with a valid file
         rebuilt = json.loads(path.read_text())
         assert rebuilt["n"] == 3
+
+    def test_non_int_parts_recomputed_with_warning(self, tmp_path):
+        cache_load_store(3, tmp_path)
+        path = tmp_path / "kostka-n3.json"
+        payload = json.loads(path.read_text())
+        payload["entries"][0]["lambda"] = [2.5, 0.5]
+        path.write_text(json.dumps(payload))
+        with pytest.warns(UserWarning, match="unusable cache file"):
+            _, hit = cache_load_store(3, tmp_path)
+        assert not hit
+        assert json.loads(path.read_text())["entries"][0]["lambda"] != [2.5, 0.5]
 
     def test_version_mismatch_recomputed(self, tmp_path):
         cache_load_store(3, tmp_path)

@@ -38,6 +38,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Partition((3, 0, 1))
 
+    @pytest.mark.parametrize("part", [2.7, True, "3"])
+    def test_rejects_non_int_parts(self, part):
+        with pytest.raises(TypeError):
+            Partition([part])
+
     def test_strips_trailing_zeros(self):
         assert Partition((3, 1, 0, 0)) == Partition((3, 1))
 
