@@ -184,9 +184,9 @@ def springer_fiber_series(phi: Partition) -> BigradedSeries:
 
 def slice_series_typeA_printed(mu: Partition) -> BigradedSeries:
     """The slice series in its alternative printed normalization, with
-    prefactor y**(2 n_stat(mu)) in place of y**dim(O_mu): the same nu-sum
-    as springer_fiber_series, shifted in y.  prefactor_audit compares the
-    two normalizations."""
+    prefactor y**(2 n_stat(mu)) in place of y**dim(O_mu).  One nu-sum
+    serves both normalizations: this is springer_fiber_series shifted in
+    y.  prefactor_audit compares the two."""
     return BigradedSeries(
         springer_fiber_series(mu).poly.shift(0, 2 * mu.n_stat() - orbit_dim(mu))
     )
