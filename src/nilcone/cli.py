@@ -5,7 +5,7 @@ Exit codes: 0 on success, 1 on a usage error (malformed partition,
 unsupported Weyl type, negative truncation, ...), 2 on a failed
 verification, 3 when an internal invariant breaks (an exact division
 leaves a remainder, an assertion fails); 1 and 3 print a one-line
-diagnostic on stderr.
+diagnostic on stderr.  A warning prints as one `warning: ...` line there.
 
 Output formats: text (ascending exponents, explicit signs), json (the
 schema below), latex.  JSON coefficients are decimal strings so arbitrary
@@ -44,7 +44,6 @@ from .springer import (
     hp0_walg_full_series,
     ih_orbit_closure,
     ih_s3_variety,
-    kostka_g,
     pn_series,
     proudfoot_check,
     springer_fiber_series,
@@ -186,9 +185,9 @@ def _kostka(o: dict):
 def _fake_degree(o: dict):
     lam = o["lambda"]
     n = lam.size
-    top = n * (n - 1) // 2
+    top, ones = n * (n - 1) // 2, Partition((1,) * n)
     routes = {
-        "charge": lambda: kostka_g(lam).substitute_power(-1).shift(top).with_var("q"),
+        "charge": lambda: kostka_foulkes(lam, ones).substitute_power(-1).shift(top).with_var("q"),
         "qhook": lambda: fake_degree_qhook(lam),
         "molien": lambda: LaurentPoly.one("q") if n < 2 else fake_degree_molien(
             weyl_type("A", n - 1), sn_character_values(lam)
@@ -323,7 +322,18 @@ def build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    """Parse, compute and emit; returns the process exit code."""
+    """Parse, compute and emit; returns the process exit code.  A warning
+    raised on the way, such as a cache diagnostic, is printed as one
+    `warning: <message>` line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return _query(argv)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+
+
+def _query(argv) -> int:
     try:
         o = vars(build_parser().parse_args(argv))
         started = time.perf_counter()

@@ -131,7 +131,9 @@ def fake_degree_qhook(lam: Partition) -> LaurentPoly:
 
 def kostka_from_fake_degree(lam: Partition) -> LaurentPoly:
     """K[lam,(1^n)](t) as the degree-reversal t**N * FD(1/t) of the fake
-    degree, N = n(n-1)/2; the independent cross-check of the charge route."""
+    degree, N = n(n-1)/2.  The series consumers take this closed form
+    (springer.kostka_g); kostka_foulkes(lam, (1^n)) is the independent
+    charge route the verify suites compare it with."""
     n = lam.size
     top = n * (n - 1) // 2
     fd = fake_degree_qhook(lam)

@@ -430,14 +430,18 @@ class TruncatedSeries:
         if isinstance(other, LaurentPoly):
             other = TruncatedSeries.from_poly(other, self.order, self.var)
         t = min(self.order, other.order)
+        # A polynomial operand has few nonzero terms: looping over them
+        # outside costs terms * order, not order**2 / 2.
+        outer = [(i, a) for i, a in enumerate(self.coefficients[: t + 1]) if a]
+        inner = [(j, b) for j, b in enumerate(other.coefficients[: t + 1]) if b]
+        if len(inner) < len(outer):
+            outer, inner = inner, outer
         coeffs = [0] * (t + 1)
-        for i, a in enumerate(self.coefficients[: t + 1]):
-            if a == 0:
-                continue
-            for j in range(t + 1 - i):
-                b = other.coefficients[j]
-                if b:
-                    coeffs[i + j] += a * b
+        for i, a in outer:
+            for j, b in inner:
+                if i + j > t:
+                    break
+                coeffs[i + j] += a * b
         return TruncatedSeries(coeffs, self.var)
 
     __rmul__ = __mul__

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .kostka import kostka_foulkes
+from .kostka import kostka_foulkes, kostka_from_fake_degree
 from .laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries, series_invert_product
 from .partitions import Partition, partitions_of
 from .weyl import weyl_type
@@ -83,11 +84,21 @@ def orbit_dim(lam: Partition) -> int:
     return n * n - sum(p * p for p in lam.conjugate().parts)
 
 
+@lru_cache(maxsize=None)
+def _kostka_g_parts(lam_parts: tuple[int, ...]) -> LaurentPoly:
+    return kostka_from_fake_degree(Partition(lam_parts))
+
+
 def kostka_g(lam: Partition) -> LaurentPoly:
     """One-variable Kostka polynomial K[lam, (1^n)](t), the Hilbert series
     attached to the irreducible lam in the cohomological-degree convention
-    (trivial rep (n) gets t**(n(n-1)/2), sign rep (1^n) gets 1)."""
-    return kostka_foulkes(lam, Partition((1,) * lam.size))
+    (trivial rep (n) gets t**(n(n-1)/2), sign rep (1^n) gets 1).
+
+    Every series in this module takes it from the closed form, the
+    degree-reversed q-hook fake degree (kostka_from_fake_degree), memoised
+    by parts.  The charge enumeration kostka_foulkes(lam, (1^n)) is the
+    independent route that the verify suites and tests compare it with."""
+    return _kostka_g_parts(lam.parts)
 
 
 def pn_series(n: int) -> BigradedSeries:

@@ -52,7 +52,9 @@ class WeylType:
     num_positive_roots: int
 
     def __str__(self) -> str:
-        return f"{self.family}{self.rank}"
+        """A3, B2, ...; an exceptional family name (G2, F4, E6) already
+        carries the rank."""
+        return self.family if self.family[-1].isdigit() else f"{self.family}{self.rank}"
 
 
 @dataclass(frozen=True)

@@ -159,11 +159,21 @@ class TestOtherCommands:
         assert out.strip() == "1 + x^2"
 
     def test_s3_empty_slice_warns(self, capsys):
-        with pytest.warns(UserWarning):
-            code = run(["s3", "--nu", "2,2", "--phi", "3,1"])
-        out = capsys.readouterr().out
+        code, out, err = invoke(capsys, "s3", "--nu", "2,2", "--phi", "3,1")
         assert code == 0
         assert out.strip() == "0"
+        assert err.count("\n") == 1
+        assert err.startswith("warning: slice of orbit closure (2,2) at (3,1) is empty")
+        assert ".py" not in err and "warnings.warn" not in err
+
+    def test_cache_warning_is_one_line(self, tmp_path, capsys):
+        (tmp_path / "kostka-n3.json").write_text("{ not json !!")
+        argv = ["kostka", "--lambda", "2,1", "--mu", "1,1,1", "--cache-dir", str(tmp_path)]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0
+        assert out.strip() == "t + t^2"
+        assert err.count("\n") == 1
+        assert err.startswith("warning: ignoring unusable cache file ")
 
     def test_springer_fiber(self, capsys):
         code, out, _ = invoke(capsys, "springer-fiber", "--phi", "2,1", "--format", "json")

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nilcone.laurent import (
@@ -19,6 +19,17 @@ polys = st.dictionaries(
 ).map(LaurentPoly)
 
 nonzero_polys = polys.filter(bool)
+
+# Coefficient lists with many zeros, so sparse operands come up often.
+coefficient_lists = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=-9, max_value=9)), min_size=1, max_size=14
+)
+
+
+def dense_product(a, b):
+    """Naive truncated convolution of two coefficient lists."""
+    t = min(len(a), len(b)) - 1
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(t + 1)]
 
 
 def L(terms):
@@ -202,6 +213,30 @@ class TestTruncatedSeries:
         series = series_invert_product([4], 6)
         poly = L({0: 1, 2: 1})
         assert (series * poly).coefficients == [1, 0, 1, 0, 1, 0, 1]
+
+    @given(coefficient_lists, coefficient_lists)
+    @example([0, 0, 0], [1, 2, 3, 4, 5])
+    @example([0, 0, 4, 0, 1], [0, 3])
+    @example([0], [7, 1])
+    def test_product_is_dense_convolution(self, a, b):
+        product = TruncatedSeries(a) * TruncatedSeries(b)
+        assert product.coefficients == dense_product(a, b)
+        assert product.order == min(len(a), len(b)) - 1
+        assert TruncatedSeries(b) * TruncatedSeries(a) == product
+
+    @given(
+        coefficient_lists,
+        st.dictionaries(
+            st.integers(min_value=0, max_value=25), st.integers(min_value=-9, max_value=9),
+            max_size=6,
+        ),
+    )
+    @example([1, 0, 0], {0: 1, 5: 2, 30: 1})
+    @example([0, 1], {})
+    def test_poly_product_is_padded_convolution(self, a, terms):
+        padded = [terms.get(e, 0) for e in range(len(a))]
+        product = TruncatedSeries(a) * LaurentPoly(terms, "y")
+        assert product.coefficients == dense_product(a, padded)
 
     def test_from_poly_rejects_negative_exponents(self):
         with pytest.raises(ValueError):

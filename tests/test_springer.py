@@ -2,10 +2,12 @@ from math import comb, factorial
 
 import pytest
 
-from nilcone.kostka import kostka_foulkes
+from nilcone import kostka
+from nilcone.kostka import _kostka_foulkes_parts, kostka_foulkes
 from nilcone.laurent import BiLaurentPoly, LaurentPoly
 from nilcone.partitions import Partition, partitions_of
 from nilcone.springer import (
+    _kostka_g_parts,
     hp0_slice_series,
     hp0_walg_full_series,
     ih_orbit_closure,
@@ -60,6 +62,24 @@ class TestKostkaG:
 
     def test_empty_partition(self):
         assert kostka_g(P(())) == 1
+
+    def test_consumers_take_the_closed_form(self, monkeypatch):
+        """With the tableau search disabled, every consumer of the (1^n)
+        column still answers, so none of them goes through charge."""
+
+        def no_tableaux(*args):
+            raise AssertionError("tableau enumeration reached")
+
+        _kostka_g_parts.cache_clear()
+        _kostka_foulkes_parts.cache_clear()
+        monkeypatch.setattr(kostka, "ssyt_enumerate", no_tableaux)
+        with pytest.raises(AssertionError, match="tableau enumeration"):
+            kostka_foulkes(P((3, 2, 1)), ones(6))
+        assert pn_series(6).evaluate(1, 1) == factorial(6)
+        for lam in partitions_of(6):
+            assert hp0_slice_series(lam).evaluate(1) == lam.num_standard_tableaux()
+            assert ih_orbit_closure(lam).evaluate(1) == lam.num_standard_tableaux()
+            assert proudfoot_check(lam).equal
 
 
 class TestPnSeries:

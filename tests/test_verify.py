@@ -2,6 +2,10 @@ import time
 
 import pytest
 
+from nilcone import kostka, verify
+from nilcone.laurent import LaurentPoly
+from nilcone.partitions import Partition
+from nilcone.springer import _kostka_g_parts
 from nilcone.verify import SUITES, run_suite
 
 
@@ -20,6 +24,28 @@ class TestSuites:
                          ("counts", "fake-degrees", "cone-series", "duality",
                           "proudfoot", "fibers", "weights", "socle",
                           "tables", "printed-audit")}
+
+    def test_fake_degrees_suite_catches_a_wrong_qhook(self, monkeypatch):
+        """One wrong q-hook value fails the suite even when the major-index
+        and Molien routes are made to agree with it: the charge route is
+        left to catch it, so it must not share the q-hook's code."""
+        right = kostka.fake_degree_qhook
+
+        def wrong(lam):
+            fd = right(lam)
+            return fd + LaurentPoly.one("q") if lam == Partition((2, 1)) else fd
+
+        monkeypatch.setattr(kostka, "fake_degree_qhook", wrong)
+        monkeypatch.setattr(verify, "syt_major_index_genfun", wrong)
+        monkeypatch.setattr(verify, "sn_character_values", lambda lam: lam)
+        monkeypatch.setattr(verify, "fake_degree_molien", lambda wt, lam: wrong(lam))
+        _kostka_g_parts.cache_clear()  # a memoised column would hide the patch
+        try:
+            report = run_suite("fake-degrees", max_n=4)
+        finally:
+            _kostka_g_parts.cache_clear()
+        assert not report.passed
+        assert report.checks[0].counterexample == "lam=(2,1)"
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
