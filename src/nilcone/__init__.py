@@ -20,6 +20,7 @@ from .kostka import (
     compute_kostka_table,
     fake_degree_qhook,
     kostka_foulkes,
+    kostka_foulkes_charge,
     kostka_from_fake_degree,
 )
 from .weyl import (
@@ -81,6 +82,7 @@ __all__ = [
     "ih_orbit_closure",
     "ih_s3_variety",
     "kostka_foulkes",
+    "kostka_foulkes_charge",
     "kostka_from_fake_degree",
     "kostka_g",
     "mn_character",

@@ -36,6 +36,7 @@ from .kostka import (
     compute_kostka_table,
     fake_degree_qhook,
     kostka_foulkes,
+    kostka_foulkes_charge,
 )
 from .laurent import LaurentPoly, TruncatedSeries, render
 from .partitions import Partition
@@ -187,7 +188,7 @@ def _fake_degree(o: dict):
     n = lam.size
     top, ones = n * (n - 1) // 2, Partition((1,) * n)
     routes = {
-        "charge": lambda: kostka_foulkes(lam, ones).substitute_power(-1).shift(top).with_var("q"),
+        "charge": lambda: kostka_foulkes_charge(lam, ones).substitute_power(-1).shift(top).with_var("q"),
         "qhook": lambda: fake_degree_qhook(lam),
         "molien": lambda: LaurentPoly.one("q") if n < 2 else fake_degree_molien(
             weyl_type("A", n - 1), sn_character_values(lam)

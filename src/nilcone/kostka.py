@@ -1,5 +1,23 @@
-"""Kostka-Foulkes polynomials via the charge statistic, with the q-hook
-fake-degree formula as an independent second route.
+"""Kostka-Foulkes polynomials K[lam,mu](t): a whole-column route that
+serves, a charge enumeration that verifies it, and the q-hook fake-degree
+formula for the column mu = (1^n).
+
+Which route serves: kostka_foulkes reads K[lam,mu] from the column
+Q'_mu = sum_lam K[lam,mu](t) s_lam, built by Jing's Hall-Littlewood
+vertex operator (Garsia's raising-operator formula in operator form):
+Q'_() = 1 and, for mu = (m, mubar),
+
+    Q'_mu = sum_{i,j >= 0} (-1)**i t**j h_(m+i+j) e_i^perp h_j^perp Q'_mubar.
+
+In the Schur basis that is three Pieri moves per term of Q'_mubar: remove
+a horizontal j-strip, remove a vertical i-strip, add a horizontal
+(m+i+j)-strip.  One column is memoised per mu; a column that breaks
+dominance, K[mu,mu] = 1 or positivity raises AssertionError.
+
+Which route verifies: kostka_foulkes_charge sums t**charge over the
+semistandard tableaux of shape lam and content mu; the verify suites and
+the tests compare it with the column on every pair.  The series consumers
+of the (1^n) column take the q-hook closed form (kostka_from_fake_degree).
 
 Charge convention (pinned; recorded in CONVENTION_TAG and in every cache
 file): on a standard word the index of letter 1 is 0 and the index of r+1
@@ -14,14 +32,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby, product
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .laurent import LaurentPoly
-from .partitions import Partition
+from .partitions import Partition, partitions_of
 from .tableaux import ssyt_enumerate
 
 CONVENTION_TAG = "charge-c1=0-right-increment"
 FORMAT_VERSION = 1
+
+Shape = tuple[int, ...]  # the parts of a partition, as memo keys
 
 
 def _validate_partition_content(word: Sequence[int]) -> int:
@@ -87,7 +109,7 @@ def charge(word: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _kostka_foulkes_parts(
+def _kostka_foulkes_charge_parts(
     lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]
 ) -> LaurentPoly:
     lam, mu = Partition(lam_parts), Partition(mu_parts)
@@ -98,14 +120,134 @@ def _kostka_foulkes_parts(
     return LaurentPoly(terms, "t")
 
 
-def kostka_foulkes(lam: Partition, mu: Partition) -> LaurentPoly:
+def kostka_foulkes_charge(lam: Partition, mu: Partition) -> LaurentPoly:
     """K[lam,mu](t) = sum of t**charge(reading word) over the semistandard
-    tableaux of shape lam and content mu; zero when no tableau exists."""
+    tableaux of shape lam and content mu; zero when no tableau exists.
+    The oracle that kostka_foulkes is checked against."""
     if lam.size != mu.size:
         raise ValueError(
             f"Kostka polynomial needs equal sizes: |{lam}| != |{mu}|"
         )
-    return _kostka_foulkes_parts(lam.parts, mu.parts)
+    return _kostka_foulkes_charge_parts(lam.parts, mu.parts)
+
+
+def _trim(parts: Sequence[int]) -> Shape:
+    parts = tuple(parts)
+    return parts[: parts.index(0)] if 0 in parts else parts
+
+
+@lru_cache(maxsize=None)
+def _remove_horizontal(shape: Shape) -> tuple[tuple[int, Shape], ...]:
+    """(j, kappa) for every kappa with shape/kappa a horizontal j-strip:
+    shape[r+1] <= kappa[r] <= shape[r] row by row."""
+    floors = shape[1:] + (0,)
+    size = sum(shape)
+    return tuple(
+        (size - sum(kappa), _trim(kappa))
+        for kappa in product(*(range(lo, p + 1) for lo, p in zip(floors, shape)))
+    )
+
+
+@lru_cache(maxsize=None)
+def _remove_vertical(shape: Shape) -> tuple[tuple[int, Shape], ...]:
+    """(i, rho) for every rho with shape/rho a vertical i-strip: in each
+    block of equal rows, the bottom b rows lose one cell."""
+    blocks = [(p, len(list(rows))) for p, rows in groupby(shape)]
+    out = []
+    for cuts in product(*(range(r + 1) for _, r in blocks)):
+        rho: list[int] = []
+        for (p, r), b in zip(blocks, cuts):
+            rho += [p] * (r - b) + [p - 1] * b
+        out.append((sum(cuts), _trim(rho)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _add_horizontal(shape: Shape, s: int) -> tuple[Shape, ...]:
+    """Every nu with nu/shape a horizontal s-strip: row r > 0 (one past
+    the last included) gains at most shape[r-1] - shape[r] cells, and the
+    first row takes the rest."""
+    rows = shape + (0,)
+    caps = [rows[r - 1] - rows[r] for r in range(1, len(rows))]
+    out = []
+    for gains in product(*(range(c + 1) for c in caps)):
+        rest = s - sum(gains)
+        if rest >= 0:
+            out.append(_trim([rows[0] + rest] + [p + g for p, g in zip(rows[1:], gains)]))
+    return tuple(out)
+
+
+def _unpack(value: int, bits: int) -> dict[int, int]:
+    """Coefficients of sum_e c_e 2**(bits*e), read as balanced base-2**bits
+    digits; exact for every |c_e| < 2**(bits-1)."""
+    terms: dict[int, int] = {}
+    base = 1 << bits
+    e = 0
+    while value:
+        digit = value & (base - 1)
+        if digit >= base >> 1:
+            digit -= base
+        if digit:
+            terms[e] = digit
+        value = (value - digit) >> bits
+        e += 1
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _kostka_column(mu_parts: Shape) -> dict[Shape, LaurentPoly]:
+    """The nonzero K[lam,mu] of one column, keyed by lam.parts, by Jing's
+    operator applied to the column of mu without its first part.
+
+    Each polynomial travels packed into one int, t -> 2**bits (Kronecker
+    substitution), so a Pieri move costs one big-int addition; each move
+    acts once per group of equal (shape, degree) keys.  A K[lam,mu](1)
+    counts tableaux, at most n!, so bits = len(n!) + 2 unpacks exactly."""
+    if not mu_parts:
+        return {(): LaurentPoly.one("t")}
+    m = mu_parts[0]
+    bits = factorial(sum(mu_parts)).bit_length() + 2
+    after_h: dict[tuple[Shape, int], int] = {}  # t**j h_j^perp
+    for lam, poly in _kostka_column(mu_parts[1:]).items():
+        packed = sum(c << (bits * e) for e, c in poly.terms.items())
+        for j, kappa in _remove_horizontal(lam):
+            after_h[kappa, j] = after_h.get((kappa, j), 0) + (packed << (bits * j))
+    after_e: dict[tuple[Shape, int], int] = {}  # (-1)**i e_i^perp
+    for (kappa, j), packed in after_h.items():
+        for i, rho in _remove_vertical(kappa):
+            after_e[rho, i + j] = after_e.get((rho, i + j), 0) + (-packed if i % 2 else packed)
+    summed: dict[Shape, int] = {}  # h_(m+i+j)
+    for (rho, k), packed in after_e.items():
+        if packed:
+            for nu in _add_horizontal(rho, m + k):
+                summed[nu] = summed.get(nu, 0) + packed
+    mu = Partition(mu_parts)
+    column: dict[Shape, LaurentPoly] = {}
+    for nu, packed in summed.items():
+        poly = LaurentPoly(_unpack(packed, bits), "t")
+        if not poly:
+            continue
+        # raised, not asserted: the tripwires must survive python -O
+        lam = Partition(nu)
+        if not lam.dominates(mu):
+            raise AssertionError(f"column {mu}: K[{lam},{mu}] = {poly}, not dominating")
+        if min(poly.terms.values()) < 0:
+            raise AssertionError(f"column {mu}: K[{lam},{mu}] = {poly}, a negative coefficient")
+        column[nu] = poly
+    if column.get(mu_parts) != 1:
+        raise AssertionError(f"column {mu}: K[{mu},{mu}] = {column.get(mu_parts, 0)}, not 1")
+    return column
+
+
+def kostka_foulkes(lam: Partition, mu: Partition) -> LaurentPoly:
+    """K[lam,mu](t), read from the memoised column of mu built by Jing's
+    Hall-Littlewood operator (module docstring); zero unless lam dominates
+    mu.  Equal to kostka_foulkes_charge, the tableau-and-charge oracle."""
+    if lam.size != mu.size:
+        raise ValueError(
+            f"Kostka polynomial needs equal sizes: |{lam}| != |{mu}|"
+        )
+    return _kostka_column(mu.parts).get(lam.parts) or LaurentPoly.zero("t")
 
 
 def fake_degree_qhook(lam: Partition) -> LaurentPoly:
@@ -132,8 +274,8 @@ def fake_degree_qhook(lam: Partition) -> LaurentPoly:
 def kostka_from_fake_degree(lam: Partition) -> LaurentPoly:
     """K[lam,(1^n)](t) as the degree-reversal t**N * FD(1/t) of the fake
     degree, N = n(n-1)/2.  The series consumers take this closed form
-    (springer.kostka_g); kostka_foulkes(lam, (1^n)) is the independent
-    charge route the verify suites compare it with."""
+    (springer.kostka_g); kostka_foulkes_charge(lam, (1^n)) is the
+    independent charge route the verify suites compare it with."""
     n = lam.size
     top = n * (n - 1) // 2
     fd = fake_degree_qhook(lam)
@@ -194,13 +336,60 @@ class KostkaTable:
             mu = Partition(item["mu"])
             poly = LaurentPoly({int(e): int(c) for e, c in item["poly"].items()}, "t")
             entries[(lam, mu)] = poly
-        return cls(n=n, entries=entries)
+        table = cls(n=n, entries=entries)
+        table.check_invariants()
+        return table
+
+    def check_invariants(self) -> None:
+        """Raise ValueError unless the table is a plausible full table for
+        n: K[lam,lam] = 1; K[lam,mu] != 0 only when lam dominates mu, and
+        then monic of degree n(mu) - n(lam); and for every mu,
+        sum_lam f^lam K[lam,mu](1) = n!/prod mu_i!.  The column count is
+        compared with p(n) first, so a crafted n costs no more than the
+        entries do."""
+        n = self.n
+        nonzero = [(lam, mu, poly) for (lam, mu), poly in self.entries.items() if poly]
+        for lam, mu, _ in nonzero:
+            if lam.size != n or mu.size != n:
+                raise ValueError(f"entry K[{lam},{mu}] is not of size n={n}")
+        columns = len({mu for _, mu, _ in nonzero})
+        if columns != _partition_count(n, columns):
+            raise ValueError(f"table for n={n} has {columns} nonzero columns, not p({n})")
+        shapes = partitions_of(n)
+        n_stat = {p: p.n_stat() for p in shapes}
+        syt = {p: p.num_standard_tableaux() for p in shapes}
+        totals = dict.fromkeys(shapes, 0)
+        for lam, mu, poly in nonzero:
+            if not lam.dominates(mu):
+                raise ValueError(f"K[{lam},{mu}] != 0 but {lam} does not dominate {mu}")
+            top = n_stat[mu] - n_stat[lam]
+            if poly.degree != top or poly.coeff(top) != 1:
+                raise ValueError(f"K[{lam},{mu}] = {poly} is not monic of degree {top}")
+            totals[mu] += syt[lam] * sum(poly.terms.values())
+        for mu, total in totals.items():
+            if self.lookup(mu, mu) != 1:
+                raise ValueError(f"K[{mu},{mu}] = {self.lookup(mu, mu)}, not 1")
+            expected = factorial(n) // prod(factorial(p) for p in mu.parts)
+            if total != expected:
+                raise ValueError(f"sum of f^lam K[lam,{mu}](1) is {total}, not {expected}")
+
+
+def _partition_count(n: int, cap: int) -> int:
+    """p(n), or cap + 1 as soon as some p(k), k <= n, exceeds cap; p grows
+    like exp(sqrt(k)), so the loop stops after O(log(cap)**2) steps."""
+    at_most = [[1]]  # at_most[k][m]: partitions of k with no part above m
+    for k in range(1, n + 1):
+        row = [0]
+        for m in range(1, k + 1):
+            row.append(row[m - 1] + at_most[k - m][min(m, k - m)])
+        if row[k] > cap:
+            return cap + 1
+        at_most.append(row)
+    return at_most[n][n] if n >= 0 else 0
 
 
 def compute_kostka_table(n: int) -> KostkaTable:
     """Compute every K[lam,mu] for lam, mu partitions of n (nonzero entries)."""
-    from .partitions import partitions_of
-
     table = KostkaTable(n=n)
     parts = partitions_of(n)
     for lam in parts:

@@ -141,6 +141,8 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             return LaurentPoly({e: c * other for e, c in self.terms.items()}, self.var)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented  # e.g. a TruncatedSeries, which multiplies from the right
         out: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

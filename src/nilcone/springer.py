@@ -96,8 +96,8 @@ def kostka_g(lam: Partition) -> LaurentPoly:
 
     Every series in this module takes it from the closed form, the
     degree-reversed q-hook fake degree (kostka_from_fake_degree), memoised
-    by parts.  The charge enumeration kostka_foulkes(lam, (1^n)) is the
-    independent route that the verify suites and tests compare it with."""
+    by parts.  The charge enumeration kostka_foulkes_charge(lam, (1^n)) is
+    the independent route that the verify suites and tests compare it with."""
     return _kostka_g_parts(lam.parts)
 
 

@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .kostka import fake_degree_qhook, kostka_foulkes, kostka_from_fake_degree
+from .kostka import (
+    fake_degree_qhook,
+    kostka_foulkes,
+    kostka_foulkes_charge,
+    kostka_from_fake_degree,
+)
 from .partitions import Partition, partitions_of
 from .springer import (
     kostka_g,
@@ -90,13 +95,14 @@ def suite_counts(max_n: int = 8) -> list[CheckResult]:
 
 def suite_fake_degrees(max_n: int = 7) -> list[CheckResult]:
     """Charge, q-hook, major-index and Molien routes agree on every
-    one-variable Kostka polynomial."""
+    one-variable Kostka polynomial, and the column route agrees with charge
+    on every K[lam,mu]."""
     failures = []
     for n in range(1, max_n + 1):
         top = n * (n - 1) // 2
         wt = weyl_type("A", n - 1) if n >= 2 else None
         for lam in partitions_of(n):
-            k_charge = kostka_foulkes(lam, Partition((1,) * n))
+            k_charge = kostka_foulkes_charge(lam, Partition((1,) * n))
             k_hook = kostka_from_fake_degree(lam)
             k_maj = syt_major_index_genfun(lam).substitute_power(-1).shift(top)
             ok = k_charge == k_hook == k_maj
@@ -105,12 +111,24 @@ def suite_fake_degrees(max_n: int = 7) -> list[CheckResult]:
                 ok = fd.substitute_power(-1).shift(top) == k_charge
             if not ok:
                 failures.append(f"lam={lam}")
+    column_failures = [
+        f"K[{lam},{mu}]"
+        for n in range(1, max_n + 1)
+        for mu in partitions_of(n)
+        for lam in partitions_of(n)
+        if kostka_foulkes(lam, mu) != kostka_foulkes_charge(lam, mu)
+    ]
     return [
         _single(
             "fake-degrees: charge = q-hook = major-index = molien",
             f"all partitions of n <= {max_n}",
             failures,
-        )
+        ),
+        _single(
+            "fake-degrees: column route = charge on every K[lam,mu]",
+            f"n <= {max_n}",
+            column_failures,
+        ),
     ]
 
 

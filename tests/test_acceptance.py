@@ -7,10 +7,10 @@ import time
 from math import comb, factorial
 
 from nilcone.kostka import (
-    _kostka_foulkes_parts,
+    _kostka_column,
     compute_kostka_table,
     fake_degree_qhook,
-    kostka_foulkes,
+    kostka_foulkes_charge,
     kostka_from_fake_degree,
 )
 from nilcone.cli import cache_load_store
@@ -62,7 +62,7 @@ def test_criterion_02_fake_degree_oracle_triangle():
             top = n * (n - 1) // 2
             wt = weyl_type("A", n - 1) if n >= 2 else None
             for lam in partitions_of(n):
-                k_charge = kostka_foulkes(lam, Partition((1,) * n))
+                k_charge = kostka_foulkes_charge(lam, Partition((1,) * n))
                 k_hook = kostka_from_fake_degree(lam)
                 assert k_charge == k_hook, lam
                 if wt is not None:
@@ -118,6 +118,9 @@ def test_criterion_07_fiber_specializations():
             zero_orbit = Partition((1,) * n)
             assert springer_fiber_series(zero_orbit).poly == pn_series(n).poly, n
             assert springer_fiber_series(Partition((n,))).poly.terms == {(0, 0): 1}, n
+            if n >= 2:  # independent of the nu-sum: the Molien class average
+                molien = pn_series_molien(weyl_type("A", n - 1))
+                assert springer_fiber_series(zero_orbit).poly == molien, n
 
     _record(7, "slice series degenerations, n <= 6", body)
 
@@ -178,7 +181,7 @@ def test_criterion_11_prefactor_audit():
 
 def test_criterion_12_performance_floor(tmp_path):
     def body():
-        _kostka_foulkes_parts.cache_clear()
+        _kostka_column.cache_clear()
         started = time.perf_counter()
         table = compute_kostka_table(8)
         cold = time.perf_counter() - started

@@ -166,6 +166,24 @@ class TestOtherCommands:
         assert err.startswith("warning: slice of orbit closure (2,2) at (3,1) is empty")
         assert ".py" not in err and "warnings.warn" not in err
 
+    def test_tampered_coefficient_recomputed_with_one_warning(self, tmp_path, capsys):
+        argv = ["kostka", "--lambda", "3,1,1", "--mu", "2,1,1,1", "--cache-dir", str(tmp_path)]
+        assert invoke(capsys, *argv)[:2] == (0, "t + t^2 + t^3\n")
+        path = tmp_path / "kostka-n5.json"
+        payload = json.loads(path.read_text())
+        entry = next(
+            e for e in payload["entries"] if (e["lambda"], e["mu"]) == ([3, 1, 1], [2, 1, 1, 1])
+        )
+        entry["poly"]["2"] = "2"
+        path.write_text(json.dumps(payload))
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["cache_hit"] is False
+        assert err.count("\n") == 1
+        assert err.startswith("warning: ignoring unusable cache file ")
+        assert "sum of f^lam" in err
+        assert invoke(capsys, *argv) == (0, "t + t^2 + t^3\n", "")
+
     def test_cache_warning_is_one_line(self, tmp_path, capsys):
         (tmp_path / "kostka-n3.json").write_text("{ not json !!")
         argv = ["kostka", "--lambda", "2,1", "--mu", "1,1,1", "--cache-dir", str(tmp_path)]
@@ -243,6 +261,23 @@ class TestOtherCommands:
         assert code == 3
         assert out == ""
         assert err == f"error: internal invariant failed: {type(error).__name__}: {error}\n"
+
+    def test_broken_kostka_column_exits_three(self, capsys, monkeypatch):
+        import nilcone.kostka as kostka
+
+        original = kostka._kostka_column
+
+        def negated_inner(parts):
+            if parts == (2, 1):
+                return original.__wrapped__(parts)
+            return {k: -v for k, v in original(parts).items()}
+
+        monkeypatch.setattr(kostka, "_kostka_column", negated_inner)
+        code, out, err = invoke(capsys, "kostka", "--lambda", "3", "--mu", "2,1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal invariant failed: AssertionError: column (2,1): ")
+        assert err.count("\n") == 1
 
 
 class TestVerifyCommand:

@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilcone import kostka
 from nilcone.kostka import (
     CONVENTION_TAG,
     FORMAT_VERSION,
     KostkaTable,
+    _unpack,
     charge,
     compute_kostka_table,
     fake_degree_qhook,
     kostka_foulkes,
+    kostka_foulkes_charge,
     kostka_from_fake_degree,
 )
 from nilcone.laurent import LaurentPoly
@@ -179,6 +182,8 @@ class TestKostkaFoulkes:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             kostka_foulkes(P((2,)), P((2, 1)))
+        with pytest.raises(ValueError):
+            kostka_foulkes_charge(P((2,)), P((2, 1)))
 
     def test_known_tables(self):
         for n, table in KNOWN_TABLES.items():
@@ -218,6 +223,58 @@ class TestKostkaFoulkes:
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     assert bool(kostka_foulkes(lam, mu)) == lam.dominates(mu)
+
+    def test_column_route_equals_charge(self):
+        for n in range(9):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    assert kostka_foulkes(lam, mu) == kostka_foulkes_charge(lam, mu), (lam, mu)
+
+    @given(
+        st.integers(min_value=2, max_value=40).flatmap(
+            lambda bits: st.tuples(
+                st.just(bits),
+                st.dictionaries(
+                    st.integers(min_value=0, max_value=30),
+                    st.integers(min_value=1 - 2 ** (bits - 1), max_value=2 ** (bits - 1) - 1),
+                ),
+            )
+        )
+    )
+    def test_packed_polynomials_unpack_exactly(self, bits_terms):
+        bits, terms = bits_terms
+        packed = sum(c << (bits * e) for e, c in terms.items())
+        assert _unpack(packed, bits) == {e: c for e, c in terms.items() if c}
+
+
+def _doctor_inner_column(monkeypatch, mu, doctor):
+    """Build the column of mu (fresh) from a doctored copy of the column of
+    mu without its first part."""
+    original = kostka._kostka_column
+
+    def column(parts):
+        if parts == mu:
+            return original.__wrapped__(parts)
+        return doctor(original(parts))
+
+    monkeypatch.setattr(kostka, "_kostka_column", column)
+
+
+class TestColumnTripwires:
+    def test_negative_coefficient(self, monkeypatch):
+        _doctor_inner_column(monkeypatch, (2, 1), lambda c: {k: -v for k, v in c.items()})
+        with pytest.raises(AssertionError, match="a negative coefficient"):
+            kostka_foulkes(P((2, 1)), P((2, 1)))
+
+    def test_diagonal_not_one(self, monkeypatch):
+        _doctor_inner_column(monkeypatch, (2, 1), lambda c: {k: v * 2 for k, v in c.items()})
+        with pytest.raises(AssertionError, match=r"K\[\(2,1\),\(2,1\)\] = 2"):
+            kostka_foulkes(P((2, 1)), P((2, 1)))
+
+    def test_not_dominating(self, monkeypatch):
+        _doctor_inner_column(monkeypatch, (2, 2), lambda c: {(1, 1): LaurentPoly.one()})
+        with pytest.raises(AssertionError, match="not dominating"):
+            kostka_foulkes(P((2, 2)), P((2, 2)))
 
 
 class TestFakeDegrees:
@@ -286,6 +343,36 @@ class TestKostkaTable:
         a = compute_kostka_table(5)
         b = compute_kostka_table(5)
         assert a.entries == b.entries
+
+    def test_n12_table_passes_the_load_invariants(self):
+        table = compute_kostka_table(12)
+        table.check_invariants()
+        assert KostkaTable.from_payload(table.to_payload()).entries == table.entries
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda e: e[P((3, 1)), P((2, 1, 1))].terms.update({1: 2}), "sum of f"),
+            (lambda e: e[P((3, 1)), P((2, 1, 1))].terms.update({2: 2}), "not monic"),
+            (lambda e: e.update({(P((2, 2)), P((3, 1))): LaurentPoly.one()}), "does not dominate"),
+            (lambda e: e.update({(P((2, 2)), P((2, 2))): LaurentPoly({0: 1, 1: 1})}), "not monic"),
+            (lambda e: e.pop((P((1, 1, 1, 1)), P((1, 1, 1, 1)))), "= 0, not 1"),
+            (lambda e: e.pop((P((4,)), P((4,)))), "nonzero columns"),
+            (lambda e: e.update({(P((3,)), P((3,))): LaurentPoly.one()}), "not of size"),
+        ],
+    )
+    def test_broken_tables_rejected_on_load(self, tamper, message):
+        table = compute_kostka_table(4)
+        table.entries = {k: LaurentPoly(dict(v.terms)) for k, v in table.entries.items()}
+        tamper(table.entries)
+        with pytest.raises(ValueError, match=message):
+            KostkaTable.from_payload(table.to_payload())
+
+    def test_crafted_size_rejected_without_enumerating(self):
+        n = 10**6
+        table = KostkaTable(n=n, entries={(P((n,)), P((n,))): LaurentPoly.one()})
+        with pytest.raises(ValueError, match="nonzero columns"):
+            KostkaTable.from_payload(table.to_payload())
 
     def test_entries_are_stored_polynomials(self):
         table = compute_kostka_table(4)

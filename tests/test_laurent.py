@@ -238,6 +238,15 @@ class TestTruncatedSeries:
         product = TruncatedSeries(a) * LaurentPoly(terms, "y")
         assert product.coefficients == dense_product(a, padded)
 
+    def test_poly_times_series_commutes(self):
+        poly, series = L({0: 1, 2: 3}), series_invert_product([2], 5)
+        assert poly * series == series * poly
+        assert LaurentPoly.one("y") * TruncatedSeries.one(3) == TruncatedSeries.one(3)
+
+    def test_poly_times_other_types_is_not_implemented(self):
+        with pytest.raises(TypeError):
+            L({0: 1}) * "y"
+
     def test_from_poly_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             TruncatedSeries.from_poly(L({-1: 1}), 4)

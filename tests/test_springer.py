@@ -3,7 +3,12 @@ from math import comb, factorial
 import pytest
 
 from nilcone import kostka
-from nilcone.kostka import _kostka_foulkes_parts, kostka_foulkes
+from nilcone.kostka import (
+    _kostka_column,
+    _kostka_foulkes_charge_parts,
+    kostka_foulkes,
+    kostka_foulkes_charge,
+)
 from nilcone.laurent import BiLaurentPoly, LaurentPoly
 from nilcone.partitions import Partition, partitions_of
 from nilcone.springer import (
@@ -65,16 +70,20 @@ class TestKostkaG:
 
     def test_consumers_take_the_closed_form(self, monkeypatch):
         """With the tableau search disabled, every consumer of the (1^n)
-        column still answers, so none of them goes through charge."""
+        column still answers, and so does kostka_foulkes, so none of them
+        goes through charge."""
 
         def no_tableaux(*args):
             raise AssertionError("tableau enumeration reached")
 
         _kostka_g_parts.cache_clear()
-        _kostka_foulkes_parts.cache_clear()
+        _kostka_foulkes_charge_parts.cache_clear()
+        _kostka_column.cache_clear()
         monkeypatch.setattr(kostka, "ssyt_enumerate", no_tableaux)
         with pytest.raises(AssertionError, match="tableau enumeration"):
-            kostka_foulkes(P((3, 2, 1)), ones(6))
+            kostka_foulkes_charge(P((3, 2, 1)), ones(6))
+        assert kostka_foulkes(P((3, 2, 1)), ones(6)) == kostka_g(P((3, 2, 1)))
+        assert kostka_foulkes(P((3, 2, 1)), P((2, 2, 1, 1))).terms == {1: 1, 2: 2, 3: 1}
         assert pn_series(6).evaluate(1, 1) == factorial(6)
         for lam in partitions_of(6):
             assert hp0_slice_series(lam).evaluate(1) == lam.num_standard_tableaux()
