@@ -25,7 +25,6 @@ from .kostka import (
 )
 from .weyl import (
     ClassDatum,
-    EnumerationBudgetError,
     WeylType,
     conjugacy_data,
     enumeration_counts,
@@ -60,7 +59,6 @@ __all__ = [
     "BigradedSeries",
     "CONVENTION_TAG",
     "ClassDatum",
-    "EnumerationBudgetError",
     "ExactDivisionError",
     "FORMAT_VERSION",
     "KostkaTable",

@@ -50,6 +50,7 @@ from .springer import (
     springer_fiber_series,
 )
 from .verify import SUITES, run_suite
+from .weyl import EXCEPTIONAL_DEGREES, SUPPORTED_FAMILIES
 from .weyl import fake_degree_molien, pn_series_molien, sn_character_values, weyl_type
 
 ENV_CACHE_DIR = "NILCONE_CACHE_DIR"
@@ -166,9 +167,7 @@ def cache_load_store(
 # ---------------------------------------------------------------------------
 
 _RENDERERS = {"text": str, "latex": latex_poly, "json": encode_poly}
-_UNQUERIED = ("format", "cache_dir", "budget")
-_EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6}
-_WEYL_FAMILIES = ("A", "B", "C", "D", *_EXCEPTIONAL_RANK)
+_UNQUERIED = ("format", "cache_dir")
 _FAKE_DEGREE_ROUTES = ("charge", "qhook", "molien")
 
 
@@ -217,11 +216,11 @@ def _pn(o: dict):
     if o["type"] is None:
         raise UsageError("give --n or --type")
     del o["n"]
-    if o["rank"] is None:
-        o["rank"] = _EXCEPTIONAL_RANK.get(o["type"])
+    if o["rank"] is None and o["type"] in EXCEPTIONAL_DEGREES:
+        o["rank"] = len(EXCEPTIONAL_DEGREES[o["type"]])
     if o["rank"] is None:
         raise UsageError(f"--rank is required for type {o['type']}")
-    return pn_series_molien(weyl_type(o["type"], o["rank"]), budget=o["budget"]), False, 0
+    return pn_series_molien(weyl_type(o["type"], o["rank"])), False, 0
 
 
 def _walg(o: dict):
@@ -272,9 +271,8 @@ COMMANDS = {
         "bigraded nilpotent-cone series",
         [
             ("--n", {**_INT, "help": "type A, per-partition sum"}),
-            ("--type", {"choices": _WEYL_FAMILIES, "help": "class-average route"}),
+            ("--type", {"choices": SUPPORTED_FAMILIES, "help": "class-average route"}),
             ("--rank", _INT),
-            ("--budget", {**_INT, "help": "enumeration budget override"}),
         ],
         _pn,
     ),

@@ -329,12 +329,14 @@ class KostkaTable:
                 f"table was built under convention {payload.get('convention_tag')!r},"
                 f" expected {CONVENTION_TAG!r}"
             )
-        n = int(payload["n"])
+        n = payload["n"]
+        if type(n) is not int:
+            raise ValueError(f"table size n must be an int, not {n!r}")
         entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
         for item in payload["entries"]:
             lam = Partition(item["lambda"])
             mu = Partition(item["mu"])
-            poly = LaurentPoly({int(e): int(c) for e, c in item["poly"].items()}, "t")
+            poly = LaurentPoly({_decimal(e): _decimal(c) for e, c in item["poly"].items()}, "t")
             entries[(lam, mu)] = poly
         table = cls(n=n, entries=entries)
         table.check_invariants()
@@ -372,6 +374,13 @@ class KostkaTable:
             expected = factorial(n) // prod(factorial(p) for p in mu.parts)
             if total != expected:
                 raise ValueError(f"sum of f^lam K[lam,{mu}](1) is {total}, not {expected}")
+
+
+def _decimal(text: object) -> int:
+    """The int behind a decimal string exactly as to_payload writes it."""
+    if not isinstance(text, str) or text != str(value := int(text)):
+        raise ValueError(f"table exponent or coefficient {text!r} is not a decimal string")
+    return value
 
 
 def _partition_count(n: int, cap: int) -> int:

@@ -125,6 +125,8 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly({0: other}, self.var)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
@@ -293,6 +295,8 @@ class BiLaurentPoly:
     def __add__(self, other: "BiLaurentPoly | int") -> "BiLaurentPoly":
         if isinstance(other, int):
             other = BiLaurentPoly({(0, 0): other})
+        if not isinstance(other, BiLaurentPoly):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
@@ -308,6 +312,8 @@ class BiLaurentPoly:
             return BiLaurentPoly(
                 {k: c * other for k, c in self.terms.items()}, self.xvar, self.yvar
             )
+        if not isinstance(other, BiLaurentPoly):
+            return NotImplemented
         out: dict[tuple[int, int], int] = {}
         for (x1, y1), c1 in self.terms.items():
             for (x2, y2), c2 in other.terms.items():
@@ -420,6 +426,8 @@ class TruncatedSeries:
         return NotImplemented
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         t = min(self.order, other.order)
         return TruncatedSeries(
             [self.coefficients[m] + other.coefficients[m] for m in range(t + 1)],
@@ -431,6 +439,8 @@ class TruncatedSeries:
             return TruncatedSeries([c * other for c in self.coefficients], self.var)
         if isinstance(other, LaurentPoly):
             other = TruncatedSeries.from_poly(other, self.order, self.var)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         t = min(self.order, other.order)
         # A polynomial operand has few nonzero terms: looping over them
         # outside costs terms * order, not order**2 / 2.

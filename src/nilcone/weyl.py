@@ -9,12 +9,13 @@ need the doubled grading of invariants on the ambient Lie algebra write
 y**(2*d_i) explicitly.
 
 Class data comes from closed-form cycle-type combinatorics in the classical
-families and from explicit matrix enumeration in the exceptional ones.  For
-D_n the classes are grouped by their ambient hyperoctahedral cycle type
-(some of those sets split into two true conjugacy classes, but det(1 - t w)
-and the class sums used here are constant on each set, which is all that
-any formula in this package consumes).  Likewise the enumerated exceptional
-classes are grouped by characteristic polynomial, which may merge true
+families and from explicit enumeration in the exceptional ones.  For D_n
+the classes are grouped by their ambient hyperoctahedral cycle type (some
+of those sets split into two true conjugacy classes, but det(1 - t w) and
+the class sums used here are constant on each set, which is all that any
+formula in this package consumes).  The exceptional groups are enumerated
+as permutations of their roots and split into true conjugacy classes; only
+the returned class list groups them by det(1 - t w), which may merge true
 classes (e.g. both reflection classes of G2) without affecting any sum.
 """
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from typing import Mapping
@@ -30,17 +30,16 @@ from typing import Mapping
 from .laurent import BiLaurentPoly, LaurentPoly
 from .partitions import Partition, partitions_of
 
-SUPPORTED_FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6")
+# Fundamental degrees of the exceptional types; the rank is their number.
+EXCEPTIONAL_DEGREES = {"G2": (2, 6), "F4": (2, 6, 8, 12), "E6": (2, 5, 6, 8, 9, 12)}
+SUPPORTED_FAMILIES = ("A", "B", "C", "D", *EXCEPTIONAL_DEGREES)
 
-# Enumeration is affordable through F4 (1152 elements); E6 (51840) must be
-# requested explicitly via the budget argument.
-DEFAULT_ENUMERATION_BUDGET = 1200
-
-Matrix = tuple[tuple[int, ...], ...]
-
-
-class EnumerationBudgetError(ValueError):
-    """The requested group is larger than the enumeration budget allows."""
+# weyl_type checks the degree table against enumeration up to this order
+# (F4 has 1152 elements); larger groups are looked up from the table alone.
+_VALIDATED_ORDER = 1200
+# Enumeration holds every element at once: it stops at E6 (51840 elements),
+# the largest supported exceptional group.
+_ENUMERATED_ORDER = prod(EXCEPTIONAL_DEGREES["E6"])
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,10 @@ class WeylType:
 
 @dataclass(frozen=True)
 class ClassDatum:
-    """One conjugacy class (or char-polynomial-constant union of classes):
-    its size and the factor det(1 - t w) on the reflection representation."""
+    """One conjugacy class (or a union of classes on which det(1 - t w) is
+    constant: an ambient cycle type in D_n, a characteristic polynomial in
+    the exceptional types): its size and the factor det(1 - t w) on the
+    reflection representation."""
 
     label: str
     size: int
@@ -74,20 +75,16 @@ def _degrees(family: str, rank: int) -> tuple[int, ...]:
         return tuple(2 * i for i in range(1, rank + 1))
     if family == "D" and rank >= 2:
         return tuple(sorted([2 * i for i in range(1, rank)] + [rank]))
-    if family == "G2" and rank == 2:
-        return (2, 6)
-    if family == "F4" and rank == 4:
-        return (2, 6, 8, 12)
-    if family == "E6" and rank == 6:
-        return (2, 5, 6, 8, 9, 12)
+    if family in EXCEPTIONAL_DEGREES and len(EXCEPTIONAL_DEGREES[family]) == rank:
+        return EXCEPTIONAL_DEGREES[family]
     raise ValueError(f"unsupported Weyl type {family}{rank}")
 
 
 @lru_cache(maxsize=None)
 def weyl_type(family: str, rank: int) -> WeylType:
-    """Look up a supported Weyl type; for groups within the enumeration
-    budget the degree table is validated against explicit enumeration
-    (element count and reflection count)."""
+    """Look up a supported Weyl type; for groups of order up to 1200 the
+    degree table is validated against explicit enumeration (element count
+    and reflection count)."""
     degrees = _degrees(family, rank)
     wt = WeylType(
         family=family,
@@ -96,7 +93,7 @@ def weyl_type(family: str, rank: int) -> WeylType:
         order=prod(degrees),
         num_positive_roots=sum(d - 1 for d in degrees),
     )
-    if wt.order <= DEFAULT_ENUMERATION_BUDGET:
+    if wt.order <= _VALIDATED_ORDER:
         counted, reflections = enumeration_counts(wt)
         if counted != wt.order or reflections != wt.num_positive_roots:
             raise AssertionError(
@@ -107,7 +104,7 @@ def weyl_type(family: str, rank: int) -> WeylType:
 
 
 # ---------------------------------------------------------------------------
-# Reflection representation from the Cartan matrix, and group enumeration.
+# Root system from the Cartan matrix, and group enumeration.
 # ---------------------------------------------------------------------------
 
 
@@ -150,129 +147,96 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return c
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 @lru_cache(maxsize=None)
-def _simple_reflections(family: str, rank: int) -> tuple[Matrix, ...]:
+def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int], ...]:
+    """The true conjugacy classes of W, each as (det(1 - t w), size).
+
+    The roots, in the simple-root basis, are the closure of the simple roots
+    under the simple reflections.  Each simple reflection becomes a
+    permutation of root indices, so a group element is a tuple and
+    composition is tuple indexing.  W is enumerated breadth first and split
+    into classes by closure under conjugation by the simple reflections."""
     cartan = _cartan_matrix(family, rank)
-    gens = []
-    for j in range(rank):
-        rows = [
-            [1 if i == k else 0 for k in range(rank)] for i in range(rank)
-        ]
-        rows[j] = [(1 if i == j else 0) - cartan[i][j] for i in range(rank)]
-        gens.append(tuple(tuple(row) for row in rows))
-    return tuple(gens)
+
+    def reflect(j: int, v: tuple[int, ...]) -> tuple[int, ...]:
+        pairing = sum(v[i] * cartan[i][j] for i in range(rank))
+        return v[:j] + (v[j] - pairing,) + v[j + 1 :]
+
+    roots = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    index = {r: k for k, r in enumerate(roots)}
+    for v in roots:  # the list grows while it is read: a breadth-first search
+        for j in range(rank):
+            if (w := reflect(j, v)) not in index:
+                index[w] = len(roots)
+                roots.append(w)
+    gens = [tuple(index[reflect(j, v)] for v in roots) for j in range(rank)]
+    elements = [tuple(range(len(roots)))]
+    unclassed = set(elements)
+    for w in elements:
+        for g in gens:
+            if (p := tuple([w[i] for i in g])) not in unclassed:
+                unclassed.add(p)
+                elements.append(p)
+    classes = []
+    while unclassed:
+        rep = unclassed.pop()
+        orbit = [rep]
+        for w in orbit:
+            for s in gens:  # s w s, as s is an involution
+                if (c := tuple([s[w[i]] for i in s])) in unclassed:
+                    unclassed.remove(c)
+                    orbit.append(c)
+        # the columns of rep as a matrix are the roots rep(a_j)
+        matrix = [[roots[rep[j]][i] for j in range(rank)] for i in range(rank)]
+        classes.append((_char_factor(matrix), len(orbit)))
+    degrees = _degrees(family, rank)
+    counted = sum(size for _, size in classes)
+    if counted != prod(degrees) or len(roots) != 2 * sum(d - 1 for d in degrees):
+        raise AssertionError(
+            f"{family}{rank}: enumeration found {counted} elements and "
+            f"{len(roots)} roots, against the degrees {degrees}"
+        )
+    return tuple(classes)
 
 
-@lru_cache(maxsize=None)
-def _enumerate(family: str, rank: int) -> tuple[Matrix, ...]:
-    """All elements of W as integer matrices in the simple-root basis."""
-    gens = _simple_reflections(family, rank)
-    identity = tuple(
-        tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)
-    )
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new: list[Matrix] = []
-        for m in frontier:
-            for g in gens:
-                p = _mat_mul(m, g)
-                if p not in seen:
-                    seen.add(p)
-                    new.append(p)
-        frontier = new
-    return tuple(seen)
-
-
-def _int_det(mat: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a small integer matrix."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _char_factor_of_matrix(m: Matrix) -> LaurentPoly:
-    """det(1 - t m), exactly, by interpolation at t = 0..rank."""
+def _char_factor(m: list[list[int]]) -> LaurentPoly:
+    """det(1 - t m) by integer Faddeev-LeVerrier: with A_0 = 0 and c_0 = 1,
+    A_k = m (A_(k-1) + c_(k-1) 1) and the coefficient of t**k is
+    c_k = -tr(A_k) / k, a division that must be exact."""
     r = len(m)
-    values = [
-        _int_det([[(1 if i == j else 0) - k * m[i][j] for j in range(r)] for i in range(r)])
-        for k in range(r + 1)
-    ]
-    # Newton divided differences on the nodes 0..r
-    dd = [Fraction(v) for v in values]
-    for j in range(1, r + 1):
-        for i in range(r, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / j
-    coeffs = [Fraction(0)] * (r + 1)
-    coeffs[0] = dd[0]
-    basis = [Fraction(1)]
-    for i in range(1, r + 1):
-        new = [Fraction(0)] * (len(basis) + 1)
-        for d, b in enumerate(basis):
-            new[d + 1] += b
-            new[d] -= b * (i - 1)
-        basis = new
-        for d, b in enumerate(basis):
-            coeffs[d] += dd[i] * b
-    terms: dict[int, int] = {}
-    for e, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise AssertionError("characteristic polynomial interpolation failed")
-        terms[e] = int(c)
-    return LaurentPoly(terms, "t")
+    coeffs = [1]
+    a = [[0] * r for _ in range(r)]
+    for k in range(1, r + 1):
+        for i in range(r):
+            a[i][i] += coeffs[-1]
+        a = [[sum(m[i][l] * a[l][j] for l in range(r)) for j in range(r)] for i in range(r)]
+        c, remainder = divmod(-sum(a[i][i] for i in range(r)), k)
+        if remainder:
+            raise AssertionError(f"Faddeev-LeVerrier: trace not divisible by {k}")
+        coeffs.append(c)
+    return LaurentPoly(dict(enumerate(coeffs)), "t")
 
 
-@lru_cache(maxsize=None)
 def _grouped_char_factors(family: str, rank: int) -> tuple[tuple[LaurentPoly, int], ...]:
     groups: dict[LaurentPoly, int] = {}
-    for m in _enumerate(family, rank):
-        f = _char_factor_of_matrix(m)
-        groups[f] = groups.get(f, 0) + 1
+    for f, size in _conjugacy_classes(family, rank):
+        groups[f] = groups.get(f, 0) + size
     return tuple(
         sorted(groups.items(), key=lambda kv: sorted(kv[0].terms.items()))
     )
 
 
-def _check_budget(wt: WeylType, budget: int | None) -> None:
-    limit = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-    if wt.order > limit:
-        raise EnumerationBudgetError(
-            f"enumerating {wt} needs {wt.order} elements, over the budget of {limit}"
-        )
-
-
-def enumeration_counts(wt: WeylType, budget: int | None = None) -> tuple[int, int]:
+def enumeration_counts(wt: WeylType) -> tuple[int, int]:
     """(number of elements, number of reflections) by explicit enumeration.
 
     Validates the degree table: the counts must equal prod(d_i) and
-    sum(d_i - 1) respectively.
+    sum(d_i - 1) respectively.  Groups larger than E6 are refused.
     """
-    _check_budget(wt, budget)
+    if wt.order > _ENUMERATED_ORDER:
+        raise ValueError(
+            f"enumerating {wt} needs {wt.order} elements, more than the "
+            f"{_ENUMERATED_ORDER} of E6"
+        )
     groups = _grouped_char_factors(wt.family, wt.rank)
     reflection_char = LaurentPoly({0: 1, 1: -1}, "t") ** (wt.rank - 1) * LaurentPoly(
         {0: 1, 1: 1}, "t"
@@ -307,7 +271,7 @@ def _one_plus(k: int) -> LaurentPoly:
     return LaurentPoly({0: 1, k: 1}, "t")
 
 
-def conjugacy_data(wt: WeylType, budget: int | None = None) -> list[ClassDatum]:
+def conjugacy_data(wt: WeylType) -> list[ClassDatum]:
     """Complete class list with sizes and det(1 - t w) factors.
 
     See the module docstring for the grouping caveats in type D and in the
@@ -354,7 +318,6 @@ def conjugacy_data(wt: WeylType, budget: int | None = None) -> list[ClassDatum]:
                     )
         return out
     # exceptional types: enumerate and group by characteristic polynomial
-    _check_budget(wt, budget)
     return [
         ClassDatum(label=str(f), size=count, char_factor=f)
         for f, count in _grouped_char_factors(wt.family, wt.rank)
@@ -457,7 +420,7 @@ def fake_degree_molien(
     return fd
 
 
-def pn_series_molien(wt: WeylType, budget: int | None = None) -> BiLaurentPoly:
+def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
     """Bigraded flag-variety series by class averaging, with no character
     table:
 
@@ -468,7 +431,7 @@ def pn_series_molien(wt: WeylType, budget: int | None = None) -> BiLaurentPoly:
     characters."""
     npos = wt.num_positive_roots
     acc = BiLaurentPoly.zero()
-    for cd in conjugacy_data(wt, budget=budget):
+    for cd in conjugacy_data(wt):
         f = molien_graded_character(wt, cd)
         fx = BiLaurentPoly.from_x(f.substitute_power(-2))
         fy = BiLaurentPoly.from_y(f.substitute_power(2))

@@ -120,10 +120,10 @@ class TestPnCommand:
         assert code == 1
         assert "unsupported" in err
 
-    def test_e6_budget_flag(self, capsys):
-        code, _, err = invoke(capsys, "pn", "--type", "E6")
-        assert code == 1
-        assert "budget" in err
+    def test_e6(self, capsys):
+        code, out, _ = invoke(capsys, "pn", "--type", "E6")
+        assert code == 0
+        assert out.startswith("1 + ") and out.strip().endswith("x^72 y^-72")
 
 
 class TestOtherCommands:

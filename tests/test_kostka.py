@@ -309,6 +309,11 @@ class TestFakeDegrees:
         assert kostka_from_fake_degree(P((4,))).terms == {6: 1}
 
 
+def _n1_entry(exponent, coeff) -> dict:
+    """The one payload entry K[(1),(1)] of the n = 1 table."""
+    return {"lambda": [1], "mu": [1], "poly": {exponent: coeff}}
+
+
 class TestKostkaTable:
     def test_compute_small(self):
         table = compute_kostka_table(3)
@@ -352,21 +357,32 @@ class TestKostkaTable:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda e: e[P((3, 1)), P((2, 1, 1))].terms.update({1: 2}), "sum of f"),
-            (lambda e: e[P((3, 1)), P((2, 1, 1))].terms.update({2: 2}), "not monic"),
-            (lambda e: e.update({(P((2, 2)), P((3, 1))): LaurentPoly.one()}), "does not dominate"),
-            (lambda e: e.update({(P((2, 2)), P((2, 2))): LaurentPoly({0: 1, 1: 1})}), "not monic"),
-            (lambda e: e.pop((P((1, 1, 1, 1)), P((1, 1, 1, 1)))), "= 0, not 1"),
-            (lambda e: e.pop((P((4,)), P((4,)))), "nonzero columns"),
-            (lambda e: e.update({(P((3,)), P((3,))): LaurentPoly.one()}), "not of size"),
+            (lambda e, _: e[P((3, 1)), P((2, 1, 1))].terms.update({1: 2}), "sum of f"),
+            (lambda e, _: e[P((3, 1)), P((2, 1, 1))].terms.update({2: 2}), "not monic"),
+            (lambda e, _: e.update({(P((2, 2)), P((3, 1))): LaurentPoly.one()}), "does not dominate"),
+            (lambda e, _: e.update({(P((2, 2)), P((2, 2))): LaurentPoly({0: 1, 1: 1})}), "not monic"),
+            (lambda e, _: e.pop((P((1, 1, 1, 1)), P((1, 1, 1, 1)))), "= 0, not 1"),
+            (lambda e, _: e.pop((P((4,)), P((4,)))), "nonzero columns"),
+            (lambda e, _: e.update({(P((3,)), P((3,))): LaurentPoly.one()}), "not of size"),
+            # wrong JSON types, each of which int() would have coerced into a
+            # table that passes the invariants
+            (lambda _, p: p.update(n=3.9), "n must be an int"),
+            (lambda _, p: p.update(n=True, entries=[_n1_entry("0", "1")]), "n must be an int"),
+            (lambda _, p: p.update(n=1, entries=[_n1_entry("0", 1.5)]), "not a decimal string"),
+            (lambda _, p: p.update(n=1, entries=[_n1_entry("0", 1)]), "not a decimal string"),
+            (lambda _, p: p.update(n=1, entries=[_n1_entry("0", "+1")]), "not a decimal string"),
+            (lambda _, p: p.update(n=1, entries=[_n1_entry("-0", "1")]), "not a decimal string"),
         ],
     )
     def test_broken_tables_rejected_on_load(self, tamper, message):
+        """tamper(entries, overrides) edits the n = 4 table's entries, or
+        sets payload fields in overrides."""
         table = compute_kostka_table(4)
         table.entries = {k: LaurentPoly(dict(v.terms)) for k, v in table.entries.items()}
-        tamper(table.entries)
+        overrides = {}
+        tamper(table.entries, overrides)
         with pytest.raises(ValueError, match=message):
-            KostkaTable.from_payload(table.to_payload())
+            KostkaTable.from_payload(table.to_payload() | overrides)
 
     def test_crafted_size_rejected_without_enumerating(self):
         n = 10**6

@@ -246,6 +246,19 @@ class TestTruncatedSeries:
     def test_poly_times_other_types_is_not_implemented(self):
         with pytest.raises(TypeError):
             L({0: 1}) * "y"
+        p, b, s = L({0: 1, 1: 2}), BiLaurentPoly({(0, 1): 1}), TruncatedSeries.one(3)
+        for combine in (
+            lambda: b * p,
+            lambda: p * b,
+            lambda: b + p,
+            lambda: p + b,
+            lambda: s + 1,
+            lambda: p + s,
+            lambda: s * b,
+            lambda: b * s,
+        ):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                combine()
 
     def test_from_poly_rejects_negative_exponents(self):
         with pytest.raises(ValueError):

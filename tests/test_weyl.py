@@ -6,7 +6,8 @@ from nilcone.kostka import fake_degree_qhook
 from nilcone.laurent import LaurentPoly
 from nilcone.partitions import Partition, partitions_of
 from nilcone.weyl import (
-    EnumerationBudgetError,
+    _conjugacy_classes,
+    _grouped_char_factors,
     conjugacy_data,
     enumeration_counts,
     fake_degree_molien,
@@ -96,18 +97,29 @@ class TestEnumeration:
         assert order == wt.order
         assert reflections == wt.num_positive_roots
 
-    def test_budget_blocks_e6_by_default(self):
-        with pytest.raises(EnumerationBudgetError):
-            enumeration_counts(weyl_type("E6", 6))
-        with pytest.raises(EnumerationBudgetError):
-            conjugacy_data(weyl_type("E6", 6))
+    def test_e6_counts(self):
+        assert enumeration_counts(weyl_type("E6", 6)) == (51840, 36)
 
-    @pytest.mark.slow
-    def test_e6_with_explicit_budget(self):
-        wt = weyl_type("E6", 6)
-        order, reflections = enumeration_counts(wt, budget=60000)
-        assert order == 51840
-        assert reflections == 36
+    def test_groups_larger_than_e6_refused(self):
+        with pytest.raises(ValueError, match="362880 elements"):
+            enumeration_counts(weyl_type("A", 8))
+
+    @pytest.mark.parametrize(
+        "family,rank,classes", [("G2", 2, 6), ("B", 3, 10), ("D", 4, 13), ("F4", 4, 25), ("E6", 6, 25)]
+    )
+    def test_true_class_counts(self, family, rank, classes):
+        # Carter, Conjugacy classes in the Weyl group (1972)
+        assert len(_conjugacy_classes(family, rank)) == classes
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("D", 4)],
+    )
+    def test_enumeration_matches_closed_form_classes(self, family, rank):
+        closed_form: dict[LaurentPoly, int] = {}
+        for cd in conjugacy_data(weyl_type(family, rank)):
+            closed_form[cd.char_factor] = closed_form.get(cd.char_factor, 0) + cd.size
+        assert dict(_grouped_char_factors(family, rank)) == closed_form
 
 
 class TestConjugacyData:
@@ -307,7 +319,7 @@ class TestPnSeriesMolien:
         assert pn_series_molien(weyl_type("A", 1)).terms == {(0, 0): 1, (2, -2): 1}
 
     @pytest.mark.parametrize(
-        "family,rank", [("A", 2), ("B", 2), ("B", 3), ("D", 4), ("G2", 2), ("F4", 4)]
+        "family,rank", [("A", 2), ("B", 2), ("B", 3), ("D", 4), ("G2", 2), ("F4", 4), ("E6", 6)]
     )
     def test_total_dimension_is_group_order(self, family, rank):
         wt = weyl_type(family, rank)
