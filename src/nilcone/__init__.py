@@ -11,7 +11,7 @@ from .laurent import (
     series_invert_product,
 )
 from .partitions import Partition, partitions_of
-from .tableaux import Tableau, ssyt_enumerate, syt_enumerate, syt_major_index_genfun
+from .tableaux import ssyt_enumerate, syt_enumerate, syt_major_index_genfun
 from .kostka import (
     CONVENTION_TAG,
     FORMAT_VERSION,
@@ -37,7 +37,6 @@ from .weyl import (
 )
 from .springer import (
     BigradedSeries,
-    PrefactorAudit,
     ProudfootReport,
     hp0_slice_series,
     hp0_walg_full_series,
@@ -46,7 +45,6 @@ from .springer import (
     kostka_g,
     orbit_dim,
     pn_series,
-    prefactor_audit,
     proudfoot_check,
     slice_series_typeA_printed,
     springer_fiber_series,
@@ -64,9 +62,7 @@ __all__ = [
     "KostkaTable",
     "LaurentPoly",
     "Partition",
-    "PrefactorAudit",
     "ProudfootReport",
-    "Tableau",
     "TruncatedSeries",
     "WeylType",
     "charge",
@@ -89,7 +85,6 @@ __all__ = [
     "partitions_of",
     "pn_series",
     "pn_series_molien",
-    "prefactor_audit",
     "proudfoot_check",
     "series_invert_product",
     "slice_series_typeA_printed",

@@ -16,8 +16,13 @@ dominance, K[mu,mu] = 1 or positivity raises AssertionError.
 
 Which route verifies: kostka_foulkes_charge sums t**charge over the
 semistandard tableaux of shape lam and content mu; the verify suites and
-the tests compare it with the column on every pair.  The series consumers
-of the (1^n) column take the q-hook closed form (kostka_from_fake_degree).
+the tests compare it with the column on every pair.  The tableaux are
+chains of horizontal strips (tableaux.ssyt_enumerate) grown with the same
+_add_horizontal as the column's last Pieri move, so the tableau tests
+check that enumeration without it: every filling semistandard and
+distinct, and sum_lam f^lam |SSYT(lam,mu)| = n!/prod mu_i!.  The series
+consumers of the (1^n) column take the q-hook closed form
+(kostka_from_fake_degree).
 
 Charge convention (pinned; recorded in CONVENTION_TAG and in every cache
 file): on a standard word the index of letter 1 is 0 and the index of r+1
@@ -37,20 +42,18 @@ from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .laurent import LaurentPoly
-from .partitions import Partition, partitions_of
+from .partitions import Partition, Shape, _add_horizontal, _trim, partitions_of
 from .tableaux import ssyt_enumerate
 
 CONVENTION_TAG = "charge-c1=0-right-increment"
 FORMAT_VERSION = 1
-
-Shape = tuple[int, ...]  # the parts of a partition, as memo keys
 
 
 def _validate_partition_content(word: Sequence[int]) -> int:
     """Check the letter multiplicities form a partition; return the top letter."""
     counts: dict[int, int] = {}
     for v in word:
-        if not isinstance(v, int) or v < 1:
+        if type(v) is not int or v < 1:  # bool is not a letter
             raise ValueError(f"word letters must be positive integers: {v!r}")
         counts[v] = counts.get(v, 0) + 1
     top = max(counts) if counts else 0
@@ -114,8 +117,8 @@ def _kostka_foulkes_charge_parts(
 ) -> LaurentPoly:
     lam, mu = Partition(lam_parts), Partition(mu_parts)
     terms: dict[int, int] = {}
-    for t in ssyt_enumerate(lam, mu):
-        c = charge(t.reading_word())
+    for rows in ssyt_enumerate(lam, mu):
+        c = charge([v for row in reversed(rows) for v in row])  # bottom row first
         terms[c] = terms.get(c, 0) + 1
     return LaurentPoly(terms, "t")
 
@@ -129,11 +132,6 @@ def kostka_foulkes_charge(lam: Partition, mu: Partition) -> LaurentPoly:
             f"Kostka polynomial needs equal sizes: |{lam}| != |{mu}|"
         )
     return _kostka_foulkes_charge_parts(lam.parts, mu.parts)
-
-
-def _trim(parts: Sequence[int]) -> Shape:
-    parts = tuple(parts)
-    return parts[: parts.index(0)] if 0 in parts else parts
 
 
 @lru_cache(maxsize=None)
@@ -159,21 +157,6 @@ def _remove_vertical(shape: Shape) -> tuple[tuple[int, Shape], ...]:
         for (p, r), b in zip(blocks, cuts):
             rho += [p] * (r - b) + [p - 1] * b
         out.append((sum(cuts), _trim(rho)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _add_horizontal(shape: Shape, s: int) -> tuple[Shape, ...]:
-    """Every nu with nu/shape a horizontal s-strip: row r > 0 (one past
-    the last included) gains at most shape[r-1] - shape[r] cells, and the
-    first row takes the rest."""
-    rows = shape + (0,)
-    caps = [rows[r - 1] - rows[r] for r in range(1, len(rows))]
-    out = []
-    for gains in product(*(range(c + 1) for c in caps)):
-        rest = s - sum(gains)
-        if rest >= 0:
-            out.append(_trim([rows[0] + rest] + [p + g for p, g in zip(rows[1:], gains)]))
     return tuple(out)
 
 

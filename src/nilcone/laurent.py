@@ -359,18 +359,6 @@ class BiLaurentPoly:
 
     __call__ = evaluate
 
-    def monomial_ratio(self, other: "BiLaurentPoly") -> tuple[int, int] | None:
-        """Exponent pair (dx, dy) with self == x**dx * y**dy * other, if one exists."""
-        if len(self.terms) != len(other.terms):
-            return None
-        if not self.terms:
-            return (0, 0)
-        (sx, sy) = min(self.terms)
-        (ox, oy) = min(other.terms)
-        dx, dy = sx - ox, sy - oy
-        shifted = {(x + dx, y + dy): c for (x, y), c in other.terms.items()}
-        return (dx, dy) if shifted == self.terms else None
-
     def monomials(self) -> Monomials:
         """Variable names and (exponents, coefficient) pairs, ascending."""
         return (self.xvar, self.yvar), sorted(self.terms.items())

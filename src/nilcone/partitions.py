@@ -8,8 +8,12 @@ n = 0 cases throughout the package.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+Shape = tuple[int, ...]  # the parts of a partition, as memo keys
 
 
 class Partition:
@@ -121,3 +125,23 @@ def partitions_of(n: int) -> list[Partition]:
 
     extend(n, n, ())
     return out
+
+
+def _trim(parts: Sequence[int]) -> Shape:
+    parts = tuple(parts)
+    return parts[: parts.index(0)] if 0 in parts else parts
+
+
+@lru_cache(maxsize=None)
+def _add_horizontal(shape: Shape, s: int) -> tuple[Shape, ...]:
+    """Every nu with nu/shape a horizontal s-strip: row r > 0 (one past
+    the last included) gains at most shape[r-1] - shape[r] cells, and the
+    first row takes the rest."""
+    rows = shape + (0,)
+    caps = [rows[r - 1] - rows[r] for r in range(1, len(rows))]
+    out = []
+    for gains in product(*(range(c + 1) for c in caps)):
+        rest = s - sum(gains)
+        if rest >= 0:
+            out.append(_trim([rows[0] + rest] + [p + g for p, g in zip(rows[1:], gains)]))
+    return tuple(out)

@@ -60,23 +60,6 @@ class ProudfootReport:
     equal: bool
 
 
-@dataclass(frozen=True)
-class PrefactorAudit:
-    """Measured discrepancy between the two published prefactor conventions
-    for the slice series (y**(2 n_stat) versus y**(dim orbit)).
-
-    The two series always differ by a pure power of y; this records the
-    measured exponent next to the two candidate normalizations instead of
-    asserting either one.
-    """
-
-    mu: Partition
-    is_pure_power_of_y: bool
-    ratio_y_exponent: int | None
-    doubled_n_stat: int
-    orbit_dimension: int
-
-
 def orbit_dim(lam: Partition) -> int:
     """Dimension of the nilpotent orbit with Jordan type lam in sl_n:
     n**2 - sum of squared column lengths; always even."""
@@ -197,27 +180,9 @@ def slice_series_typeA_printed(mu: Partition) -> BigradedSeries:
     """The slice series in its alternative printed normalization, with
     prefactor y**(2 n_stat(mu)) in place of y**dim(O_mu).  One nu-sum
     serves both normalizations: this is springer_fiber_series shifted in
-    y.  prefactor_audit compares the two."""
+    y."""
     return BigradedSeries(
         springer_fiber_series(mu).poly.shift(0, 2 * mu.n_stat() - orbit_dim(mu))
-    )
-
-
-def prefactor_audit(mu: Partition) -> PrefactorAudit:
-    """Divide the printed-normalization slice series by the dimension
-    normalization and record the resulting power of y (measured, never
-    asserted equal to zero: the two prefactors genuinely disagree for some
-    mu, e.g. (2,1))."""
-    printed = slice_series_typeA_printed(mu).poly
-    normative = springer_fiber_series(mu).poly
-    ratio = printed.monomial_ratio(normative)
-    pure = ratio is not None and ratio[0] == 0
-    return PrefactorAudit(
-        mu=mu,
-        is_pure_power_of_y=pure,
-        ratio_y_exponent=ratio[1] if pure else None,
-        doubled_n_stat=2 * mu.n_stat(),
-        orbit_dimension=orbit_dim(mu),
     )
 
 

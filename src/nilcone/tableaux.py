@@ -1,100 +1,46 @@
 """Semistandard Young tableaux: enumeration and the major-index statistic.
 
-Enumeration is by cell-wise backtracking in column-major order (columns
-left to right, cells top to bottom within a column, candidate letters tried
-in increasing order), pruning on the remaining content counters.  The
-output order is therefore the lexicographic order of the column-reading
-sequences, and is stable across runs.
+A tableau of content mu is a chain of shapes () = lam^0 < lam^1 < ... <
+lam^k = shape in which lam^i / lam^(i-1) is a horizontal mu_i-strip, the
+cells that hold letter i.  Enumeration grows these chains letter by
+letter and keeps each strip that still fits inside the shape.  A tableau
+is returned as its tuple of rows.  The output order is the lexicographic
+order of the strip choices, letter 1 first, each letter's strips in
+partitions._add_horizontal order; it is stable across runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .laurent import LaurentPoly
-from .partitions import Partition
+from .partitions import Partition, _add_horizontal
+
+Rows = tuple[tuple[int, ...], ...]
 
 
-class Tableau:
-    """A semistandard filling: rows weakly increase, columns strictly increase."""
-
-    __slots__ = ("rows", "shape", "content")
-
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
-        self.shape = Partition(len(row) for row in self.rows)
-        counts: dict[int, int] = {}
-        for r, row in enumerate(self.rows):
-            for c, v in enumerate(row):
-                if v < 1:
-                    raise ValueError(f"tableau letters must be positive: {v}")
-                if c and row[c - 1] > v:
-                    raise ValueError(f"row {r} is not weakly increasing: {row}")
-                if r and self.rows[r - 1][c] >= v:
-                    raise ValueError(f"column {c} is not strictly increasing")
-                counts[v] = counts.get(v, 0) + 1
-        top = max(counts) if counts else 0
-        self.content = tuple(counts.get(i, 0) for i in range(1, top + 1))
-
-    def reading_word(self) -> tuple[int, ...]:
-        """Rows read left to right, bottom row first."""
-        return tuple(v for row in reversed(self.rows) for v in row)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Tableau):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Tableau({[list(r) for r in self.rows]!r})"
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
-
-
-def ssyt_enumerate(shape: Partition, content: Partition) -> list[Tableau]:
+def ssyt_enumerate(shape: Partition, content: Partition) -> list[Rows]:
     """All semistandard tableaux of the given shape in which letter i occurs
-    content[i-1] times; deterministic column-reading lexicographic order."""
+    content[i-1] times, as tuples of rows, in the strip order of the module
+    docstring."""
     if shape.size != content.size:
         raise ValueError(
             f"shape and content must have equal size: |{shape}| != |{content}|"
         )
-    if shape.size == 0:
-        return [Tableau(())]
-    conj = shape.conjugate().parts
-    cells = [(r, c) for c in range(len(conj)) for r in range(conj[c])]
-    grid = [[0] * p for p in shape.parts]
-    remaining = list(content.parts)
-    letters = len(remaining)
-    results: list[Tableau] = []
-
-    def fill(idx: int) -> None:
-        if idx == len(cells):
-            results.append(Tableau([row[:] for row in grid]))
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, letters + 1):
-            if remaining[v - 1] == 0:
-                continue
-            grid[r][c] = v
-            remaining[v - 1] -= 1
-            fill(idx + 1)
-            remaining[v - 1] += 1
-        grid[r][c] = 0
-
-    fill(0)
-    return results
+    target = shape.parts
+    tableaux: list[Rows] = [()]
+    for letter, m in enumerate(content.parts, 1):
+        grown = []
+        for rows in tableaux:
+            for nu in _add_horizontal(tuple(map(len, rows)), m):
+                if len(nu) <= len(target) and all(a <= b for a, b in zip(nu, target)):
+                    padded = rows + ((),) * (len(nu) - len(rows))
+                    grown.append(
+                        tuple(row + (letter,) * (p - len(row)) for row, p in zip(padded, nu))
+                    )
+        tableaux = grown
+    return tableaux
 
 
-def syt_enumerate(shape: Partition) -> list[Tableau]:
+def syt_enumerate(shape: Partition) -> list[Rows]:
     """Standard Young tableaux of the given shape (letters 1..n, each once)."""
     return ssyt_enumerate(shape, Partition((1,) * shape.size))
 
@@ -106,11 +52,8 @@ def syt_major_index_genfun(shape: Partition) -> LaurentPoly:
     value of this polynomial at 1 is the number of standard tableaux.
     """
     terms: dict[int, int] = {}
-    for t in syt_enumerate(shape):
-        row_of: dict[int, int] = {}
-        for r, row in enumerate(t.rows):
-            for v in row:
-                row_of[v] = r
+    for rows in syt_enumerate(shape):
+        row_of = {v: r for r, row in enumerate(rows) for v in row}
         maj = sum(r for r in range(1, shape.size) if row_of[r + 1] > row_of[r])
         terms[maj] = terms.get(maj, 0) + 1
     return LaurentPoly(terms, "q")

@@ -19,7 +19,6 @@ from nilcone.springer import (
     kostka_g,
     orbit_dim,
     pn_series,
-    prefactor_audit,
     proudfoot_check,
     springer_fiber_series,
 )
@@ -159,24 +158,6 @@ def test_criterion_10_structural_table_validation():
             assert reflections == wt.num_positive_roots, (family, rank)
 
     _record(10, "degree tables vs enumeration", body)
-
-
-def test_criterion_11_prefactor_audit():
-    def body():
-        print()
-        header = f"    {'mu':>14} {'ratio':>6} {'2*n_stat':>9} {'dim_orbit':>10}"
-        print(header)
-        for n in range(1, 7):
-            for mu in partitions_of(n):
-                audit = prefactor_audit(mu)
-                assert audit.is_pure_power_of_y, mu
-                assert audit.ratio_y_exponent == audit.doubled_n_stat - audit.orbit_dimension
-                print(
-                    f"    {str(mu):>14} {audit.ratio_y_exponent:>6} "
-                    f"{audit.doubled_n_stat:>9} {audit.orbit_dimension:>10}"
-                )
-
-    _record(11, "printed-prefactor discrepancy measured, n <= 6", body)
 
 
 def test_criterion_12_performance_floor(tmp_path):

@@ -282,7 +282,7 @@ class TestOtherCommands:
 
 class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys):
-        code, out, _ = invoke(capsys, "verify", "--suite", "duality", "--max-n", "4")
+        code, out, _ = invoke(capsys, "verify", "--suite", "proudfoot", "--max-n", "4")
         assert code == 0
         assert "overall: pass" in out
 
@@ -300,10 +300,10 @@ class TestVerifyCommand:
 
         monkeypatch.setitem(
             verify_module.SUITES,
-            "duality",
+            "proudfoot",
             lambda max_n=None: [CheckResult("forced", "unit test", False, "cex")],
         )
-        code, out, _ = invoke(capsys, "verify", "--suite", "duality")
+        code, out, _ = invoke(capsys, "verify", "--suite", "proudfoot")
         assert code == 2
         assert "overall: fail" in out
 

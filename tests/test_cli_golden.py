@@ -53,7 +53,7 @@ QUERIES = (
     ("s3", "--nu", "2,2", "--phi", "3,1"),
     ("springer-fiber", "--phi", "2,1,1"),
     ("proudfoot", "--lambda", "3,1"),
-    ("verify", "--suite", "duality", "--max-n", "4"),
+    ("verify", "--suite", "proudfoot", "--max-n", "4"),
     ("verify", "--suite", "tables", "--max-n", "3"),
     ("verify", "--max-n", "-1"),
     ("verify", "--suite", "bogus"),

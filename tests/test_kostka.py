@@ -50,6 +50,13 @@ class TestChargeStandardWords:
         with pytest.raises(ValueError):
             charge([0, 1])
 
+    def test_bool_letters_rejected(self):
+        # True == 1, but a bool is not a letter; Partition rejects it too
+        with pytest.raises(ValueError):
+            charge((True,))
+        with pytest.raises(ValueError):
+            charge([2, True, 1])
+
 
 class TestChargeGeneralContent:
     def test_repeated_letters(self):

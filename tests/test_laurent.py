@@ -159,13 +159,6 @@ class TestBiLaurent:
         assert p.evaluate(2, 1) == 5
         assert p.evaluate(2, 2) == 2
 
-    def test_monomial_ratio(self):
-        a = BiLaurentPoly({(0, 2): 1, (2, 0): 3})
-        shifted = a.shift(1, -4)
-        assert shifted.monomial_ratio(a) == (1, -4)
-        assert a.monomial_ratio(BiLaurentPoly({(0, 0): 1})) is None
-        assert a.monomial_ratio(BiLaurentPoly({(0, 2): 1, (2, 0): 4})) is None
-
     def test_str(self):
         p = BiLaurentPoly({(2, -2): 1, (0, 0): 1})
         assert str(p) == "1 + x^2 y^-2"

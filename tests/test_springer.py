@@ -20,7 +20,6 @@ from nilcone.springer import (
     kostka_g,
     orbit_dim,
     pn_series,
-    prefactor_audit,
     proudfoot_check,
     slice_series_typeA_printed,
     springer_fiber_series,
@@ -270,24 +269,10 @@ class TestPrintedSliceSeries:
             printed = slice_series_typeA_printed(ones(n)).poly
             assert printed == pn_series(n).poly.shift(0, n * (n - 1))
 
-    def test_ratio_is_pure_power_of_y(self):
-        for n in range(1, 7):
-            for mu in partitions_of(n):
-                audit = prefactor_audit(mu)
-                assert audit.is_pure_power_of_y, mu
-                assert audit.ratio_y_exponent == audit.doubled_n_stat - audit.orbit_dimension
-
-    def test_known_discrepancy_subregular(self):
-        # the two printed normalizations genuinely disagree here
-        audit = prefactor_audit(P((2, 1)))
-        assert audit.doubled_n_stat == 2
-        assert audit.orbit_dimension == 4
-        assert audit.ratio_y_exponent == -2
-
-    def test_agreement_at_extremes(self):
-        for n in range(2, 6):
-            assert prefactor_audit(P((n,))).ratio_y_exponent == -(n * n - n)
-            assert prefactor_audit(ones(n)).ratio_y_exponent == n * (n - 1)
+    def test_subregular_sl3(self):
+        # 2 n_stat = 2 but dim O = 4: the printed prefactor is y^-2 lower
+        poly = slice_series_typeA_printed(P((2, 1))).poly
+        assert poly.terms == {(0, -2): 1, (0, 0): 1, (2, -4): 1}
 
 
 class TestDuality:

@@ -1,52 +1,27 @@
-from math import factorial
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 
 from nilcone.partitions import Partition, partitions_of
-from nilcone.tableaux import Tableau, ssyt_enumerate, syt_enumerate, syt_major_index_genfun
+from nilcone.tableaux import ssyt_enumerate, syt_enumerate, syt_major_index_genfun
 
 
 def ones(n):
     return Partition((1,) * n)
 
 
-class TestTableauValidation:
-    def test_valid(self):
-        t = Tableau([[1, 1, 2], [2]])
-        assert t.shape == Partition((3, 1))
-        assert t.content == (2, 2)
-
-    def test_row_must_weakly_increase(self):
-        with pytest.raises(ValueError):
-            Tableau([[2, 1]])
-
-    def test_column_must_strictly_increase(self):
-        with pytest.raises(ValueError):
-            Tableau([[1, 1], [1]])
-
-    def test_letters_positive(self):
-        with pytest.raises(ValueError):
-            Tableau([[0, 1]])
-
-    def test_shape_must_be_partition(self):
-        with pytest.raises(ValueError):
-            Tableau([[1], [1, 2]])
-
-    def test_reading_word_bottom_row_first(self):
-        assert Tableau([[1, 2], [3]]).reading_word() == (3, 1, 2)
-
-
 class TestSsytEnumerate:
     def test_two_standard_fillings(self):
         found = ssyt_enumerate(Partition((2, 1)), ones(3))
         assert len(found) == 2
-        # column-reading lexicographic order is pinned
-        assert found == [Tableau([[1, 3], [2]]), Tableau([[1, 2], [3]])]
+        # strip order is pinned: letter 2 joins the first row before the second
+        assert found == [((1, 2), (3,)), ((1, 3), (2,))]
 
     def test_single_row(self):
         for n in range(1, 6):
             found = ssyt_enumerate(Partition((n,)), ones(n))
-            assert found == [Tableau([list(range(1, n + 1))])]
+            assert found == [(tuple(range(1, n + 1)),)]
 
     def test_impossible_filling(self):
         assert ssyt_enumerate(Partition((1, 1)), Partition((2,))) == []
@@ -56,11 +31,7 @@ class TestSsytEnumerate:
             ssyt_enumerate(Partition((2, 1)), Partition((2, 1, 1)))
 
     def test_empty_shape(self):
-        assert ssyt_enumerate(Partition(()), Partition(())) == [Tableau(())]
-
-    def test_content_respected(self):
-        for t in ssyt_enumerate(Partition((3, 2)), Partition((2, 2, 1))):
-            assert t.content == (2, 2, 1)
+        assert ssyt_enumerate(Partition(()), Partition(())) == [()]
 
     def test_standard_count_matches_hook_formula(self):
         for n in range(8):
@@ -69,7 +40,35 @@ class TestSsytEnumerate:
 
     def test_weight_one_content_gives_standard(self):
         for t in syt_enumerate(Partition((3, 2, 1))):
-            assert sorted(v for row in t.rows for v in row) == list(range(1, 7))
+            assert sorted(v for row in t for v in row) == list(range(1, 7))
+
+
+class TestFillingsAreExactlyTheTableaux:
+    """Checked without the horizontal-strip helper the generator uses:
+    each filling is a semistandard tableau of the right shape and content,
+    no filling repeats, and sum_lam f^lam |SSYT(lam, mu)| = n!/prod mu_i!
+    (RSK).  With positive weights f^lam, that identity leaves no room for
+    a missing tableau, so the enumeration is also complete."""
+
+    @staticmethod
+    def assert_semistandard(rows, lam, mu):
+        assert tuple(len(row) for row in rows) == lam.parts
+        assert all(a <= b for row in rows for a, b in zip(row, row[1:]))
+        columns = (zip(upper, lower) for upper, lower in zip(rows, rows[1:]))
+        assert all(a < b for pairs in columns for a, b in pairs)
+        assert Counter(v for row in rows for v in row) == {i: m for i, m in enumerate(mu.parts, 1)}
+
+    def test_every_pair_up_to_eight(self):
+        for n in range(9):
+            for mu in partitions_of(n):
+                weighted = 0
+                for lam in partitions_of(n):
+                    found = ssyt_enumerate(lam, mu)
+                    for rows in found:
+                        self.assert_semistandard(rows, lam, mu)
+                    assert len(set(found)) == len(found), (lam, mu)
+                    weighted += lam.num_standard_tableaux() * len(found)
+                assert weighted == factorial(n) // prod(factorial(m) for m in mu.parts), mu
 
 
 class TestMajorIndex:
