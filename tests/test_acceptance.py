@@ -20,6 +20,7 @@ from nilcone.springer import (
     orbit_dim,
     pn_series,
     proudfoot_check,
+    slice_series_typeA_printed,
     springer_fiber_series,
 )
 from nilcone.weyl import (
@@ -158,6 +159,27 @@ def test_criterion_10_structural_table_validation():
             assert reflections == wt.num_positive_roots, (family, rank)
 
     _record(10, "degree tables vs enumeration", body)
+
+
+def test_criterion_11_prefactor_audit():
+    def body():
+        print()
+        header = f"    {'mu':>14} {'ratio':>6} {'2*n_stat':>9} {'dim_orbit':>10}"
+        print(header)
+        for n in range(1, 7):
+            for mu in partitions_of(n):
+                printed = slice_series_typeA_printed(mu).poly
+                normative = springer_fiber_series(mu).poly
+                # measured from the lowest y-degrees, then checked on every term
+                ratio = min(y for _, y in printed.terms) - min(y for _, y in normative.terms)
+                assert printed == normative.shift(0, ratio), mu
+                assert ratio == 2 * mu.n_stat() - orbit_dim(mu), mu
+                print(
+                    f"    {str(mu):>14} {ratio:>6} "
+                    f"{2 * mu.n_stat():>9} {orbit_dim(mu):>10}"
+                )
+
+    _record(11, "printed-prefactor discrepancy measured, n <= 6", body)
 
 
 def test_criterion_12_performance_floor(tmp_path):

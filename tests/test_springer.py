@@ -269,10 +269,32 @@ class TestPrintedSliceSeries:
             printed = slice_series_typeA_printed(ones(n)).poly
             assert printed == pn_series(n).poly.shift(0, n * (n - 1))
 
-    def test_subregular_sl3(self):
-        # 2 n_stat = 2 but dim O = 4: the printed prefactor is y^-2 lower
+    def test_ratio_is_pure_power_of_y(self):
+        # printed / dimension normalization = y^(2 n_stat - dim O), with
+        # 2 n_stat = sum of c(c - 1) over the column lengths c
+        for n in range(1, 7):
+            for mu in partitions_of(n):
+                columns = mu.conjugate().parts
+                exponent = sum(c * (c - 1) for c in columns) - orbit_dim(mu)
+                printed = slice_series_typeA_printed(mu).poly
+                assert printed == springer_fiber_series(mu).poly.shift(0, exponent), mu
+
+    def test_known_discrepancy_subregular(self):
+        # the two printed normalizations genuinely disagree here:
+        # 2 n_stat = 2 but dim O = 4, so the printed prefactor is y^-2 lower
         poly = slice_series_typeA_printed(P((2, 1))).poly
         assert poly.terms == {(0, -2): 1, (0, 0): 1, (2, -4): 1}
+        assert poly == springer_fiber_series(P((2, 1))).poly.shift(0, -2)
+
+    def test_agreement_at_extremes(self):
+        for n in range(2, 6):
+            regular, zero = P((n,)), ones(n)
+            assert slice_series_typeA_printed(regular).poly == (
+                springer_fiber_series(regular).poly.shift(0, -(n * n - n))
+            )
+            assert slice_series_typeA_printed(zero).poly == (
+                springer_fiber_series(zero).poly.shift(0, n * (n - 1))
+            )
 
 
 class TestDuality:
