@@ -7,6 +7,10 @@ equality of polynomials is equality of term maps.  Negative exponents are
 allowed everywhere (the weight gradings computed downstream genuinely
 produce them).
 
+Bivariate polynomials are built only as sums of products f(x) * g(y), by
+BiLaurentPoly.sum_of_products; they have no ring arithmetic, only shifts,
+specializations and evaluation.
+
 Grading convention used across the package: a graded vector space shifted
 down by d (written V[-d]) has its Hilbert series multiplied by var**d.
 """
@@ -207,12 +211,11 @@ class LaurentPoly:
             e = v - bv
             if e > hi:
                 raise ExactDivisionError(f"{other} does not divide {self}")
-            c = Fraction(rem[v], b0)
-            if c.denominator != 1:
+            c, r = divmod(rem[v], b0)
+            if r:
                 raise ExactDivisionError(
                     f"quotient of {self} by {other} is not integral"
                 )
-            c = int(c)
             quot[e] = c
             for be, bc in other.terms.items():
                 ne = e + be
@@ -234,7 +237,11 @@ class LaurentPoly:
 
 
 class BiLaurentPoly:
-    """Integer Laurent polynomial in two variables (x and y by default)."""
+    """Integer Laurent polynomial in two variables (x and y by default).
+
+    Every bigraded series in the package is a sum of products of a
+    polynomial in x and a polynomial in y, so one is built from a term map
+    or by sum_of_products, and there is no ring arithmetic."""
 
     __slots__ = ("terms", "xvar", "yvar")
 
@@ -249,35 +256,22 @@ class BiLaurentPoly:
         self.yvar = yvar
 
     @classmethod
-    def zero(cls) -> "BiLaurentPoly":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "BiLaurentPoly":
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def monomial(cls, xe: int, ye: int, coeff: int = 1) -> "BiLaurentPoly":
-        return cls({(xe, ye): coeff})
-
-    @classmethod
-    def from_x(cls, p: LaurentPoly, xvar: str = "x", yvar: str = "y") -> "BiLaurentPoly":
-        """Embed a univariate polynomial as a polynomial in the first variable."""
-        return cls({(e, 0): c for e, c in p.terms.items()}, xvar, yvar)
-
-    @classmethod
-    def from_y(cls, p: LaurentPoly, xvar: str = "x", yvar: str = "y") -> "BiLaurentPoly":
-        """Embed a univariate polynomial as a polynomial in the second variable."""
-        return cls({(0, e): c for e, c in p.terms.items()}, xvar, yvar)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def sum_of_products(
+        cls, triples: Iterable[tuple[int, LaurentPoly, LaurentPoly]]
+    ) -> "BiLaurentPoly":
+        """sum of c * f(x) * g(y) over (c, f, g) triples, accumulated in one
+        dict whose zeros are stripped once, at the end."""
+        out: dict[tuple[int, int], int] = {}
+        for c, f, g in triples:
+            fterms = f.terms.items()
+            for ye, gc in g.terms.items():
+                cg = c * gc
+                for xe, fc in fterms:
+                    out[xe, ye] = out.get((xe, ye), 0) + cg * fc
+        return cls(out)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def coeff(self, xe: int, ye: int) -> int:
-        return self.terms.get((xe, ye), 0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiLaurentPoly):
@@ -289,40 +283,6 @@ class BiLaurentPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __neg__(self) -> "BiLaurentPoly":
-        return BiLaurentPoly({k: -c for k, c in self.terms.items()}, self.xvar, self.yvar)
-
-    def __add__(self, other: "BiLaurentPoly | int") -> "BiLaurentPoly":
-        if isinstance(other, int):
-            other = BiLaurentPoly({(0, 0): other})
-        if not isinstance(other, BiLaurentPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BiLaurentPoly(out, self.xvar, self.yvar)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "BiLaurentPoly | int") -> "BiLaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "BiLaurentPoly | int") -> "BiLaurentPoly":
-        if isinstance(other, int):
-            return BiLaurentPoly(
-                {k: c * other for k, c in self.terms.items()}, self.xvar, self.yvar
-            )
-        if not isinstance(other, BiLaurentPoly):
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (x1, y1), c1 in self.terms.items():
-            for (x2, y2), c2 in other.terms.items():
-                k = (x1 + x2, y1 + y2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BiLaurentPoly(out, self.xvar, self.yvar)
-
-    __rmul__ = __mul__
-
     def shift(self, dx: int, dy: int) -> "BiLaurentPoly":
         """Multiply by xvar**dx * yvar**dy."""
         return BiLaurentPoly(
@@ -332,7 +292,7 @@ class BiLaurentPoly:
         )
 
     def set_x(self, value: Scalar = 1) -> LaurentPoly:
-        """Specialize the first variable; a ring map onto polynomials in y."""
+        """Specialize the first variable, leaving a polynomial in y."""
         out: dict[int, int] = {}
         for (xe, ye), c in self.terms.items():
             v = c * Fraction(value) ** xe
@@ -342,7 +302,7 @@ class BiLaurentPoly:
         return LaurentPoly(out, self.yvar)
 
     def set_y(self, value: Scalar = 1) -> LaurentPoly:
-        """Specialize the second variable; a ring map onto polynomials in x."""
+        """Specialize the second variable, leaving a polynomial in x."""
         out: dict[int, int] = {}
         for (xe, ye), c in self.terms.items():
             v = c * Fraction(value) ** ye

@@ -89,13 +89,12 @@ def pn_series(n: int) -> BigradedSeries:
     sum over partitions lam of n of K[lam](x**2) * K[lam](y**-2)."""
     if n < 1:
         raise ValueError("the nilpotent-cone series needs n >= 1")
-    acc = BiLaurentPoly.zero()
-    for lam in partitions_of(n):
-        k = kostka_g(lam)
-        acc = acc + BiLaurentPoly.from_x(k.substitute_power(2)) * BiLaurentPoly.from_y(
-            k.substitute_power(-2)
+    return BigradedSeries(
+        BiLaurentPoly.sum_of_products(
+            (1, k.substitute_power(2), k.substitute_power(-2))
+            for k in map(kostka_g, partitions_of(n))
         )
-    return BigradedSeries(acc)
+    )
 
 
 def hp0_slice_series(phi: Partition) -> LaurentPoly:
@@ -165,15 +164,12 @@ def springer_fiber_series(phi: Partition) -> BigradedSeries:
         y**dim(O_phi) * sum over nu >= phi of K[nu,phi](x**2) * K[nu](y**-2).
 
     At phi = (1^n) this is the whole nilpotent cone, at phi = (n) a point."""
-    n = phi.size
-    acc = BiLaurentPoly.zero()
-    for nu in partitions_of(n):
-        if not nu.dominates(phi):
-            continue
-        acc = acc + BiLaurentPoly.from_x(
-            kostka_foulkes(nu, phi).substitute_power(2)
-        ) * BiLaurentPoly.from_y(kostka_g(nu).substitute_power(-2))
-    return BigradedSeries(acc.shift(0, orbit_dim(phi)))
+    poly = BiLaurentPoly.sum_of_products(
+        (1, kostka_foulkes(nu, phi).substitute_power(2), kostka_g(nu).substitute_power(-2))
+        for nu in partitions_of(phi.size)
+        if nu.dominates(phi)
+    )
+    return BigradedSeries(poly.shift(0, orbit_dim(phi)))
 
 
 def slice_series_typeA_printed(mu: Partition) -> BigradedSeries:

@@ -430,12 +430,12 @@ def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
     because sum_chi FD_chi(a) FD_chi(b) class-averages f(a) f(b) for real
     characters."""
     npos = wt.num_positive_roots
-    acc = BiLaurentPoly.zero()
-    for cd in conjugacy_data(wt):
-        f = molien_graded_character(wt, cd)
-        fx = BiLaurentPoly.from_x(f.substitute_power(-2))
-        fy = BiLaurentPoly.from_y(f.substitute_power(2))
-        acc = acc + cd.size * (fx * fy)
+    classes = conjugacy_data(wt)
+    characters = [molien_graded_character(wt, cd) for cd in classes]
+    acc = BiLaurentPoly.sum_of_products(
+        (cd.size, f.substitute_power(-2), f.substitute_power(2))
+        for cd, f in zip(classes, characters)
+    )
     terms: dict[tuple[int, int], int] = {}
     for key, c in acc.terms.items():
         if c % wt.order:

@@ -4,7 +4,7 @@ equality of term maps; the only tolerances are the stated wall-clock
 limits."""
 
 import time
-from math import comb, factorial
+from math import factorial
 
 from nilcone.kostka import (
     _kostka_column,

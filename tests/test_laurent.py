@@ -129,8 +129,11 @@ class TestDivExact:
             L({0: 1, 1: 1}).div_exact(L({0: 1, 1: -1}))
 
     def test_non_integral_quotient_rejected(self):
-        with pytest.raises(ExactDivisionError):
+        with pytest.raises(ExactDivisionError, match="not integral"):
             L({1: 1}).div_exact(L({0: 2}))
+        with pytest.raises(ExactDivisionError, match="not integral"):
+            L({0: 3}).div_exact(L({0: -2}))
+        assert L({0: 4, 1: -2}).div_exact(L({0: -2})) == L({0: -2, 1: 1})
 
     def test_division_by_zero(self):
         with pytest.raises(ExactDivisionError):
@@ -143,15 +146,28 @@ class TestDivExact:
 
 class TestBiLaurent:
     def test_embeddings_multiply(self):
-        p = BiLaurentPoly.from_x(L({2: 1})) * BiLaurentPoly.from_y(L({-2: 1}))
-        assert p.terms == {(2, -2): 1}
+        # 2 * (1 + x) * y**-1 + (-1) * x**2 * (y**-1 + y)
+        p = BiLaurentPoly.sum_of_products(
+            [(2, L({0: 1, 1: 1}), L({-1: 1})), (-1, L({2: 1}), L({-1: 1, 1: 1}))]
+        )
+        assert p.terms == {(0, -1): 2, (1, -1): 2, (2, -1): -1, (2, 1): -1}
+        assert BiLaurentPoly.sum_of_products([]) == 0
+        cancelling = [(1, L({1: 1}), L({0: 1})), (-1, L({1: 1}), L({0: 1}))]
+        assert BiLaurentPoly.sum_of_products(cancelling).terms == {}
 
-    def test_specializations_are_ring_maps(self):
-        a = BiLaurentPoly({(1, -1): 2, (0, 3): 1})
-        b = BiLaurentPoly({(2, 0): 1, (1, 1): -1})
-        assert (a * b).set_x(1) == a.set_x(1) * b.set_x(1)
-        assert (a * b).set_y(1) == a.set_y(1) * b.set_y(1)
-        assert (a + b).set_y(1) == a.set_y(1) + b.set_y(1)
+    @given(st.lists(st.tuples(st.integers(min_value=-5, max_value=5), polys, polys), max_size=5))
+    @example([(3, L({-1: 2}), L({0: 1, 2: -1})), (-3, L({-1: 2}), L({2: -1, 0: 1}))])
+    def test_specializations_are_ring_maps(self, triples):
+        naive: dict = {}
+        for c, f, g in triples:
+            for xe, fc in f.terms.items():
+                for ye, gc in g.terms.items():
+                    naive[xe, ye] = naive.get((xe, ye), 0) + c * fc * gc
+        p = BiLaurentPoly.sum_of_products(triples)
+        assert p == BiLaurentPoly(naive)
+        assert 0 not in p.terms.values()
+        assert p.set_x(1) == sum((c * f(1) * g for c, f, g in triples), L({}))
+        assert p.set_y(1) == sum((c * g(1) * f for c, f, g in triples), L({}))
 
     def test_evaluate(self):
         p = BiLaurentPoly({(2, -2): 1, (0, 0): 1})

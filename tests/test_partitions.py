@@ -1,4 +1,3 @@
-from itertools import permutations
 from math import factorial
 
 import pytest
