@@ -3,8 +3,8 @@
 Outside type A the Molien series has no second route yet, and its other
 tests see only the (1,1)-value, the exponent window and set_y(1).  A
 builder that paired one class's x-factor with another class's y-factor
-keeps all three, so these digests are what catch it.  They were recorded
-from the dict-arithmetic builders that sum_of_products replaced.
+can keep all three, so these digests are what catch it.  They were recorded
+before the series builders were rewritten around sum_of_products.
 """
 
 import hashlib
