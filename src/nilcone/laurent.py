@@ -18,6 +18,7 @@ down by d (written V[-d]) has its Hilbert series multiplied by var**d.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -350,11 +351,15 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int, var: str = "y") -> "TruncatedSeries":
-        return cls([1] + [0] * order, var)
+        return cls.from_poly(LaurentPoly.one(var), order)
 
     @classmethod
     def from_poly(cls, p: LaurentPoly, order: int, var: str | None = None) -> "TruncatedSeries":
         """Truncate a polynomial with nonnegative exponents to the given order."""
+        if type(order) is not int:  # bool is not an order
+            raise TypeError(f"truncation order must be an int, not {type(order).__name__}")
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative")
         if p.terms and p.valuation < 0:
             raise ValueError("cannot truncate a polynomial with negative exponents")
         coeffs = [0] * (order + 1)
@@ -406,6 +411,24 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
+    def divide_one_minus(self, exponents: Iterable[int]) -> "TruncatedSeries":
+        """This series divided by prod_e (1 - var**e), to the same order.
+
+        Multiplying by 1/(1 - var**e) is a prefix sum along each residue
+        class mod e, so each factor costs one accumulate per residue.  The
+        receiver is left unchanged."""
+        exponents = list(exponents)
+        for e in exponents:
+            if type(e) is not int:  # bool is not an exponent
+                raise TypeError(f"factor exponents must be ints, not {type(e).__name__}")
+            if e < 1:
+                raise ValueError("all factor exponents must be positive")
+        coeffs = list(self.coefficients)
+        for e in exponents:
+            for r in range(min(e, len(coeffs))):
+                coeffs[r::e] = accumulate(coeffs[r::e])
+        return TruncatedSeries(coeffs, self.var)
+
     def monomials(self) -> Monomials:
         """Variable name and the nonzero (exponent, coefficient) pairs, ascending."""
         return (self.var,), [((e,), c) for e, c in enumerate(self.coefficients) if c != 0]
@@ -423,13 +446,4 @@ def series_invert_product(exponents: Iterable[int], truncation: int) -> Truncate
     drawn from `exponents`, each part reusable (repeated exponents give
     independent part types).
     """
-    if truncation < 0:
-        raise ValueError("truncation order must be nonnegative")
-    coeffs = [0] * (truncation + 1)
-    coeffs[0] = 1
-    for e in exponents:
-        if e < 1:
-            raise ValueError("all factor exponents must be positive")
-        for m in range(e, truncation + 1):
-            coeffs[m] += coeffs[m - e]
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries.one(truncation).divide_one_minus(exponents)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .kostka import kostka_foulkes, kostka_from_fake_degree
-from .laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries, series_invert_product
+from .laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries
 from .partitions import Partition, partitions_of
 from .weyl import weyl_type
 
@@ -118,12 +118,11 @@ def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
 
     with d_i the degrees for sl_n.  The filtered quantization has the same
     series."""
-    if truncation < 0:
-        raise ValueError("truncation order must be nonnegative")
     n = phi.size
     degrees = weyl_type("A", n - 1).degrees if n >= 2 else ()
-    expansion = series_invert_product([2 * d for d in degrees], truncation)
-    return expansion * hp0_slice_series(phi)
+    return TruncatedSeries.from_poly(hp0_slice_series(phi), truncation).divide_one_minus(
+        2 * d for d in degrees
+    )
 
 
 def ih_orbit_closure(lam: Partition) -> LaurentPoly:

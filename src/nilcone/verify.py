@@ -22,8 +22,11 @@ from .kostka import (
     kostka_foulkes_charge,
     kostka_from_fake_degree,
 )
+from .laurent import LaurentPoly, TruncatedSeries
 from .partitions import Partition, partitions_of
 from .springer import (
+    hp0_slice_series,
+    hp0_walg_full_series,
     pn_series,
     proudfoot_check,
     springer_fiber_series,
@@ -183,6 +186,26 @@ def suite_fibers(max_n: int = 6) -> list[CheckResult]:
     ]
 
 
+def suite_walg(max_n: int = 8) -> list[CheckResult]:
+    """The full W-algebra series, multiplied back by prod_i (1 - y**(2 d_i))
+    through TruncatedSeries.__mul__, is the truncated slice series."""
+    failures = []
+    for n in range(1, max_n + 1):
+        order = 2 * n * (n - 1) + 8  # 4N + 8, N the number of positive roots
+        factor = LaurentPoly.one("y")
+        for d in weyl_type("A", n - 1).degrees if n >= 2 else ():
+            factor = factor * LaurentPoly({0: 1, 2 * d: -1}, "y")
+        for phi in partitions_of(n):
+            back = hp0_walg_full_series(phi, order) * factor
+            if back != TruncatedSeries.from_poly(hp0_slice_series(phi), order):
+                failures.append(f"phi={phi}")
+    return [
+        _single(
+            "walg: walg * prod (1 - y^(2d)) = hp0(slice phi)", f"n <= {max_n}", failures
+        )
+    ]
+
+
 def suite_weights(max_n: int = 8) -> list[CheckResult]:
     """Weight grading of the cone series is nonpositive (and homological
     degrees nonnegative, coefficients positive)."""
@@ -243,6 +266,7 @@ SUITES = {
     "cone-series": suite_cone_series,
     "proudfoot": suite_proudfoot,
     "fibers": suite_fibers,
+    "walg": suite_walg,
     "weights": suite_weights,
     "socle": suite_socle,
     "tables": suite_tables,

@@ -36,6 +36,16 @@ def L(terms):
     return LaurentPoly(terms)
 
 
+def divided_by_loop(coeffs, exponents):
+    """Division by prod_e (1 - y**e) one coefficient at a time, as a
+    reference for the strided kernel."""
+    out = list(coeffs)
+    for e in exponents:
+        for m in range(e, len(out)):
+            out[m] += out[m - e]
+    return out
+
+
 class TestLaurentBasics:
     def test_inverse_monomials(self):
         assert L({1: 1}) * L({-1: 1}) == 1
@@ -210,6 +220,16 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             series_invert_product([2], -1)
 
+    def test_rejects_non_int_exponents_and_orders(self):
+        for exponents, order in (([True], 4), ([2.0], 4), ([2], 4.0), ([2], True), ([2], "4")):
+            with pytest.raises(TypeError):
+                series_invert_product(exponents, order)
+        for order in (True, 3.0):
+            with pytest.raises(TypeError):
+                TruncatedSeries.one(order)
+            with pytest.raises(TypeError):
+                TruncatedSeries.from_poly(L({0: 1}), order)
+
     def test_arithmetic_truncates_to_minimum(self):
         a = TruncatedSeries([1, 1, 1, 1])
         b = TruncatedSeries([1, 2])
@@ -282,3 +302,56 @@ class TestTruncatedSeries:
         for e in exponents:
             product = product * LaurentPoly({0: 1, e: -1}, "y")
         assert series * product == TruncatedSeries.one(order)
+
+
+class TestDivideOneMinus:
+    def test_signed_coefficients(self):
+        # (1 - 2y + 3y^2 - y^4 + 5y^5) / ((1 - y^2)(1 - y^3))
+        series = TruncatedSeries([1, -2, 3, 0, -1, 5]).divide_one_minus([2, 3])
+        assert series.coefficients == [1, -2, 4, -1, 1, 7]
+
+    @given(
+        coefficient_lists,
+        st.lists(st.integers(min_value=1, max_value=16), max_size=4),
+    )
+    @example([3, -1, 0, 2], [1, 1])
+    @example([0, -5, 0, 0, 0, 7], [2, 9])
+    def test_matches_loop_and_multiplies_back(self, coeffs, exponents):
+        series = TruncatedSeries(coeffs, "q")
+        quotient = series.divide_one_minus(exponents)
+        assert quotient.coefficients == divided_by_loop(coeffs, exponents)
+        assert quotient.var == "q"
+        factor = LaurentPoly.one("q")
+        for e in exponents:
+            factor = factor * LaurentPoly({0: 1, e: -1}, "q")
+        assert quotient * factor == series
+
+    def test_exponent_above_order_leaves_series_unchanged(self):
+        series = TruncatedSeries([3, -1, 2])
+        assert series.divide_one_minus([3, 10**9]) == series
+        assert TruncatedSeries([4]).divide_one_minus([1]) == TruncatedSeries([4])
+
+    def test_empty_product_is_identity(self):
+        series = TruncatedSeries([0, 2, -3])
+        assert series.divide_one_minus([]) == series
+
+    def test_receiver_not_mutated(self):
+        coeffs = [1, -1, 2, 0, 5]
+        series = TruncatedSeries(coeffs)
+        before = series.coefficients
+        quotient = series.divide_one_minus([1, 2])
+        assert series.coefficients is before
+        assert series.coefficients == coeffs
+        assert quotient.coefficients is not before
+
+    def test_rejects_exponents_below_one(self):
+        series = TruncatedSeries.one(4)
+        for exponents in ([0], [-2], [2, 0]):
+            with pytest.raises(ValueError, match="positive"):
+                series.divide_one_minus(exponents)
+
+    def test_rejects_non_int_exponents(self):
+        series = TruncatedSeries.one(4)
+        for exponents in ([2.0], [True], ["2"], [2, None]):
+            with pytest.raises(TypeError, match="ints"):
+                series.divide_one_minus(exponents)

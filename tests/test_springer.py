@@ -9,7 +9,7 @@ from nilcone.kostka import (
     kostka_foulkes,
     kostka_foulkes_charge,
 )
-from nilcone.laurent import LaurentPoly
+from nilcone.laurent import LaurentPoly, series_invert_product
 from nilcone.partitions import Partition, partitions_of
 from nilcone.springer import (
     _kostka_g_parts,
@@ -166,6 +166,25 @@ class TestWalgSeries:
     def test_negative_truncation_rejected(self):
         with pytest.raises(ValueError):
             hp0_walg_full_series(P((2,)), -1)
+
+    def test_non_int_truncation_rejected(self):
+        for truncation in (True, 4.0, "4"):
+            with pytest.raises(TypeError):
+                hp0_walg_full_series(P((2,)), truncation)
+
+    def test_equals_expansion_times_slice(self):
+        """The strided division agrees with the expanded inverse product
+        multiplied by the slice series, at truncations around and far
+        past the slice series' degree."""
+        for n in range(1, 9):
+            exponents = [2 * d for d in weyl_type("A", n - 1).degrees] if n >= 2 else []
+            expansions = {}
+            for phi in partitions_of(n):
+                hp0 = hp0_slice_series(phi)
+                for t in {0, 1, hp0.degree - 1, hp0.degree, 3000} - {-1}:
+                    if t not in expansions:
+                        expansions[t] = series_invert_product(exponents, t)
+                    assert hp0_walg_full_series(phi, t) == expansions[t] * hp0, (phi, t)
 
     def test_degenerate_n1(self):
         assert hp0_walg_full_series(P((1,)), 5).coefficients == [1, 0, 0, 0, 0, 0]

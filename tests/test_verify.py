@@ -3,7 +3,7 @@ import time
 import pytest
 
 from nilcone import kostka, verify
-from nilcone.laurent import LaurentPoly
+from nilcone.laurent import LaurentPoly, TruncatedSeries
 from nilcone.partitions import Partition
 from nilcone.springer import _kostka_g_parts
 from nilcone.verify import SUITES, run_suite
@@ -22,7 +22,7 @@ class TestSuites:
         names = {c.name.split(":")[0] for c in report.checks}
         assert names == {name.split(":")[0] for name in
                          ("counts", "fake-degrees", "cone-series",
-                          "proudfoot", "fibers", "weights", "socle", "tables")}
+                          "proudfoot", "fibers", "walg", "weights", "socle", "tables")}
 
     def test_fake_degrees_suite_catches_a_wrong_qhook(self, monkeypatch):
         """One wrong q-hook value fails the suite even when the major-index
@@ -45,6 +45,19 @@ class TestSuites:
             _kostka_g_parts.cache_clear()
         assert not report.passed
         assert report.checks[0].counterexample == "lam=(2,1)"
+
+    def test_walg_suite_catches_a_wrong_stride(self, monkeypatch):
+        """Dividing by 1 - y**(e + 1) in place of 1 - y**e fails the walg
+        suite, which multiplies back through TruncatedSeries.__mul__."""
+        right = TruncatedSeries.divide_one_minus
+        monkeypatch.setattr(
+            TruncatedSeries,
+            "divide_one_minus",
+            lambda self, exponents: right(self, [e + 1 for e in exponents]),
+        )
+        report = run_suite("walg", max_n=3)
+        assert not report.passed
+        assert report.checks[0].counterexample.startswith("phi=(2)")
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
