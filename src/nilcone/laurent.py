@@ -8,8 +8,9 @@ allowed everywhere (the weight gradings computed downstream genuinely
 produce them).
 
 Bivariate polynomials are built only as sums of products f(x) * g(y), by
-BiLaurentPoly.sum_of_products; they have no ring arithmetic, only shifts,
-specializations and evaluation.
+BiLaurentPoly.sum_of_products, which packs each g(y) into one int
+(Kronecker substitution) and sums one packed row per x-exponent; they have
+no ring arithmetic, only shifts, specializations and evaluation.
 
 Grading convention used across the package: a graded vector space shifted
 down by d (written V[-d]) has its Hilbert series multiplied by var**d.
@@ -18,7 +19,8 @@ down by d (written V[-d]) has its Hilbert series multiplied by var**d.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from math import gcd
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -31,6 +33,13 @@ class ExactDivisionError(ArithmeticError):
 
 def _clean(terms: Mapping[int, int]) -> dict[int, int]:
     return {e: c for e, c in terms.items() if c != 0}
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per packed digit for coefficients of absolute value at most
+    bound: one sign bit more than the bound needs, in whole bytes, so that
+    a row decodes by slicing its bytes."""
+    return (bound.bit_length() + 8) // 8
 
 
 def render(
@@ -260,15 +269,62 @@ class BiLaurentPoly:
     def sum_of_products(
         cls, triples: Iterable[tuple[int, LaurentPoly, LaurentPoly]]
     ) -> "BiLaurentPoly":
-        """sum of c * f(x) * g(y) over (c, f, g) triples, accumulated in one
-        dict whose zeros are stripped once, at the end."""
+        """sum of c * f(x) * g(y) over (c, f, g) triples, by Kronecker packing.
+
+        Every y-exponent of every g lies on the lattice ylo + step * k.  Each
+        g becomes one int with a digit of 8 * width bits per lattice point,
+        each x-exponent accumulates the row sum of c * f[xe] * G, and every
+        row is decoded once, with signed digits.
+
+        No digit can wrap: an output coefficient is at most
+        sum |c| * max|f| * max|g| in absolute value, and a digit holds one
+        sign bit more than that bound (_digit_bytes).  As a tripwire each row
+        must lie in its digit range and its digits must sum to
+        sum c * f[xe] * g(1): a wrapped digit carries into its neighbour,
+        which moves the digit sum by a multiple of 2**(8 * width) - 1, and
+        raises AssertionError.  (Carries of both signs could cancel in the
+        sum; carries into nonnegative coefficients, as in every series of
+        this package, cannot.)"""
+        live = [(c, f.terms, g.terms) for c, f, g in triples if c and f.terms and g.terms]
+        if not live:
+            return cls()
+        ys = set().union(*(g for _, _, g in live))
+        ylo = min(ys)
+        step = gcd(*(e - ylo for e in ys)) or 1
+        length = (max(ys) - ylo) // step + 1
+        width = _digit_bytes(
+            sum(
+                abs(c) * max(map(abs, f.values())) * max(map(abs, g.values()))
+                for c, f, g in live
+            )
+        )
+        bits, size = 8 * width, width * length
+        half = 1 << (bits - 1)
+        offset = int.from_bytes(half.to_bytes(width, "little") * length, "little")
+        rows: dict[int, int] = {}
+        sums: dict[int, int] = {}
+        for c, f, g in live:
+            packed = sum(gc << bits * ((ye - ylo) // step) for ye, gc in g.items())
+            g1 = sum(g.values())
+            for xe, fc in f.items():
+                k = c * fc
+                rows[xe] = rows.get(xe, 0) + k * packed
+                sums[xe] = sums.get(xe, 0) + k * g1
         out: dict[tuple[int, int], int] = {}
-        for c, f, g in triples:
-            fterms = f.terms.items()
-            for ye, gc in g.terms.items():
-                cg = c * gc
-                for xe, fc in fterms:
-                    out[xe, ye] = out.get((xe, ye), 0) + cg * fc
+        for xe, row in rows.items():
+            # half added to every signed digit leaves each in [0, 2**bits),
+            # so the bytes of the sum are the digits
+            value = row + offset
+            if not 0 <= value < 1 << 8 * size:
+                raise AssertionError(f"packed row of x^{xe} overflows {length} digits")
+            buf = value.to_bytes(size, "little")
+            digits = [
+                int.from_bytes(buf[i : i + width], "little") - half
+                for i in range(0, size, width)
+            ]
+            if sum(digits) != sums[xe]:
+                raise AssertionError(f"packed row of x^{xe} wrapped a digit")
+            out.update(zip(zip(repeat(xe), range(ylo, ylo + step * length, step)), digits))
         return cls(out)
 
     def __bool__(self) -> bool:

@@ -340,6 +340,24 @@ def molien_graded_character(wt: WeylType, cd: ClassDatum) -> LaurentPoly:
     return f
 
 
+@lru_cache(maxsize=None)
+def _class_characters(family: str, rank: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+    """(label, size, coefficients of f_c) for every class, computed once per
+    group; callers pass B for C, as B_n and C_n are one group with one class
+    list.  The graded characters are kept as coefficient tuples, which are
+    compact and immutable, so no caller can alter the cache."""
+    wt = weyl_type(family, rank)
+    out = []
+    for cd in conjugacy_data(wt):
+        f = molien_graded_character(wt, cd)
+        out.append((cd.label, cd.size, tuple(f.coeff(e) for e in range(f.degree + 1))))
+    return tuple(out)
+
+
+def _classes_of(wt: WeylType) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+    return _class_characters("B" if wt.family == "C" else wt.family, wt.rank)
+
+
 # ---------------------------------------------------------------------------
 # Symmetric-group characters (Murnaghan-Nakayama) and fake degrees.
 # ---------------------------------------------------------------------------
@@ -396,17 +414,25 @@ def fake_degree_molien(
 
     The average must clear |W| exactly and land on nonnegative integers;
     anything else means the supplied values are not a character."""
-    classes = conjugacy_data(wt)
-    missing = [c.label for c in classes if c.label not in character_values]
+    classes = _classes_of(wt)
+    missing = [label for label, _, _ in classes if label not in character_values]
     if missing:
         raise ValueError(f"character values missing for classes: {missing}")
-    acc = LaurentPoly.zero("q")
-    for cd in classes:
-        chi = character_values[cd.label]
+    unknown = sorted(set(character_values) - {label for label, _, _ in classes})
+    if unknown:
+        raise ValueError(f"character values given for no class of {wt}: {unknown}")
+    acc = [0] * (wt.num_positive_roots + 1)  # every f_c has degree N
+    for label, size, coeffs in classes:
+        chi = character_values[label]
+        if type(chi) is not int:  # bool is not a character value
+            raise TypeError(
+                f"character value of class {label} must be an int, not {type(chi).__name__}"
+            )
         if chi:
-            acc = acc + cd.size * chi * molien_graded_character(wt, cd)
+            for e, c in enumerate(coeffs):
+                acc[e] += size * chi * c
     terms: dict[int, int] = {}
-    for e, c in acc.terms.items():
+    for e, c in enumerate(acc):
         if c % wt.order:
             raise ValueError(
                 "class average is not integral: input is not a character"
@@ -430,11 +456,13 @@ def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
     because sum_chi FD_chi(a) FD_chi(b) class-averages f(a) f(b) for real
     characters."""
     npos = wt.num_positive_roots
-    classes = conjugacy_data(wt)
-    characters = [molien_graded_character(wt, cd) for cd in classes]
     acc = BiLaurentPoly.sum_of_products(
-        (cd.size, f.substitute_power(-2), f.substitute_power(2))
-        for cd, f in zip(classes, characters)
+        (
+            size,
+            LaurentPoly({-2 * e: c for e, c in enumerate(coeffs)}),
+            LaurentPoly({2 * e: c for e, c in enumerate(coeffs)}),
+        )
+        for _, size, coeffs in _classes_of(wt)
     )
     terms: dict[tuple[int, int], int] = {}
     for key, c in acc.terms.items():

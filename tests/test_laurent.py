@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from nilcone import laurent
 from nilcone.laurent import (
     BiLaurentPoly,
     ExactDivisionError,
@@ -34,6 +35,37 @@ def dense_product(a, b):
 
 def L(terms):
     return LaurentPoly(terms)
+
+
+def naive_sum_of_products(triples):
+    """sum of c * f(x) * g(y) by the triple loop over terms."""
+    out: dict = {}
+    for c, f, g in triples:
+        for xe, fc in f.terms.items():
+            for ye, gc in g.terms.items():
+                out[xe, ye] = out.get((xe, ye), 0) + c * fc * gc
+    return BiLaurentPoly(out)
+
+
+@st.composite
+def packed_triples(draw):
+    """(c, f, g) triples with coefficients up to 2**80 in size and every
+    y-exponent on one lattice of step 1, 2 or 3, some of them cancelling."""
+    step = draw(st.sampled_from([1, 2, 3]))
+    ylo = draw(st.integers(min_value=-6, max_value=6))
+    coeffs = st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=-(2**80), max_value=2**80),
+    )
+    terms = st.dictionaries(st.integers(min_value=-4, max_value=4), coeffs, max_size=5)
+    triples = [
+        (c, L(f), L({ylo + step * e: v for e, v in g.items()}))
+        for c, f, g in draw(st.lists(st.tuples(coeffs, terms, terms), max_size=5))
+    ]
+    if triples and draw(st.booleans()):
+        c, f, g = triples[0]
+        triples.append((-c, f, g))
+    return triples
 
 
 def divided_by_loop(coeffs, exponents):
@@ -168,15 +200,31 @@ class TestBiLaurent:
     @given(st.lists(st.tuples(st.integers(min_value=-5, max_value=5), polys, polys), max_size=5))
     @example([(3, L({-1: 2}), L({0: 1, 2: -1})), (-3, L({-1: 2}), L({2: -1, 0: 1}))])
     def test_specializations_are_ring_maps(self, triples):
-        naive: dict = {}
-        for c, f, g in triples:
-            for xe, fc in f.terms.items():
-                for ye, gc in g.terms.items():
-                    naive[xe, ye] = naive.get((xe, ye), 0) + c * fc * gc
         p = BiLaurentPoly.sum_of_products(triples)
-        assert p == BiLaurentPoly(naive)  # term maps equal, so no zeros kept
+        assert p == naive_sum_of_products(triples)  # term maps equal, so no zeros kept
         assert p.set_x(1) == sum((c * f(1) * g for c, f, g in triples), L({}))
         assert p.set_y(1) == sum((c * g(1) * f for c, f, g in triples), L({}))
+
+    @given(packed_triples())
+    @example([])
+    @example([(5, L({-2: 1}), L({-3: -7}))])
+    @example([(2**80, L({0: 2**80}), L({0: -(2**80), 4: 2**80})), (1, L({1: 1}), L({2: 1}))])
+    def test_packed_rows_match_the_triple_loop(self, triples):
+        assert BiLaurentPoly.sum_of_products(triples) == naive_sum_of_products(triples)
+
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            # 200 at y^0 carries into y^2 inside a one-byte row
+            [(200, L({0: 1}), L({0: 1})), (1, L({0: 1}), L({2: 1}))],
+            # 2**80 runs past the top digit of the row
+            [(2**80, L({0: 1}), L({0: 1, 1: 1}))],
+        ],
+    )
+    def test_too_narrow_digits_trip(self, monkeypatch, triples):
+        monkeypatch.setattr(laurent, "_digit_bytes", lambda bound: 1)
+        with pytest.raises(AssertionError, match="packed row"):
+            BiLaurentPoly.sum_of_products(triples)
 
     def test_evaluate(self):
         p = BiLaurentPoly({(2, -2): 1, (0, 0): 1})

@@ -76,6 +76,14 @@ def test_molien_series_pinned(family, rank):
     assert digest(pn_series_molien(weyl_type(family, rank))) == MOLIEN[family, rank]
 
 
+def test_mutating_a_molien_series_leaves_the_next_one_intact():
+    # C3 and B3 share their class data, so the mutation must not reach B3.
+    pn_series_molien(weyl_type("C", 3)).terms.clear()
+    pn_series_molien(weyl_type("B", 3)).terms[0, 0] = 5
+    assert digest(pn_series_molien(weyl_type("B", 3))) == MOLIEN["B", 3]
+    assert digest(pn_series_molien(weyl_type("C", 3))) == MOLIEN["C", 3]
+
+
 @pytest.mark.parametrize("parts", list(SPRINGER))
 def test_springer_fiber_series_pinned(parts):
     assert digest(springer_fiber_series(Partition(parts)).poly) == SPRINGER[parts]

@@ -313,6 +313,25 @@ class TestFakeDegreeMolien:
         with pytest.raises(ValueError):
             fake_degree_molien(wt, {"1,1,1": 1})
 
+    def test_unknown_class_rejected(self):
+        wt = weyl_type("A", 2)
+        values = {**sn_character_values(P((2, 1))), "4": 0}
+        with pytest.raises(ValueError, match="no class"):
+            fake_degree_molien(wt, values)
+
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_non_int_value_rejected(self, bad):
+        wt = weyl_type("A", 2)
+        values = {**sn_character_values(P((2, 1))), "1,1,1": bad}
+        with pytest.raises(TypeError, match="must be an int"):
+            fake_degree_molien(wt, values)
+
+    def test_mutating_a_result_leaves_the_next_one_intact(self):
+        wt = weyl_type("A", 2)
+        standard = sn_character_values(P((2, 1)))
+        fake_degree_molien(wt, standard).terms[1] = 7
+        assert fake_degree_molien(wt, standard).terms == {1: 1, 2: 1}
+
 
 class TestPnSeriesMolien:
     def test_rank_one_closed_form(self):
