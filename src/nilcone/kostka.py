@@ -41,7 +41,7 @@ from itertools import groupby, product
 from math import factorial, prod
 from typing import Mapping, Sequence
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, q_quotient
 from .partitions import Partition, Shape, _add_horizontal, _trim, partitions_of
 from .tableaux import ssyt_enumerate
 
@@ -243,15 +243,7 @@ def fake_degree_qhook(lam: Partition) -> LaurentPoly:
     and means an implementation bug.  Equals the major-index generating
     polynomial over standard tableaux of shape lam.
     """
-    n = lam.size
-    q = "q"
-    numerator = LaurentPoly.monomial(lam.n_stat(), 1, q)
-    for k in range(1, n + 1):
-        numerator = numerator * LaurentPoly({0: 1, k: -1}, q)
-    denominator = LaurentPoly.one(q)
-    for h in lam.hooks():
-        denominator = denominator * LaurentPoly({0: 1, h: -1}, q)
-    return numerator.div_exact(denominator)
+    return q_quotient(range(1, lam.size + 1), lam.hooks()).shift(lam.n_stat())
 
 
 def kostka_from_fake_degree(lam: Partition) -> LaurentPoly:

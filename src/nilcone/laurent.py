@@ -7,6 +7,12 @@ equality of polynomials is equality of term maps.  Negative exponents are
 allowed everywhere (the weight gradings computed downstream genuinely
 produce them).
 
+Products of cyclotomic-type factors, prod_a (1 - var**a) / prod_b
+(1 - var**b), are built by q_quotient on one dense coefficient list: a
+slice subtraction per numerator factor, then the strided prefix sums of
+TruncatedSeries.divide_one_minus, with no dict polynomial until the end.
+Fake degrees, Weyl-group class factors and Molien numerators all take it.
+
 Bivariate polynomials are built only as sums of products f(x) * g(y), by
 BiLaurentPoly.sum_of_products, which packs each g(y) into one int
 (Kronecker substitution) and sums one packed row per x-exponent; they have
@@ -21,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
+from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -33,6 +40,14 @@ class ExactDivisionError(ArithmeticError):
 
 def _clean(terms: Mapping[int, int]) -> dict[int, int]:
     return {e: c for e, c in terms.items() if c != 0}
+
+
+def _check_exponents(exponents: list[int]) -> None:
+    for e in exponents:
+        if type(e) is not int:  # bool is not an exponent
+            raise TypeError(f"factor exponents must be ints, not {type(e).__name__}")
+        if e < 1:
+            raise ValueError("all factor exponents must be positive")
 
 
 def _digit_bytes(bound: int) -> int:
@@ -131,6 +146,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it must hash like it
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
@@ -338,6 +356,9 @@ class BiLaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it must hash like it
+        if self.terms.keys() <= {(0, 0)}:
+            return hash(self.terms.get((0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     def shift(self, dx: int, dy: int) -> "BiLaurentPoly":
@@ -474,11 +495,7 @@ class TruncatedSeries:
         class mod e, so each factor costs one accumulate per residue.  The
         receiver is left unchanged."""
         exponents = list(exponents)
-        for e in exponents:
-            if type(e) is not int:  # bool is not an exponent
-                raise TypeError(f"factor exponents must be ints, not {type(e).__name__}")
-            if e < 1:
-                raise ValueError("all factor exponents must be positive")
+        _check_exponents(exponents)
         coeffs = list(self.coefficients)
         for e in exponents:
             for r in range(min(e, len(coeffs))):
@@ -503,3 +520,35 @@ def series_invert_product(exponents: Iterable[int], truncation: int) -> Truncate
     independent part types).
     """
     return TruncatedSeries.one(truncation).divide_one_minus(exponents)
+
+
+def q_quotient(
+    numerator: Iterable[int], denominator: Iterable[int], var: str = "q"
+) -> LaurentPoly:
+    """prod_a (1 - var**a) / prod_b (1 - var**b) over the two exponent
+    multisets, as a polynomial; ExactDivisionError unless the quotient is
+    one.
+
+    The numerator is expanded on one dense coefficient list, one slice
+    subtraction per factor, and divided as a power series to its own degree
+    by TruncatedSeries.divide_one_minus."""
+    numerator, denominator = list(numerator), list(denominator)
+    _check_exponents(numerator + denominator)
+    top = sum(numerator)
+    coeffs = [1] + [0] * top
+    t = 0
+    for a in numerator:  # times (1 - var**a): c[k] -= c[k - a], old values
+        t += a
+        coeffs[a : t + 1] = map(sub, coeffs[a : t + 1], coeffs[: t + 1 - a])
+    series = TruncatedSeries(coeffs, var).divide_one_minus(denominator).coefficients
+    # S = N/D mod var**(deg N + 1).  If S has degree at most deg N - deg D,
+    # then S * D has degree at most deg N and agrees with N mod
+    # var**(deg N + 1), so S * D = N exactly; if D divides N, the quotient
+    # is S and has that degree.  So a nonzero tail means D does not divide N.
+    degree = top - sum(denominator)
+    if degree < 0 or any(series[degree + 1 :]):
+        raise ExactDivisionError(
+            f"prod (1 - {var}^b), b in {denominator}, does not divide"
+            f" prod (1 - {var}^a), a in {numerator}"
+        )
+    return LaurentPoly(dict(enumerate(series[: degree + 1])), var)

@@ -117,12 +117,14 @@ def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
         hp0_slice_series(phi) * prod_i (1 - y**(2 d_i))**-1,
 
     with d_i the degrees for sl_n.  The filtered quantization has the same
-    series."""
+    series.  Every exponent is even (dim O_phi and 2 d_i are), so the
+    division runs in u = y**2, by 1 - u**d_i, on the even coefficients."""
     n = phi.size
     degrees = weyl_type("A", n - 1).degrees if n >= 2 else ()
-    return TruncatedSeries.from_poly(hp0_slice_series(phi), truncation).divide_one_minus(
-        2 * d for d in degrees
-    )
+    series = TruncatedSeries.from_poly(hp0_slice_series(phi), truncation)
+    coeffs = series.coefficients
+    coeffs[::2] = TruncatedSeries(coeffs[::2]).divide_one_minus(degrees).coefficients
+    return series
 
 
 def ih_orbit_closure(lam: Partition) -> LaurentPoly:

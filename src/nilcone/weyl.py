@@ -25,9 +25,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
+from operator import itemgetter
 from typing import Mapping
 
-from .laurent import BiLaurentPoly, LaurentPoly
+from .laurent import BiLaurentPoly, LaurentPoly, q_quotient
 from .partitions import Partition, partitions_of
 
 # Fundamental degrees of the exceptional types; the rank is their number.
@@ -154,8 +155,9 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
     The roots, in the simple-root basis, are the closure of the simple roots
     under the simple reflections.  Each simple reflection becomes a
     permutation of root indices, so a group element is a tuple and
-    composition is tuple indexing.  W is enumerated breadth first and split
-    into classes by closure under conjugation by the simple reflections."""
+    composition is tuple indexing (operator.itemgetter).  W is enumerated
+    breadth first and split into classes by closure under conjugation by
+    the simple reflections."""
     cartan = _cartan_matrix(family, rank)
 
     def reflect(j: int, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -170,11 +172,13 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
                 index[w] = len(roots)
                 roots.append(w)
     gens = [tuple(index[reflect(j, v)] for v in roots) for j in range(rank)]
+    # itemgetter(*g)(w)[i] = w[g[i]]: composition with g, done in C
+    picks = [itemgetter(*g) for g in gens]
     elements = [tuple(range(len(roots)))]
     unclassed = set(elements)
     for w in elements:
-        for g in gens:
-            if (p := tuple([w[i] for i in g])) not in unclassed:
+        for pick in picks:
+            if (p := pick(w)) not in unclassed:
                 unclassed.add(p)
                 elements.append(p)
     classes = []
@@ -182,8 +186,8 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
         rep = unclassed.pop()
         orbit = [rep]
         for w in orbit:
-            for s in gens:  # s w s, as s is an involution
-                if (c := tuple([s[w[i]] for i in s])) in unclassed:
+            for s, pick in zip(gens, picks):  # s w s, as s is an involution
+                if (c := itemgetter(*pick(w))(s)) in unclassed:
                     unclassed.remove(c)
                     orbit.append(c)
         # the columns of rep as a matrix are the roots rep(a_j)
@@ -238,9 +242,7 @@ def enumeration_counts(wt: WeylType) -> tuple[int, int]:
             f"{_ENUMERATED_ORDER} of E6"
         )
     groups = _grouped_char_factors(wt.family, wt.rank)
-    reflection_char = LaurentPoly({0: 1, 1: -1}, "t") ** (wt.rank - 1) * LaurentPoly(
-        {0: 1, 1: 1}, "t"
-    )
+    reflection_char = q_quotient([1] * (wt.rank - 1) + [2], [1], "t")  # (1-t)**(r-1) (1+t)
     order = sum(count for _, count in groups)
     reflections = sum(count for f, count in groups if f == reflection_char)
     return order, reflections
@@ -263,14 +265,6 @@ def _csv(parts: tuple[int, ...]) -> str:
     return ",".join(str(p) for p in parts)
 
 
-def _one_minus(k: int) -> LaurentPoly:
-    return LaurentPoly({0: 1, k: -1}, "t")
-
-
-def _one_plus(k: int) -> LaurentPoly:
-    return LaurentPoly({0: 1, k: 1}, "t")
-
-
 def conjugacy_data(wt: WeylType) -> list[ClassDatum]:
     """Complete class list with sizes and det(1 - t w) factors.
 
@@ -281,15 +275,12 @@ def conjugacy_data(wt: WeylType) -> list[ClassDatum]:
         n = wt.rank + 1
         out = []
         for mu in partitions_of(n):
-            size = factorial(n) // _zvalue(mu)
-            perm_factor = LaurentPoly.one("t")
-            for c in mu.parts:
-                perm_factor = perm_factor * _one_minus(c)
+            # the permutation representation minus its trivial summand
             out.append(
                 ClassDatum(
                     label=_csv(mu.parts),
-                    size=size,
-                    char_factor=perm_factor.div_exact(_one_minus(1)),
+                    size=factorial(n) // _zvalue(mu),
+                    char_factor=q_quotient(mu.parts, (1,), "t"),
                 )
             )
         return out
@@ -304,16 +295,13 @@ def conjugacy_data(wt: WeylType) -> list[ClassDatum]:
                     if even_only and len(beta) % 2 != 0:
                         continue
                     z = 2 ** (len(alpha) + len(beta)) * _zvalue(alpha) * _zvalue(beta)
-                    factor = LaurentPoly.one("t")
-                    for a in alpha.parts:
-                        factor = factor * _one_minus(a)
-                    for b in beta.parts:
-                        factor = factor * _one_plus(b)
+                    # prod (1 - t**a) * prod (1 + t**b); 1 + t**b = (1 - t**2b) / (1 - t**b)
+                    doubled = [2 * b for b in beta.parts]
                     out.append(
                         ClassDatum(
                             label=f"{_csv(alpha.parts)}|{_csv(beta.parts)}",
                             size=hyperoctahedral_order // z,
-                            char_factor=factor,
+                            char_factor=q_quotient([*alpha.parts, *doubled], beta.parts, "t"),
                         )
                     )
         return out
@@ -331,10 +319,7 @@ def molien_graded_character(wt: WeylType, cd: ClassDatum) -> LaurentPoly:
 
     Always an honest polynomial of degree N with constant term 1 (the
     division is a correctness tripwire)."""
-    numerator = LaurentPoly.one("q")
-    for d in wt.degrees:
-        numerator = numerator * LaurentPoly({0: 1, d: -1}, "q")
-    f = numerator.div_exact(cd.char_factor).with_var("q")
+    f = q_quotient(wt.degrees, ()).div_exact(cd.char_factor)
     if f.degree != wt.num_positive_roots or f.coeff(0) != 1:
         raise AssertionError(f"malformed graded character for class {cd.label}")
     return f

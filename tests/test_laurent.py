@@ -10,6 +10,7 @@ from nilcone.laurent import (
     ExactDivisionError,
     LaurentPoly,
     TruncatedSeries,
+    q_quotient,
     series_invert_product,
 )
 
@@ -151,6 +152,21 @@ class TestRingAxioms:
     @given(polys, polys, polys)
     def test_distributivity(self, a, b, c):
         assert a * (b + c) == a * b + a * c
+
+
+    def test_constant_hashes_like_its_int(self):
+        assert L({0: 3}) == 3 and 3 in {L({0: 3})} and L({0: 3}) in {3}
+        assert {L({0: -2}): "a"}[-2] == "a" and {-2: "a"}[L({0: -2})] == "a"
+        assert LaurentPoly() == 0 and 0 in {LaurentPoly()} and LaurentPoly.zero() in {0}
+        assert L({0: 1}) in {1} and L({1: 1}) not in {1}
+
+    def test_bivariate_constant_hashes_like_its_int(self):
+        assert BiLaurentPoly({(0, 0): 2}) == 2 and 2 in {BiLaurentPoly({(0, 0): 2})}
+        assert {BiLaurentPoly(): "z"}[0] == "z" and BiLaurentPoly({(0, 1): 2}) not in {2}
+
+    @given(st.integers())
+    def test_every_constant_hashes_like_its_int(self, c):
+        assert hash(L({0: c})) == hash(c) == hash(BiLaurentPoly({(0, 0): c}))
 
 
 class TestDivExact:
@@ -403,3 +419,76 @@ class TestDivideOneMinus:
         for exponents in ([2.0], [True], ["2"], [2, None]):
             with pytest.raises(TypeError, match="ints"):
                 series.divide_one_minus(exponents)
+
+
+def product_route(numerator, denominator):
+    """prod (1 - q**a) / prod (1 - q**b) by LaurentPoly.__mul__ and div_exact."""
+    num, den = LaurentPoly.one("q"), LaurentPoly.one("q")
+    for a in numerator:
+        num = num * LaurentPoly({0: 1, a: -1}, "q")
+    for b in denominator:
+        den = den * LaurentPoly({0: 1, b: -1}, "q")
+    return num.div_exact(den)
+
+
+@st.composite
+def dividing_exponents(draw):
+    """Exponent multisets whose quotient is a polynomial: 1 - q**b divides
+    1 - q**(k b), and a q-multinomial coefficient
+    prod_(i <= m) (1 - q**i) / prod_j prod_(i <= m_j) (1 - q**i), m = sum m_j,
+    is one; extra numerator factors ride along."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), max_size=4))
+    blocks = draw(st.lists(st.integers(0, 4), max_size=3))
+    extra = draw(st.lists(st.integers(1, 9), max_size=3))
+    numerator = [b * k for b, k in pairs] + list(range(1, sum(blocks) + 1)) + extra
+    denominator = [b for b, _ in pairs] + [i for m in blocks for i in range(1, m + 1)]
+    return draw(st.permutations(numerator)), draw(st.permutations(denominator))
+
+
+class TestQQuotient:
+    @given(dividing_exponents())
+    @example(([2, 4, 6], [1, 2, 3]))
+    def test_matches_product_route(self, exponents):
+        numerator, denominator = exponents
+        quotient = q_quotient(numerator, denominator)
+        assert quotient == product_route(numerator, denominator)
+        assert quotient.var == "q"
+
+    @given(
+        st.lists(st.integers(1, 8), max_size=5),
+        st.lists(st.integers(1, 8), max_size=3),
+    )
+    def test_raises_exactly_when_division_is_inexact(self, numerator, denominator):
+        try:
+            expected = product_route(numerator, denominator)
+        except ExactDivisionError:
+            with pytest.raises(ExactDivisionError):
+                q_quotient(numerator, denominator)
+        else:
+            assert q_quotient(numerator, denominator) == expected
+
+    def test_empty_products(self):
+        assert q_quotient([], []) == 1
+        assert q_quotient((), (), "t").var == "t"
+        assert q_quotient([3], []) == L({0: 1, 3: -1})
+        assert q_quotient(range(1, 4), []) == product_route([1, 2, 3], [])
+        with pytest.raises(ExactDivisionError):
+            q_quotient([], [1])
+
+    def test_non_dividing_pair_raises(self):
+        with pytest.raises(ExactDivisionError):
+            q_quotient([2], [3])
+
+    def test_generators_are_read_once(self):
+        assert q_quotient((a for a in (2, 3)), (b for b in (1,))) == L({0: 1, 1: 1, 3: -1, 4: -1})
+
+    def test_bad_exponents_rejected_before_any_work(self, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("division reached")
+
+        monkeypatch.setattr(TruncatedSeries, "divide_one_minus", untouched)
+        for bad, error in ((0, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError)):
+            with pytest.raises(error):
+                q_quotient([10**6, bad], [1])
+            with pytest.raises(error):
+                q_quotient([10**6], [1, bad])

@@ -5,12 +5,16 @@ tests see only the (1,1)-value, the exponent window and set_y(1).  A
 builder that paired one class's x-factor with another class's y-factor
 can keep all three, so these digests are what catch it.  They were recorded
 before the series builders were rewritten around sum_of_products.
+
+The q-hook fake degrees are pinned per n, one digest over every lam of n,
+as they were before the q-hook moved onto the dense quotient q_quotient.
 """
 
 import hashlib
 
 import pytest
 
+from nilcone.kostka import fake_degree_qhook
 from nilcone.partitions import Partition, partitions_of
 from nilcone.springer import springer_fiber_series
 from nilcone.weyl import pn_series_molien, weyl_type
@@ -63,6 +67,23 @@ SPRINGER = {
 }
 
 
+FAKE_DEGREES = {
+    0: "9ea3ab5aff23cbdd0297616d8349729f3cbf7519",
+    1: "ecc9fd7edfa17748a3279946b4e5b308c743a9dd",
+    2: "991bd38eaed67f141728f5a0547e2e66804107e8",
+    3: "43dbe71b4eb18abc0c0babe690a06aff178c8086",
+    4: "a1c288174c52cfaa9abf184f9caa66cf3a0b8798",
+    5: "266567aa01af219ec669f51fe2169c092650e268",
+    6: "42672df27e11e95fffb1c262a37ee707d9a41350",
+    7: "04580d4956fdd08840e36ef6ef3f5f80bb78c683",
+    8: "94ab071009128a9c20259dc62c44724e79c723ac",
+    9: "94d40ca565293f703c941a15adaf496fb4e2b896",
+    10: "27fc1355f2501f8c6f3d33cdea1b36cbcb68dfca",
+    11: "0dc86d6663a70dbe65ae7cb6706cf80f1e290ce3",
+    12: "41a5c300f930cef34b2a2c81451ae8abd0c78f80",
+}
+
+
 def digest(poly) -> str:
     return hashlib.sha1(repr(sorted(poly.terms.items())).encode()).hexdigest()
 
@@ -87,3 +108,9 @@ def test_mutating_a_molien_series_leaves_the_next_one_intact():
 @pytest.mark.parametrize("parts", list(SPRINGER))
 def test_springer_fiber_series_pinned(parts):
     assert digest(springer_fiber_series(Partition(parts)).poly) == SPRINGER[parts]
+
+
+@pytest.mark.parametrize("n", list(FAKE_DEGREES))
+def test_fake_degrees_pinned(n):
+    rows = [(lam.parts, sorted(fake_degree_qhook(lam).terms.items())) for lam in partitions_of(n)]
+    assert hashlib.sha1(repr(rows).encode()).hexdigest() == FAKE_DEGREES[n]

@@ -181,7 +181,7 @@ class TestWalgSeries:
             expansions = {}
             for phi in partitions_of(n):
                 hp0 = hp0_slice_series(phi)
-                for t in {0, 1, hp0.degree - 1, hp0.degree, 3000} - {-1}:
+                for t in {0, 1, hp0.degree - 1, hp0.degree, 2999, 3000} - {-1}:
                     if t not in expansions:
                         expansions[t] = series_invert_product(exponents, t)
                     assert hp0_walg_full_series(phi, t) == expansions[t] * hp0, (phi, t)

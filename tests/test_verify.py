@@ -3,9 +3,10 @@ import time
 import pytest
 
 from nilcone import kostka, verify
-from nilcone.laurent import LaurentPoly, TruncatedSeries
+from nilcone.kostka import fake_degree_qhook
+from nilcone.laurent import ExactDivisionError, LaurentPoly, TruncatedSeries
 from nilcone.partitions import Partition
-from nilcone.springer import _kostka_g_parts
+from nilcone.springer import _kostka_g_parts, kostka_g
 from nilcone.verify import SUITES, run_suite
 
 
@@ -46,18 +47,38 @@ class TestSuites:
         assert not report.passed
         assert report.checks[0].counterexample == "lam=(2,1)"
 
-    def test_walg_suite_catches_a_wrong_stride(self, monkeypatch):
-        """Dividing by 1 - y**(e + 1) in place of 1 - y**e fails the walg
-        suite, which multiplies back through TruncatedSeries.__mul__."""
+    @staticmethod
+    def _patch_wrong_stride(monkeypatch):
+        """Divide by 1 - y**(e + 1) in place of 1 - y**e."""
         right = TruncatedSeries.divide_one_minus
         monkeypatch.setattr(
             TruncatedSeries,
             "divide_one_minus",
             lambda self, exponents: right(self, [e + 1 for e in exponents]),
         )
+
+    def test_walg_suite_catches_a_wrong_stride(self, monkeypatch):
+        """A wrong stride fails the walg suite, which multiplies back
+        through TruncatedSeries.__mul__.  The q-hook fake degrees and the
+        Weyl-type checks divide through the same kernel, so a first run
+        memoises them (_kostka_g_parts, weyl_type) before the patch: the
+        suite must reach its comparison, not the exactness tripwire."""
+        assert run_suite("walg", max_n=3).passed
+        self._patch_wrong_stride(monkeypatch)
         report = run_suite("walg", max_n=3)
         assert not report.passed
         assert report.checks[0].counterexample.startswith("phi=(2)")
+
+    def test_wrong_stride_trips_the_qhook_division(self, monkeypatch):
+        self._patch_wrong_stride(monkeypatch)
+        _kostka_g_parts.cache_clear()
+        try:
+            with pytest.raises(ExactDivisionError):
+                fake_degree_qhook(Partition((2, 1)))
+            with pytest.raises(ExactDivisionError):
+                kostka_g(Partition((2,)))
+        finally:
+            _kostka_g_parts.cache_clear()
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
