@@ -154,6 +154,7 @@ class TestRingAxioms:
         assert a * (b + c) == a * b + a * c
 
 
+class TestConstantHash:
     def test_constant_hashes_like_its_int(self):
         assert L({0: 3}) == 3 and 3 in {L({0: 3})} and L({0: 3}) in {3}
         assert {L({0: -2}): "a"}[-2] == "a" and {-2: "a"}[L({0: -2})] == "a"
