@@ -522,12 +522,12 @@ def series_invert_product(exponents: Iterable[int], truncation: int) -> Truncate
     return TruncatedSeries.one(truncation).divide_one_minus(exponents)
 
 
-def q_quotient(
+def q_quotient_coefficients(
     numerator: Iterable[int], denominator: Iterable[int], var: str = "q"
-) -> LaurentPoly:
+) -> list[int]:
     """prod_a (1 - var**a) / prod_b (1 - var**b) over the two exponent
-    multisets, as a polynomial; ExactDivisionError unless the quotient is
-    one.
+    multisets, as the coefficient list of a polynomial (constant term
+    first); ExactDivisionError unless the quotient is one.
 
     The numerator is expanded on one dense coefficient list, one slice
     subtraction per factor, and divided as a power series to its own degree
@@ -551,4 +551,9 @@ def q_quotient(
             f"prod (1 - {var}^b), b in {denominator}, does not divide"
             f" prod (1 - {var}^a), a in {numerator}"
         )
-    return LaurentPoly(dict(enumerate(series[: degree + 1])), var)
+    return series[: degree + 1]
+
+
+def q_quotient(numerator: Iterable[int], denominator: Iterable[int], var: str = "q") -> LaurentPoly:
+    """q_quotient_coefficients as a LaurentPoly in var."""
+    return LaurentPoly(dict(enumerate(q_quotient_coefficients(numerator, denominator, var))), var)

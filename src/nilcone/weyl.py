@@ -9,14 +9,16 @@ need the doubled grading of invariants on the ambient Lie algebra write
 y**(2*d_i) explicitly.
 
 Class data comes from closed-form cycle-type combinatorics in the classical
-families and from explicit enumeration in the exceptional ones.  For D_n
-the classes are grouped by their ambient hyperoctahedral cycle type (some
-of those sets split into two true conjugacy classes, but det(1 - t w) and
-the class sums used here are constant on each set, which is all that any
-formula in this package consumes).  The exceptional groups are enumerated
-as permutations of their roots and split into true conjugacy classes; only
-the returned class list groups them by det(1 - t w), which may merge true
-classes (e.g. both reflection classes of G2) without affecting any sum.
+families, where det(1 - t w) = prod (1 - t**a) / prod (1 - t**b), and from
+explicit enumeration in the exceptional ones.  For D_n the classes are
+grouped by their ambient hyperoctahedral cycle type (some of those sets
+split into two true conjugacy classes, but det(1 - t w) and the class sums
+used here are constant on each set, which is all that any formula in this
+package consumes).  The exceptional groups are enumerated on index tables
+and split into true conjugacy classes, det(1 - t w) coming from traces of
+powers; only the returned class list groups them by det(1 - t w), which
+may merge true classes (e.g. both reflection classes of G2) without
+affecting any sum.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
-from operator import itemgetter
-from typing import Mapping
+from operator import itemgetter, mul
+from typing import Iterator, Mapping
 
-from .laurent import BiLaurentPoly, LaurentPoly, q_quotient
+from .laurent import BiLaurentPoly, LaurentPoly, q_quotient, q_quotient_coefficients
 from .partitions import Partition, partitions_of
 
 # Fundamental degrees of the exceptional types; the rank is their number.
@@ -81,11 +83,19 @@ def _degrees(family: str, rank: int) -> tuple[int, ...]:
     raise ValueError(f"unsupported Weyl type {family}{rank}")
 
 
-@lru_cache(maxsize=None)
 def weyl_type(family: str, rank: int) -> WeylType:
     """Look up a supported Weyl type; for groups of order up to 1200 the
     degree table is validated against explicit enumeration (element count
     and reflection count)."""
+    if type(family) is not str:
+        raise TypeError(f"Weyl family must be a str, not {type(family).__name__}")
+    if type(rank) is not int:  # bool is not a rank, and 2.0 would share 2's cache entry
+        raise TypeError(f"Weyl rank must be an int, not {type(rank).__name__}")
+    return _weyl_type(family, rank)
+
+
+@lru_cache(maxsize=None)
+def _weyl_type(family: str, rank: int) -> WeylType:
     degrees = _degrees(family, rank)
     wt = WeylType(
         family=family,
@@ -156,8 +166,10 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
     under the simple reflections.  Each simple reflection becomes a
     permutation of root indices, so a group element is a tuple and
     composition is tuple indexing (operator.itemgetter).  W is enumerated
-    breadth first and split into classes by closure under conjugation by
-    the simple reflections."""
+    breadth first into index tables: right[k][j] is the index of
+    elements[k] s_j, and left[k][j], that of s_j elements[k], is filled
+    along the search tree.  The classes are the closures under conjugation
+    s_j w s_j = right[left[w][j]][j], on ints alone."""
     cartan = _cartan_matrix(family, rank)
 
     def reflect(j: int, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -171,52 +183,64 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
             if (w := reflect(j, v)) not in index:
                 index[w] = len(roots)
                 roots.append(w)
-    gens = [tuple(index[reflect(j, v)] for v in roots) for j in range(rank)]
-    # itemgetter(*g)(w)[i] = w[g[i]]: composition with g, done in C
-    picks = [itemgetter(*g) for g in gens]
+    gens = [[index[reflect(j, v)] for v in roots] for j in range(rank)]
+    # itemgetter(*g)(w)[i] = w[g[i]]: composition w s_j, done in C.  An
+    # element is fixed by its images w[:rank] of the simple roots, its key.
+    steps = [(itemgetter(*g), itemgetter(*g[:rank])) for g in gens]
     elements = [tuple(range(len(roots)))]
-    unclassed = set(elements)
-    for w in elements:
-        for pick in picks:
-            if (p := pick(w)) not in unclassed:
-                unclassed.add(p)
-                elements.append(p)
+    found = {itemgetter(*range(rank))(elements[0]): 0}
+    right: list[list[int]] = []
+    tree = [(0, 0)]  # tree[m] = (k, i): elements[m] was found as elements[k] s_i
+    for k, w in enumerate(elements):
+        row = []
+        for i, (compose, key) in enumerate(steps):
+            m = found.setdefault(key(w), len(elements))
+            if m == len(elements):
+                elements.append(compose(w))
+                tree.append((k, i))
+            row.append(m)
+        right.append(row)
+    del found
+    left = [right[0]]
+    for k, i in tree[1:]:  # s_j (w s_i) = (s_j w) s_i
+        left.append([right[m][i] for m in left[k]])
+    classed = bytearray(len(elements))
     classes = []
-    while unclassed:
-        rep = unclassed.pop()
+    for rep in range(len(elements)):
+        if classed[rep]:
+            continue
+        classed[rep] = 1
         orbit = [rep]
         for w in orbit:
-            for s, pick in zip(gens, picks):  # s w s, as s is an involution
-                if (c := itemgetter(*pick(w))(s)) in unclassed:
-                    unclassed.remove(c)
+            for j, m in enumerate(left[w]):
+                if not classed[c := right[m][j]]:
+                    classed[c] = 1
                     orbit.append(c)
-        # the columns of rep as a matrix are the roots rep(a_j)
-        matrix = [[roots[rep[j]][i] for j in range(rank)] for i in range(rank)]
-        classes.append((_char_factor(matrix), len(orbit)))
+        w = power = elements[rep]
+        sums = []
+        for _ in range(rank):  # tr(w**k) = sum_j coordinate j of w**k(a_j)
+            sums.append(sum(roots[power[j]][j] for j in range(rank)))
+            power = itemgetter(*w)(power)  # power w
+        classes.append((_det_from_power_sums(sums), len(orbit)))
     degrees = _degrees(family, rank)
-    counted = sum(size for _, size in classes)
-    if counted != prod(degrees) or len(roots) != 2 * sum(d - 1 for d in degrees):
+    if len(elements) != prod(degrees) or len(roots) != 2 * sum(d - 1 for d in degrees):
         raise AssertionError(
-            f"{family}{rank}: enumeration found {counted} elements and "
+            f"{family}{rank}: enumeration found {len(elements)} elements and "
             f"{len(roots)} roots, against the degrees {degrees}"
         )
     return tuple(classes)
 
 
-def _char_factor(m: list[list[int]]) -> LaurentPoly:
-    """det(1 - t m) by integer Faddeev-LeVerrier: with A_0 = 0 and c_0 = 1,
-    A_k = m (A_(k-1) + c_(k-1) 1) and the coefficient of t**k is
-    c_k = -tr(A_k) / k, a division that must be exact."""
-    r = len(m)
+def _det_from_power_sums(sums: list[int]) -> LaurentPoly:
+    """det(1 - t w) of an integer r x r matrix w from its power sums
+    sums[k - 1] = tr(w**k), k = 1..r, by Newton's identities: the
+    coefficient of t**k is c_k = -(sum_i c_(k-i) tr(w**i)) / k, with
+    c_0 = 1, a division that must be exact."""
     coeffs = [1]
-    a = [[0] * r for _ in range(r)]
-    for k in range(1, r + 1):
-        for i in range(r):
-            a[i][i] += coeffs[-1]
-        a = [[sum(m[i][l] * a[l][j] for l in range(r)) for j in range(r)] for i in range(r)]
-        c, remainder = divmod(-sum(a[i][i] for i in range(r)), k)
+    for k in range(1, len(sums) + 1):  # c_(k-1) tr(w) + ... + c_0 tr(w**k)
+        c, remainder = divmod(-sum(map(mul, reversed(coeffs), sums)), k)
         if remainder:
-            raise AssertionError(f"Faddeev-LeVerrier: trace not divisible by {k}")
+            raise AssertionError(f"power sums {sums}: coefficient of t^{k} is not an integer")
         coeffs.append(c)
     return LaurentPoly(dict(enumerate(coeffs)), "t")
 
@@ -265,50 +289,42 @@ def _csv(parts: tuple[int, ...]) -> str:
     return ",".join(str(p) for p in parts)
 
 
+def _classical_classes(family: str, rank: int) -> Iterator[tuple[str, int, tuple, tuple]]:
+    """(label, size, a, b) for every class of type A, B, C or D, where
+    det(1 - t w) = prod (1 - t**a) / prod (1 - t**b)."""
+    if family == "A":
+        n = rank + 1
+        for mu in partitions_of(n):
+            # the permutation representation minus its trivial summand
+            yield _csv(mu.parts), factorial(n) // _zvalue(mu), mu.parts, (1,)
+        return
+    hyperoctahedral_order = 2**rank * factorial(rank)
+    for k in range(rank, -1, -1):
+        for alpha in partitions_of(k):
+            for beta in partitions_of(rank - k):
+                if family == "D" and len(beta) % 2 != 0:
+                    continue
+                z = 2 ** (len(alpha) + len(beta)) * _zvalue(alpha) * _zvalue(beta)
+                # prod (1 - t**a) * prod (1 + t**b); 1 + t**b = (1 - t**2b) / (1 - t**b)
+                label = f"{_csv(alpha.parts)}|{_csv(beta.parts)}"
+                doubled = tuple(2 * b for b in beta.parts)
+                yield label, hyperoctahedral_order // z, alpha.parts + doubled, beta.parts
+
+
 def conjugacy_data(wt: WeylType) -> list[ClassDatum]:
     """Complete class list with sizes and det(1 - t w) factors.
 
     See the module docstring for the grouping caveats in type D and in the
     enumerated exceptional types.
     """
-    if wt.family == "A":
-        n = wt.rank + 1
-        out = []
-        for mu in partitions_of(n):
-            # the permutation representation minus its trivial summand
-            out.append(
-                ClassDatum(
-                    label=_csv(mu.parts),
-                    size=factorial(n) // _zvalue(mu),
-                    char_factor=q_quotient(mu.parts, (1,), "t"),
-                )
-            )
-        return out
-    if wt.family in ("B", "C", "D"):
-        n = wt.rank
-        even_only = wt.family == "D"
-        hyperoctahedral_order = 2**n * factorial(n)
-        out = []
-        for k in range(n, -1, -1):
-            for alpha in partitions_of(k):
-                for beta in partitions_of(n - k):
-                    if even_only and len(beta) % 2 != 0:
-                        continue
-                    z = 2 ** (len(alpha) + len(beta)) * _zvalue(alpha) * _zvalue(beta)
-                    # prod (1 - t**a) * prod (1 + t**b); 1 + t**b = (1 - t**2b) / (1 - t**b)
-                    doubled = [2 * b for b in beta.parts]
-                    out.append(
-                        ClassDatum(
-                            label=f"{_csv(alpha.parts)}|{_csv(beta.parts)}",
-                            size=hyperoctahedral_order // z,
-                            char_factor=q_quotient([*alpha.parts, *doubled], beta.parts, "t"),
-                        )
-                    )
-        return out
-    # exceptional types: enumerate and group by characteristic polynomial
+    if wt.family in EXCEPTIONAL_DEGREES:  # enumerate and group by det(1 - t w)
+        return [
+            ClassDatum(label=str(f), size=count, char_factor=f)
+            for f, count in _grouped_char_factors(wt.family, wt.rank)
+        ]
     return [
-        ClassDatum(label=str(f), size=count, char_factor=f)
-        for f, count in _grouped_char_factors(wt.family, wt.rank)
+        ClassDatum(label, size, q_quotient(num, den, "t"))
+        for label, size, num, den in _classical_classes(wt.family, wt.rank)
     ]
 
 
@@ -330,12 +346,20 @@ def _class_characters(family: str, rank: int) -> tuple[tuple[str, int, tuple[int
     """(label, size, coefficients of f_c) for every class, computed once per
     group; callers pass B for C, as B_n and C_n are one group with one class
     list.  The graded characters are kept as coefficient tuples, which are
-    compact and immutable, so no caller can alter the cache."""
+    compact and immutable, so no caller can alter the cache.  A classical
+    f_c is one q-quotient, checked as in molien_graded_character."""
     wt = weyl_type(family, rank)
     out = []
-    for cd in conjugacy_data(wt):
-        f = molien_graded_character(wt, cd)
-        out.append((cd.label, cd.size, tuple(f.coeff(e) for e in range(f.degree + 1))))
+    if family in EXCEPTIONAL_DEGREES:
+        for cd in conjugacy_data(wt):
+            f = molien_graded_character(wt, cd)
+            out.append((cd.label, cd.size, tuple(f.coeff(e) for e in range(f.degree + 1))))
+        return tuple(out)
+    for label, size, num, den in _classical_classes(family, rank):
+        f = q_quotient_coefficients([*wt.degrees, *den], num)  # prod (1 - q**d) / det(1 - q w)
+        if len(f) != wt.num_positive_roots + 1 or f[0] != 1:
+            raise AssertionError(f"malformed graded character for class {label}")
+        out.append((label, size, tuple(f)))
     return tuple(out)
 
 
@@ -441,13 +465,16 @@ def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
     because sum_chi FD_chi(a) FD_chi(b) class-averages f(a) f(b) for real
     characters."""
     npos = wt.num_positive_roots
+    merged: Counter[tuple[int, ...]] = Counter()  # classes that share f_c add their sizes
+    for _, size, coeffs in _classes_of(wt):
+        merged[coeffs] += size
     acc = BiLaurentPoly.sum_of_products(
         (
             size,
             LaurentPoly({-2 * e: c for e, c in enumerate(coeffs)}),
             LaurentPoly({2 * e: c for e, c in enumerate(coeffs)}),
         )
-        for _, size, coeffs in _classes_of(wt)
+        for coeffs, size in merged.items()
     )
     terms: dict[tuple[int, int], int] = {}
     for key, c in acc.terms.items():

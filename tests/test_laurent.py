@@ -11,6 +11,7 @@ from nilcone.laurent import (
     LaurentPoly,
     TruncatedSeries,
     q_quotient,
+    q_quotient_coefficients,
     series_invert_product,
 )
 
@@ -454,6 +455,11 @@ class TestQQuotient:
         quotient = q_quotient(numerator, denominator)
         assert quotient == product_route(numerator, denominator)
         assert quotient.var == "q"
+        # dense, zeros kept, from the constant term to a nonzero leading one
+        coefficients = q_quotient_coefficients(numerator, denominator)
+        assert len(coefficients) == sum(numerator) - sum(denominator) + 1
+        assert coefficients == [quotient.coeff(e) for e in range(len(coefficients))]
+        assert coefficients[-1] != 0
 
     @given(
         st.lists(st.integers(1, 8), max_size=5),

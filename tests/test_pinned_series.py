@@ -8,6 +8,10 @@ before the series builders were rewritten around sum_of_products.
 
 The q-hook fake degrees are pinned per n, one digest over every lam of n,
 as they were before the q-hook moved onto the dense quotient q_quotient.
+
+The exceptional class data, the multiset of (det(1 - t w), class size) of
+_grouped_char_factors, was pinned while det(1 - t w) still came from
+Faddeev-LeVerrier, before it moved to traces of powers.
 """
 
 import hashlib
@@ -17,7 +21,7 @@ import pytest
 from nilcone.kostka import fake_degree_qhook
 from nilcone.partitions import Partition, partitions_of
 from nilcone.springer import springer_fiber_series
-from nilcone.weyl import pn_series_molien, weyl_type
+from nilcone.weyl import _grouped_char_factors, pn_series_molien, weyl_type
 
 MOLIEN = {
     ("B", 2): "064f8df29de77f325f44831c7ed574eadd2079e2",
@@ -30,6 +34,12 @@ MOLIEN = {
     ("G2", 2): "18e6adbca831caef70db92cba13f23b90b819582",
     ("F4", 4): "9375caa41612d0678385c820fc240ed7c1f75dc5",
     ("E6", 6): "9f4757b6be30053c058558f9b464b571dddff432",
+}
+
+CLASS_FACTORS = {
+    ("G2", 2): "4e807e9a60c99074586d2fc301feb064106c34ed",
+    ("F4", 4): "a07dc6a25d5e036762147ae1827998ec31ee2565",
+    ("E6", 6): "b08c97a594a4d470c0c8cb519bdc3e86e66eb837",
 }
 
 POINT = "60c100f9df3fae9cadaa82611aa2ecd0c4db1ba3"  # the series 1
@@ -103,6 +113,13 @@ def test_mutating_a_molien_series_leaves_the_next_one_intact():
     pn_series_molien(weyl_type("B", 3)).terms[0, 0] = 5
     assert digest(pn_series_molien(weyl_type("B", 3))) == MOLIEN["B", 3]
     assert digest(pn_series_molien(weyl_type("C", 3))) == MOLIEN["C", 3]
+
+
+@pytest.mark.parametrize("family,rank", list(CLASS_FACTORS))
+def test_exceptional_class_factors_pinned(family, rank):
+    groups = _grouped_char_factors(family, rank)
+    rows = sorted((sorted(f.terms.items()), size) for f, size in groups)
+    assert hashlib.sha1(repr(rows).encode()).hexdigest() == CLASS_FACTORS[family, rank]
 
 
 @pytest.mark.parametrize("parts", list(SPRINGER))

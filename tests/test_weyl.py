@@ -2,12 +2,16 @@ from math import factorial
 
 import pytest
 
+import nilcone.weyl as weyl
 from nilcone.kostka import fake_degree_qhook
-from nilcone.laurent import LaurentPoly
+from nilcone.laurent import BiLaurentPoly, ExactDivisionError, LaurentPoly
 from nilcone.partitions import Partition, partitions_of
 from nilcone.weyl import (
+    _class_characters,
     _conjugacy_classes,
+    _det_from_power_sums,
     _grouped_char_factors,
+    _weyl_type,
     conjugacy_data,
     enumeration_counts,
     fake_degree_molien,
@@ -74,6 +78,25 @@ class TestWeylType:
         assert wt.order == 51840
         assert wt.num_positive_roots == 36
 
+    @pytest.mark.parametrize("cached_first", [False, True])
+    def test_non_int_rank_rejected_in_either_call_order(self, cached_first):
+        # lru_cache keys 2.0 like 2: a float rank must fail whether or not
+        # ("A", 2) is cached
+        _weyl_type.cache_clear()
+        if cached_first:
+            weyl_type("A", 2)
+        for bad in (2.0, True, "2", None):
+            with pytest.raises(TypeError, match=f"rank must be an int, not {type(bad).__name__}"):
+                weyl_type("A", bad)
+        with pytest.raises(TypeError, match="float"):
+            weyl_type("G2", 2.0)
+        assert weyl_type("A", 2).order == 6
+
+    @pytest.mark.parametrize("bad", [b"A", None, 1])
+    def test_non_str_family_rejected(self, bad):
+        with pytest.raises(TypeError, match=f"family must be a str, not {type(bad).__name__}"):
+            weyl_type(bad, 2)
+
     def test_unsupported_rejected(self):
         with pytest.raises(ValueError):
             weyl_type("E", 7)
@@ -120,6 +143,25 @@ class TestEnumeration:
         for cd in conjugacy_data(weyl_type(family, rank)):
             closed_form[cd.char_factor] = closed_form.get(cd.char_factor, 0) + cd.size
         assert dict(_grouped_char_factors(family, rank)) == closed_form
+
+
+class TestPowerSums:
+    @pytest.mark.parametrize(
+        "sums,terms",
+        [
+            ([3, 3, 3], {0: 1, 1: -3, 2: 3, 3: -1}),  # the identity of rank 3
+            ([-2, 2], {0: 1, 1: 2, 2: 1}),  # -1 in rank 2
+            ([-1, -1], {0: 1, 1: 1, 2: 1}),  # a rotation of order 3
+            ([], {0: 1}),
+        ],
+    )
+    def test_newton_identities(self, sums, terms):
+        assert _det_from_power_sums(sums).terms == terms
+
+    @pytest.mark.parametrize("sums", [[1, 0], [0, 1], [2, 2, 1]])
+    def test_power_sums_of_no_integer_matrix_rejected(self, sums):
+        with pytest.raises(AssertionError, match="not an integer"):
+            _det_from_power_sums(sums)
 
 
 class TestConjugacyData:
@@ -200,6 +242,40 @@ class TestMolienGradedCharacter:
             f = molien_graded_character(wt, cd)
             expected = wt.order if cd.char_factor == identity_factor else 0
             assert f.evaluate(1) == expected
+
+
+class TestClassCharacters:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        _class_characters.cache_clear()
+        yield
+        _class_characters.cache_clear()
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [("A", r) for r in range(1, 8)]
+        + [("B", r) for r in range(2, 8)]
+        + [("D", r) for r in range(3, 8)],
+    )
+    def test_dense_quotients_match_the_div_exact_route(self, family, rank):
+        wt = weyl_type(family, rank)
+        route = []
+        for cd in conjugacy_data(wt):
+            f = molien_graded_character(wt, cd)
+            route.append((cd.label, cd.size, tuple(f.coeff(e) for e in range(f.degree + 1))))
+        assert _class_characters(family, rank) == tuple(route)
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4)])
+    def test_a_dropped_denominator_part_trips(self, monkeypatch, family, rank):
+        classes = weyl._classical_classes
+
+        def wrong(family, rank):
+            for label, size, num, den in classes(family, rank):
+                yield label, size, num, den[1:]
+
+        monkeypatch.setattr(weyl, "_classical_classes", wrong)
+        with pytest.raises((ExactDivisionError, AssertionError)):
+            _class_characters(family, rank)
 
 
 class TestMnCharacter:
@@ -343,6 +419,21 @@ class TestPnSeriesMolien:
     def test_total_dimension_is_group_order(self, family, rank):
         wt = weyl_type(family, rank)
         assert pn_series_molien(wt).evaluate(1, 1) == wt.order
+
+    @pytest.mark.parametrize("family,rank,triples", [("B", 7, 64), ("B", 6, 40), ("D", 7, 45)])
+    def test_classes_sharing_a_character_are_merged(self, monkeypatch, family, rank, triples):
+        counts = []
+        packed = BiLaurentPoly.sum_of_products
+
+        def counting(rows):
+            rows = list(rows)
+            counts.append(len(rows))
+            return packed(rows)
+
+        monkeypatch.setattr(BiLaurentPoly, "sum_of_products", staticmethod(counting))
+        wt = weyl_type(family, rank)
+        assert pn_series_molien(wt).evaluate(1, 1) == wt.order
+        assert counts == [triples]
 
     def test_exponent_window(self):
         wt = weyl_type("B", 2)
