@@ -320,7 +320,8 @@ class KostkaTable:
     def check_invariants(self) -> None:
         """Raise ValueError unless the table is a plausible full table for
         n: K[lam,lam] = 1; K[lam,mu] != 0 only when lam dominates mu, and
-        then monic of degree n(mu) - n(lam); and for every mu,
+        then monic of degree n(mu) - n(lam) with no negative coefficient
+        (charge counts tableaux); and for every mu,
         sum_lam f^lam K[lam,mu](1) = n!/prod mu_i!.  The column count is
         compared with p(n) first, so a crafted n costs no more than the
         entries do."""
@@ -342,6 +343,8 @@ class KostkaTable:
             top = n_stat[mu] - n_stat[lam]
             if poly.degree != top or poly.coeff(top) != 1:
                 raise ValueError(f"K[{lam},{mu}] = {poly} is not monic of degree {top}")
+            if min(poly.terms.values()) < 0:
+                raise ValueError(f"K[{lam},{mu}] = {poly} has a negative coefficient")
             totals[mu] += syt[lam] * sum(poly.terms.values())
         for mu, total in totals.items():
             if self.lookup(mu, mu) != 1:

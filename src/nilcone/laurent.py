@@ -16,7 +16,10 @@ Fake degrees, Weyl-group class factors and Molien numerators all take it.
 Bivariate polynomials are built only as sums of products f(x) * g(y), by
 BiLaurentPoly.sum_of_products, which packs each g(y) into one int
 (Kronecker substitution) and sums one packed row per x-exponent; they have
-no ring arithmetic, only shifts, specializations and evaluation.
+no ring arithmetic, only shifts, specializations and evaluation.  A row
+decodes in C: an XOR with the digit offset leaves two's-complement digits,
+which memoryview.cast reads from the row's bytes in native byte order at
+1, 2, 4 or 8 bytes a digit (int.from_bytes slices for wider digits).
 
 Grading convention used across the package: a graded vector space shifted
 down by d (written V[-d]) has its Hilbert series multiplied by var**d.
@@ -24,6 +27,7 @@ down by d (written V[-d]) has its Hilbert series multiplied by var**d.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
@@ -50,11 +54,16 @@ def _check_exponents(exponents: list[int]) -> None:
             raise ValueError("all factor exponents must be positive")
 
 
+# memoryview.cast formats of the signed machine ints, by width in bytes
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
 def _digit_bytes(bound: int) -> int:
     """Bytes per packed digit for coefficients of absolute value at most
-    bound: one sign bit more than the bound needs, in whole bytes, so that
-    a row decodes by slicing its bytes."""
-    return (bound.bit_length() + 8) // 8
+    bound: one sign bit more than the bound needs, in whole bytes, rounded
+    up to a width in _SIGNED; a wider width stays exact."""
+    exact = (bound.bit_length() + 8) // 8
+    return exact if exact > 8 else 1 << (exact - 1).bit_length()
 
 
 def render(
@@ -292,7 +301,12 @@ class BiLaurentPoly:
         Every y-exponent of every g lies on the lattice ylo + step * k.  Each
         g becomes one int with a digit of 8 * width bits per lattice point,
         each x-exponent accumulates the row sum of c * f[xe] * G, and every
-        row is decoded once, with signed digits.
+        row is decoded once, with signed digits: row + offset puts every
+        digit d at d + 2**(bits - 1), in [0, 2**bits), and XOR with the
+        offset flips each digit's top bit back, which leaves d in two's
+        complement.  The row's bytes, in native order, then read as signed
+        machine ints through memoryview.cast (width 1, 2, 4 or 8), or by
+        int.from_bytes slices for a wider width.
 
         No digit can wrap: an output coefficient is at most
         sum |c| * max|f| * max|g| in absolute value, and a digit holds one
@@ -328,21 +342,26 @@ class BiLaurentPoly:
                 k = c * fc
                 rows[xe] = rows.get(xe, 0) + k * packed
                 sums[xe] = sums.get(xe, 0) + k * g1
+        ys = range(ylo, ylo + step * length, step)
+        if sys.byteorder == "big":  # the top digit's bytes come first
+            ys = ys[::-1]
+        fmt = _SIGNED.get(width)
         out: dict[tuple[int, int], int] = {}
         for xe, row in rows.items():
-            # half added to every signed digit leaves each in [0, 2**bits),
-            # so the bytes of the sum are the digits
             value = row + offset
             if not 0 <= value < 1 << 8 * size:
                 raise AssertionError(f"packed row of x^{xe} overflows {length} digits")
-            buf = value.to_bytes(size, "little")
-            digits = [
-                int.from_bytes(buf[i : i + width], "little") - half
-                for i in range(0, size, width)
-            ]
+            buf = (value ^ offset).to_bytes(size, sys.byteorder)
+            if fmt:
+                digits = memoryview(buf).cast(fmt).tolist()
+            else:
+                digits = [
+                    int.from_bytes(buf[i : i + width], sys.byteorder, signed=True)
+                    for i in range(0, size, width)
+                ]
             if sum(digits) != sums[xe]:
                 raise AssertionError(f"packed row of x^{xe} wrapped a digit")
-            out.update(zip(zip(repeat(xe), range(ylo, ylo + step * length, step)), digits))
+            out.update(zip(zip(repeat(xe), ys), digits))
         return cls(out)
 
     def __bool__(self) -> bool:

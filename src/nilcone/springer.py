@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .kostka import kostka_foulkes, kostka_from_fake_degree
+from .kostka import _kostka_column, kostka_foulkes, kostka_from_fake_degree
 from .laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries
 from .partitions import Partition, partitions_of
 from .weyl import weyl_type
@@ -164,13 +164,20 @@ def springer_fiber_series(phi: Partition) -> BigradedSeries:
 
         y**dim(O_phi) * sum over nu >= phi of K[nu,phi](x**2) * K[nu](y**-2).
 
-    At phi = (1^n) this is the whole nilpotent cone, at phi = (n) a point."""
-    poly = BiLaurentPoly.sum_of_products(
-        (1, kostka_foulkes(nu, phi).substitute_power(2), kostka_g(nu).substitute_power(-2))
-        for nu in partitions_of(phi.size)
-        if nu.dominates(phi)
+    At phi = (1^n) this is the whole nilpotent cone, at phi = (n) a point.
+    The nu are the keys of the memoised column of phi, which holds exactly
+    the nonzero K[nu,phi], and y**dim(O_phi) goes into each y factor."""
+    d = orbit_dim(phi)
+    return BigradedSeries(
+        BiLaurentPoly.sum_of_products(
+            (
+                1,
+                k.substitute_power(2),
+                LaurentPoly({d - 2 * e: c for e, c in _kostka_g_parts(nu).terms.items()}),
+            )
+            for nu, k in _kostka_column(phi.parts).items()
+        )
     )
-    return BigradedSeries(poly.shift(0, orbit_dim(phi)))
 
 
 def slice_series_typeA_printed(mu: Partition) -> BigradedSeries:

@@ -166,10 +166,11 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
     under the simple reflections.  Each simple reflection becomes a
     permutation of root indices, so a group element is a tuple and
     composition is tuple indexing (operator.itemgetter).  W is enumerated
-    breadth first into index tables: right[k][j] is the index of
-    elements[k] s_j, and left[k][j], that of s_j elements[k], is filled
-    along the search tree.  The classes are the closures under conjugation
-    s_j w s_j = right[left[w][j]][j], on ints alone."""
+    breadth first into flat index tables: right[k * rank + j] is the index
+    of elements[k] s_j, and left[k * rank + j], that of s_j elements[k], is
+    filled along the search tree.  The classes are the closures under
+    conjugation s_j w s_j = right[left[w * rank + j] * rank + j], on ints
+    alone."""
     cartan = _cartan_matrix(family, rank)
 
     def reflect(j: int, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -189,21 +190,19 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
     steps = [(itemgetter(*g), itemgetter(*g[:rank])) for g in gens]
     elements = [tuple(range(len(roots)))]
     found = {itemgetter(*range(rank))(elements[0]): 0}
-    right: list[list[int]] = []
+    right: list[int] = []
     tree = [(0, 0)]  # tree[m] = (k, i): elements[m] was found as elements[k] s_i
     for k, w in enumerate(elements):
-        row = []
         for i, (compose, key) in enumerate(steps):
             m = found.setdefault(key(w), len(elements))
             if m == len(elements):
                 elements.append(compose(w))
                 tree.append((k, i))
-            row.append(m)
-        right.append(row)
+            right.append(m)
     del found
-    left = [right[0]]
+    left = right[:rank]
     for k, i in tree[1:]:  # s_j (w s_i) = (s_j w) s_i
-        left.append([right[m][i] for m in left[k]])
+        left += [right[m * rank + i] for m in left[k * rank : (k + 1) * rank]]
     classed = bytearray(len(elements))
     classes = []
     for rep in range(len(elements)):
@@ -212,8 +211,8 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
         classed[rep] = 1
         orbit = [rep]
         for w in orbit:
-            for j, m in enumerate(left[w]):
-                if not classed[c := right[m][j]]:
+            for j in range(rank):
+                if not classed[c := right[left[w * rank + j] * rank + j]]:
                     classed[c] = 1
                     orbit.append(c)
         w = power = elements[rep]
@@ -471,8 +470,8 @@ def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
     acc = BiLaurentPoly.sum_of_products(
         (
             size,
-            LaurentPoly({-2 * e: c for e, c in enumerate(coeffs)}),
-            LaurentPoly({2 * e: c for e, c in enumerate(coeffs)}),
+            LaurentPoly({2 * (npos - e): c for e, c in enumerate(coeffs)}),
+            LaurentPoly({2 * (e - npos): c for e, c in enumerate(coeffs)}),
         )
         for coeffs, size in merged.items()
     )
@@ -483,7 +482,7 @@ def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
         v = c // wt.order
         if v:
             terms[key] = v
-    out = BiLaurentPoly(terms).shift(2 * npos, -2 * npos)
+    out = BiLaurentPoly(terms)
     for (xe, ye), c in out.terms.items():
         if not (0 <= xe <= 2 * npos and -2 * npos <= ye <= 0 and c > 0):
             raise AssertionError("flag series violates its exponent window")

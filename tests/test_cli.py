@@ -183,6 +183,23 @@ class TestOtherCommands:
         assert "sum of f^lam" in err
         assert invoke(capsys, *argv) == (0, "t + t^2 + t^3\n", "")
 
+    def test_negative_coefficient_recomputed_with_one_warning(self, tmp_path, capsys):
+        # 1 - t + t^2 keeps the column sum and the monic top term of t^2
+        argv = ["kostka", "--lambda", "4", "--mu", "2,2", "--cache-dir", str(tmp_path)]
+        assert invoke(capsys, *argv) == (0, "t^2\n", "")
+        path = tmp_path / "kostka-n4.json"
+        payload = json.loads(path.read_text())
+        entry = next(e for e in payload["entries"] if (e["lambda"], e["mu"]) == ([4], [2, 2]))
+        assert entry["poly"] == {"2": "1"}
+        entry["poly"] = {"0": "1", "1": "-1", "2": "1"}
+        path.write_text(json.dumps(payload))
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (0, "t^2\n")
+        assert err.count("\n") == 1
+        assert err.startswith("warning: ignoring unusable cache file ")
+        assert "negative coefficient" in err
+        assert invoke(capsys, *argv) == (0, "t^2\n", "")
+
     def test_cache_warning_is_one_line(self, tmp_path, capsys):
         (tmp_path / "kostka-n3.json").write_text("{ not json !!")
         argv = ["kostka", "--lambda", "2,1", "--mu", "1,1,1", "--cache-dir", str(tmp_path)]

@@ -70,6 +70,28 @@ def packed_triples(draw):
     return triples
 
 
+@st.composite
+def triples_of_width(draw, width):
+    """(c, f, g) triples whose coefficient bound, sum |c| max|f| max|g|,
+    needs exactly `width` digit bytes: c and the f-coefficients are +-1,
+    the first g holds a negative coefficient above the next narrower
+    width's bound, and at most four triples stay below 2**(8 * width - 1).
+    Every y-exponent lies on one lattice ylo + step * k."""
+    below = {1: 0, 2: 1, 4: 2, 8: 4}.get(width, width - 1)
+    top = ((1 << (8 * width - 1)) - 1) // 4
+    big = draw(st.integers(min_value=1 << (8 * below), max_value=top))
+    step = draw(st.sampled_from([1, 2, 3]))
+    ylo = draw(st.integers(min_value=-6, max_value=6))
+    signs = st.sampled_from([-1, 1])
+    fs = st.dictionaries(st.integers(min_value=-3, max_value=3), signs, max_size=3)
+    gs = st.dictionaries(
+        st.integers(min_value=0, max_value=6), st.integers(min_value=-top, max_value=top), max_size=5
+    )
+    drawn = [(draw(signs), draw(fs) | {0: 1}, draw(gs) | {0: -big})]
+    drawn += draw(st.lists(st.tuples(signs, fs, gs), max_size=3))
+    return [(c, L(f), L({ylo + step * k: v for k, v in g.items()})) for c, f, g in drawn]
+
+
 def divided_by_loop(coeffs, exponents):
     """Division by prod_e (1 - y**e) one coefficient at a time, as a
     reference for the strided kernel."""
@@ -229,6 +251,33 @@ class TestBiLaurent:
     @example([(2**80, L({0: 2**80}), L({0: -(2**80), 4: 2**80})), (1, L({1: 1}), L({2: 1}))])
     def test_packed_rows_match_the_triple_loop(self, triples):
         assert BiLaurentPoly.sum_of_products(triples) == naive_sum_of_products(triples)
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 16])
+    @given(data=st.data())
+    def test_every_digit_width_decodes(self, width, data):
+        # 1, 2, 4 and 8 bytes go through memoryview.cast, 9 and 16 through int.from_bytes
+        triples = data.draw(triples_of_width(width))
+        bound = sum(
+            abs(c) * max(map(abs, f.terms.values())) * max(map(abs, g.terms.values()))
+            for c, f, g in triples
+            if f and g
+        )
+        assert laurent._digit_bytes(bound) == width
+        assert BiLaurentPoly.sum_of_products(triples) == naive_sum_of_products(triples)
+
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            # 2**71 at y^0 carries into y^2 inside a nine-byte row
+            [(2**71, L({0: 1}), L({0: 1})), (1, L({0: 1}), L({2: 1}))],
+            # 2**600 runs past the top digit of the row
+            [(2**600, L({0: 1}), L({0: 1, 1: 1}))],
+        ],
+    )
+    def test_too_narrow_wide_digits_trip(self, monkeypatch, triples):
+        monkeypatch.setattr(laurent, "_digit_bytes", lambda bound: 9)
+        with pytest.raises(AssertionError, match="packed row"):
+            BiLaurentPoly.sum_of_products(triples)
 
     @pytest.mark.parametrize(
         "triples",

@@ -9,7 +9,7 @@ from nilcone.kostka import (
     kostka_foulkes,
     kostka_foulkes_charge,
 )
-from nilcone.laurent import LaurentPoly, series_invert_product
+from nilcone.laurent import BiLaurentPoly, LaurentPoly, series_invert_product
 from nilcone.partitions import Partition, partitions_of
 from nilcone.springer import (
     _kostka_g_parts,
@@ -244,6 +244,22 @@ class TestSpringerFiberSeries:
     def test_regular_orbit_is_point(self):
         for n in range(1, 6):
             assert springer_fiber_series(P((n,))).poly.terms == {(0, 0): 1}
+
+    def test_column_route_matches_the_nu_sum(self):
+        # the dominance-filtered nu-sum, shifted afterwards, that the column
+        # keys and the folded y**dim(O_phi) replace
+        for n in range(9):
+            for phi in partitions_of(n):
+                expected = BiLaurentPoly.sum_of_products(
+                    (
+                        1,
+                        kostka_foulkes(nu, phi).substitute_power(2),
+                        kostka_g(nu).substitute_power(-2),
+                    )
+                    for nu in partitions_of(n)
+                    if nu.dominates(phi)
+                ).shift(0, orbit_dim(phi))
+                assert springer_fiber_series(phi).poly == expected, phi
 
     def test_subregular_sl3(self):
         poly = springer_fiber_series(P((2, 1))).poly
