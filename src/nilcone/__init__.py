@@ -8,7 +8,6 @@ from .laurent import (
     ExactDivisionError,
     LaurentPoly,
     TruncatedSeries,
-    series_invert_product,
 )
 from .partitions import Partition, partitions_of
 from .tableaux import ssyt_enumerate, syt_enumerate, syt_major_index_genfun
@@ -86,7 +85,6 @@ __all__ = [
     "pn_series",
     "pn_series_molien",
     "proudfoot_check",
-    "series_invert_product",
     "slice_series_typeA_printed",
     "sn_character_values",
     "springer_fiber_series",

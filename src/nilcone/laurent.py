@@ -10,7 +10,7 @@ produce them).
 Products of cyclotomic-type factors, prod_a (1 - var**a) / prod_b
 (1 - var**b), are built by q_quotient on one dense coefficient list: a
 slice subtraction per numerator factor, then the strided prefix sums of
-TruncatedSeries.divide_one_minus, with no dict polynomial until the end.
+divide_one_minus, with no dict polynomial until the end.
 Fake degrees, Weyl-group class factors and Molien numerators all take it.
 
 Bivariate polynomials are built only as sums of products f(x) * g(y), by
@@ -117,13 +117,6 @@ class LaurentPoly:
     def one(cls, var: str = "t") -> "LaurentPoly":
         return cls({0: 1}, var)
 
-    @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1, var: str = "t") -> "LaurentPoly":
-        return cls({exponent: coeff}, var)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -185,7 +178,7 @@ class LaurentPoly:
         if isinstance(other, int):
             return LaurentPoly({e: c * other for e, c in self.terms.items()}, self.var)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented  # e.g. a TruncatedSeries, which multiplies from the right
+            return NotImplemented  # a BiLaurentPoly or TruncatedSeries has no product
         out: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -194,14 +187,6 @@ class LaurentPoly:
         return LaurentPoly(out, self.var)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of polynomials are not defined")
-        result = LaurentPoly.one(self.var)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def substitute_power(self, k: int) -> "LaurentPoly":
         """Substitute var -> var**k, i.e. scale every exponent by k.
@@ -388,26 +373,6 @@ class BiLaurentPoly:
             self.yvar,
         )
 
-    def set_x(self, value: Scalar = 1) -> LaurentPoly:
-        """Specialize the first variable, leaving a polynomial in y."""
-        out: dict[int, int] = {}
-        for (xe, ye), c in self.terms.items():
-            v = c * Fraction(value) ** xe
-            if v.denominator != 1:
-                raise ValueError("specialization produced a non-integer coefficient")
-            out[ye] = out.get(ye, 0) + int(v)
-        return LaurentPoly(out, self.yvar)
-
-    def set_y(self, value: Scalar = 1) -> LaurentPoly:
-        """Specialize the second variable, leaving a polynomial in x."""
-        out: dict[int, int] = {}
-        for (xe, ye), c in self.terms.items():
-            v = c * Fraction(value) ** ye
-            if v.denominator != 1:
-                raise ValueError("specialization produced a non-integer coefficient")
-            out[xe] = out.get(xe, 0) + int(v)
-        return LaurentPoly(out, self.xvar)
-
     def evaluate(self, xvalue: Scalar, yvalue: Scalar) -> Scalar:
         total = Fraction(0)
         for (xe, ye), c in self.terms.items():
@@ -429,8 +394,8 @@ class BiLaurentPoly:
 class TruncatedSeries:
     """Power series with nonnegative exponents, exact up to a truncation order.
 
-    coefficients[m] is the coefficient of var**m for 0 <= m <= order.
-    Arithmetic between two series truncates to the smaller order.
+    coefficients[m] is the coefficient of var**m for 0 <= m <= order.  A
+    value type with no arithmetic: divide_one_minus works on the list.
     """
 
     __slots__ = ("coefficients", "var")
@@ -444,10 +409,6 @@ class TruncatedSeries:
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
-
-    @classmethod
-    def one(cls, order: int, var: str = "y") -> "TruncatedSeries":
-        return cls.from_poly(LaurentPoly.one(var), order)
 
     @classmethod
     def from_poly(cls, p: LaurentPoly, order: int, var: str | None = None) -> "TruncatedSeries":
@@ -474,53 +435,6 @@ class TruncatedSeries:
             return self.coefficients == other.coefficients
         return NotImplemented
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        t = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coefficients[m] + other.coefficients[m] for m in range(t + 1)],
-            self.var,
-        )
-
-    def __mul__(self, other: "TruncatedSeries | LaurentPoly | int") -> "TruncatedSeries":
-        if isinstance(other, int):
-            return TruncatedSeries([c * other for c in self.coefficients], self.var)
-        if isinstance(other, LaurentPoly):
-            other = TruncatedSeries.from_poly(other, self.order, self.var)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        t = min(self.order, other.order)
-        # A polynomial operand has few nonzero terms: looping over them
-        # outside costs terms * order, not order**2 / 2.
-        outer = [(i, a) for i, a in enumerate(self.coefficients[: t + 1]) if a]
-        inner = [(j, b) for j, b in enumerate(other.coefficients[: t + 1]) if b]
-        if len(inner) < len(outer):
-            outer, inner = inner, outer
-        coeffs = [0] * (t + 1)
-        for i, a in outer:
-            for j, b in inner:
-                if i + j > t:
-                    break
-                coeffs[i + j] += a * b
-        return TruncatedSeries(coeffs, self.var)
-
-    __rmul__ = __mul__
-
-    def divide_one_minus(self, exponents: Iterable[int]) -> "TruncatedSeries":
-        """This series divided by prod_e (1 - var**e), to the same order.
-
-        Multiplying by 1/(1 - var**e) is a prefix sum along each residue
-        class mod e, so each factor costs one accumulate per residue.  The
-        receiver is left unchanged."""
-        exponents = list(exponents)
-        _check_exponents(exponents)
-        coeffs = list(self.coefficients)
-        for e in exponents:
-            for r in range(min(e, len(coeffs))):
-                coeffs[r::e] = accumulate(coeffs[r::e])
-        return TruncatedSeries(coeffs, self.var)
-
     def monomials(self) -> Monomials:
         """Variable name and the nonzero (exponent, coefficient) pairs, ascending."""
         return (self.var,), [((e,), c) for e, c in enumerate(self.coefficients) if c != 0]
@@ -531,14 +445,19 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.coefficients!r}, var={self.var!r})"
 
 
-def series_invert_product(exponents: Iterable[int], truncation: int) -> TruncatedSeries:
-    """Expand prod_i (1 - y**e_i)**(-1) up to the truncation order.
+def divide_one_minus(coeffs: Iterable[int], exponents: Iterable[int]) -> list[int]:
+    """The power series with coefficient list coeffs (constant term first)
+    divided by prod_e (1 - var**e), to the same order, as a new list.
 
-    The coefficient of y**m counts the multiset partitions of m into parts
-    drawn from `exponents`, each part reusable (repeated exponents give
-    independent part types).
-    """
-    return TruncatedSeries.one(truncation).divide_one_minus(exponents)
+    Multiplying by 1/(1 - var**e) is a prefix sum along each residue
+    class mod e, so each factor costs one accumulate per residue."""
+    exponents = list(exponents)
+    _check_exponents(exponents)
+    coeffs = list(coeffs)
+    for e in exponents:
+        for r in range(min(e, len(coeffs))):
+            coeffs[r::e] = accumulate(coeffs[r::e])
+    return coeffs
 
 
 def q_quotient_coefficients(
@@ -550,7 +469,7 @@ def q_quotient_coefficients(
 
     The numerator is expanded on one dense coefficient list, one slice
     subtraction per factor, and divided as a power series to its own degree
-    by TruncatedSeries.divide_one_minus."""
+    by divide_one_minus."""
     numerator, denominator = list(numerator), list(denominator)
     _check_exponents(numerator + denominator)
     top = sum(numerator)
@@ -559,7 +478,7 @@ def q_quotient_coefficients(
     for a in numerator:  # times (1 - var**a): c[k] -= c[k - a], old values
         t += a
         coeffs[a : t + 1] = map(sub, coeffs[a : t + 1], coeffs[: t + 1 - a])
-    series = TruncatedSeries(coeffs, var).divide_one_minus(denominator).coefficients
+    series = divide_one_minus(coeffs, denominator)
     # S = N/D mod var**(deg N + 1).  If S has degree at most deg N - deg D,
     # then S * D has degree at most deg N and agrees with N mod
     # var**(deg N + 1), so S * D = N exactly; if D divides N, the quotient

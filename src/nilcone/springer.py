@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .kostka import _kostka_column, kostka_foulkes, kostka_from_fake_degree
-from .laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries
+from .laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries, divide_one_minus
 from .partitions import Partition, partitions_of
 from .weyl import weyl_type
 
@@ -37,12 +37,6 @@ class BigradedSeries:
 
     def evaluate(self, xvalue, yvalue):
         return self.poly.evaluate(xvalue, yvalue)
-
-    def total_dimension(self) -> int:
-        value = self.poly.evaluate(1, 1)
-        if not isinstance(value, int) or value <= 0:
-            raise AssertionError("total dimension must be a positive integer")
-        return value
 
     def __str__(self) -> str:
         return str(self.poly)
@@ -123,7 +117,7 @@ def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
     degrees = weyl_type("A", n - 1).degrees if n >= 2 else ()
     series = TruncatedSeries.from_poly(hp0_slice_series(phi), truncation)
     coeffs = series.coefficients
-    coeffs[::2] = TruncatedSeries(coeffs[::2]).divide_one_minus(degrees).coefficients
+    coeffs[::2] = divide_one_minus(coeffs[::2], degrees)
     return series
 
 

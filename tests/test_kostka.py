@@ -184,7 +184,7 @@ class TestKostkaFoulkes:
                 assert kostka_foulkes(lam, lam) == 1
 
     def test_non_dominating_vanishes(self):
-        assert kostka_foulkes(P((2, 2)), P((3, 1))).is_zero()
+        assert not kostka_foulkes(P((2, 2)), P((3, 1)))
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -331,7 +331,7 @@ class TestKostkaTable:
 
     def test_lookup_absent_is_zero(self):
         table = compute_kostka_table(3)
-        assert table.lookup(P((1, 1, 1)), P((3,))).is_zero()
+        assert not table.lookup(P((1, 1, 1)), P((3,)))
 
     def test_payload_roundtrip(self):
         table = compute_kostka_table(4)

@@ -1,7 +1,7 @@
 """Exact bigraded values, pinned by the SHA-1 of the sorted term list.
 
 Outside type A the Molien series has no second route yet, and its other
-tests see only the (1,1)-value, the exponent window and set_y(1).  A
+tests see only the (1,1)-value, the exponent window and y = 1.  A
 builder that paired one class's x-factor with another class's y-factor
 can keep all three, so these digests are what catch it.  They were recorded
 before the series builders were rewritten around sum_of_products.

@@ -9,7 +9,7 @@ from nilcone.kostka import (
     kostka_foulkes,
     kostka_foulkes_charge,
 )
-from nilcone.laurent import BiLaurentPoly, LaurentPoly, series_invert_product
+from nilcone.laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries, divide_one_minus
 from nilcone.partitions import Partition, partitions_of
 from nilcone.springer import (
     _kostka_g_parts,
@@ -110,7 +110,10 @@ class TestPnSeries:
             expected = LaurentPoly.one("x")
             for k in range(2, n + 1):
                 expected = expected * LaurentPoly({2 * i: 1 for i in range(k)}, "x")
-            assert pn_series(n).poly.set_y(1) == expected
+            at_y1 = {}
+            for (xe, _), c in pn_series(n).poly.terms.items():
+                at_y1[xe] = at_y1.get(xe, 0) + c
+            assert LaurentPoly(at_y1) == expected
 
     def test_matches_class_average_route(self):
         for n in range(2, 7):
@@ -124,7 +127,7 @@ class TestPnSeries:
         series = pn_series(2)
         assert series.x_meaning == "homological degree"
         assert series.y_meaning == "weight"
-        assert series.total_dimension() == 2
+        assert series.evaluate(1, 1) == 2
 
 
 class TestHp0SliceSeries:
@@ -183,8 +186,10 @@ class TestWalgSeries:
                 hp0 = hp0_slice_series(phi)
                 for t in {0, 1, hp0.degree - 1, hp0.degree, 2999, 3000} - {-1}:
                     if t not in expansions:
-                        expansions[t] = series_invert_product(exponents, t)
-                    assert hp0_walg_full_series(phi, t) == expansions[t] * hp0, (phi, t)
+                        inverse = divide_one_minus([1] + [0] * t, exponents)
+                        expansions[t] = LaurentPoly(dict(enumerate(inverse)), "y")
+                    expected = TruncatedSeries.from_poly(expansions[t] * hp0, t)
+                    assert hp0_walg_full_series(phi, t) == expected, (phi, t)
 
     def test_degenerate_n1(self):
         assert hp0_walg_full_series(P((1,)), 5).coefficients == [1, 0, 0, 0, 0, 0]
@@ -224,7 +229,7 @@ class TestIhS3Variety:
     def test_empty_slice_warns_and_vanishes(self):
         with pytest.warns(UserWarning):
             result = ih_s3_variety(P((2, 2)), P((3, 1)))
-        assert result.is_zero()
+        assert not result
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from nilcone import kostka, verify
-from nilcone.laurent import ExactDivisionError, LaurentPoly, TruncatedSeries
+from nilcone import kostka, laurent, springer, verify
+from nilcone.laurent import ExactDivisionError, LaurentPoly
 from nilcone.partitions import Partition
 from nilcone.springer import _kostka_g_parts, kostka_g
 from nilcone.verify import SUITES, run_suite
@@ -48,17 +48,19 @@ class TestSuites:
 
     @staticmethod
     def _patch_wrong_stride(monkeypatch):
-        """Divide by 1 - y**(e + 1) in place of 1 - y**e."""
-        right = TruncatedSeries.divide_one_minus
-        monkeypatch.setattr(
-            TruncatedSeries,
-            "divide_one_minus",
-            lambda self, exponents: right(self, [e + 1 for e in exponents]),
-        )
+        """Divide by 1 - y**(e + 1) in place of 1 - y**e, in both modules
+        that call the kernel: springer (walg) and laurent (q_quotient)."""
+        right = laurent.divide_one_minus
+
+        def wrong(coeffs, exponents):
+            return right(coeffs, [e + 1 for e in exponents])
+
+        monkeypatch.setattr(springer, "divide_one_minus", wrong)
+        monkeypatch.setattr(laurent, "divide_one_minus", wrong)
 
     def test_walg_suite_catches_a_wrong_stride(self, monkeypatch):
         """A wrong stride fails the walg suite, which multiplies back
-        through TruncatedSeries.__mul__.  The q-hook fake degrees and the
+        through LaurentPoly.__mul__.  The q-hook fake degrees and the
         Weyl-type checks divide through the same kernel, so a first run
         memoises them (_kostka_g_parts, weyl_type) before the patch: the
         suite must reach its comparison, not the exactness tripwire."""

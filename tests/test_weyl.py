@@ -29,6 +29,14 @@ def one_minus(k):
     return LaurentPoly({0: 1, k: -1}, "t")
 
 
+def one_minus_power(k, m):
+    """(1 - t**k)**m."""
+    out = LaurentPoly.one("t")
+    for _ in range(m):
+        out = out * one_minus(k)
+    return out
+
+
 def one_plus(k):
     return LaurentPoly({0: 1, k: 1}, "t")
 
@@ -237,7 +245,7 @@ class TestMolienGradedCharacter:
     @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G2", 2), ("F4", 4)])
     def test_identity_gives_group_order_at_one(self, family, rank):
         wt = weyl_type(family, rank)
-        identity_factor = one_minus(1) ** wt.rank
+        identity_factor = one_minus_power(1, wt.rank)
         for cd in conjugacy_data(wt):
             f = molien_graded_character(wt, cd)
             expected = wt.order if cd.char_factor == identity_factor else 0
@@ -354,7 +362,7 @@ class TestFakeDegreeMolien:
 
     def test_regular_character_counts_group(self):
         wt = weyl_type("B", 2)
-        identity_factor = one_minus(1) ** wt.rank
+        identity_factor = one_minus_power(1, wt.rank)
         regular = {
             c.label: wt.order if c.char_factor == identity_factor else 0
             for c in conjugacy_data(wt)
@@ -448,8 +456,10 @@ class TestPnSeriesMolien:
         # at y = 1 the series is the graded dimension of the coinvariant
         # algebra in the doubled grading
         wt = weyl_type("B", 2)
-        series = pn_series_molien(wt).set_y(1)
+        series = {}
+        for (xe, _), c in pn_series_molien(wt).terms.items():
+            series[xe] = series.get(xe, 0) + c
         expected = LaurentPoly.one("x")
         for d in wt.degrees:
             expected = expected * LaurentPoly({2 * i: 1 for i in range(d)}, "x")
-        assert series == expected
+        assert LaurentPoly(series) == expected
