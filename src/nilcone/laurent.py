@@ -461,20 +461,20 @@ def divide_one_minus(coeffs: Iterable[int], exponents: Iterable[int]) -> list[in
 
 
 def q_quotient_coefficients(
-    numerator: Iterable[int], denominator: Iterable[int], var: str = "q"
+    numerator: Iterable[int], denominator: Iterable[int], var: str = "q", base: Sequence[int] = (1,)
 ) -> list[int]:
-    """prod_a (1 - var**a) / prod_b (1 - var**b) over the two exponent
+    """base * prod_a (1 - var**a) / prod_b (1 - var**b) over the two exponent
     multisets, as the coefficient list of a polynomial (constant term
     first); ExactDivisionError unless the quotient is one.
 
-    The numerator is expanded on one dense coefficient list, one slice
-    subtraction per factor, and divided as a power series to its own degree
-    by divide_one_minus."""
+    The numerator is expanded on one dense coefficient list (the base, by
+    default 1), one slice subtraction per factor, and divided as a power
+    series to its own degree by divide_one_minus."""
     numerator, denominator = list(numerator), list(denominator)
     _check_exponents(numerator + denominator)
-    top = sum(numerator)
-    coeffs = [1] + [0] * top
-    t = 0
+    t = len(base) - 1
+    top = t + sum(numerator)
+    coeffs = [*base] + [0] * (top - t)
     for a in numerator:  # times (1 - var**a): c[k] -= c[k - a], old values
         t += a
         coeffs[a : t + 1] = map(sub, coeffs[a : t + 1], coeffs[: t + 1 - a])
@@ -487,7 +487,7 @@ def q_quotient_coefficients(
     if degree < 0 or any(series[degree + 1 :]):
         raise ExactDivisionError(
             f"prod (1 - {var}^b), b in {denominator}, does not divide"
-            f" prod (1 - {var}^a), a in {numerator}"
+            f" {'the base times ' if len(base) > 1 else ''}prod (1 - {var}^a), a in {numerator}"
         )
     return series[: degree + 1]
 

@@ -19,6 +19,12 @@ and split into true conjugacy classes, det(1 - t w) coming from traces of
 powers; only the returned class list groups them by det(1 - t w), which
 may merge true classes (e.g. both reflection classes of G2) without
 affecting any sum.
+
+weyl_type validates a degree table up to order 1200 by counting, with no
+class split: enumeration_counts counts the elements and the involutions of
+trace rank - 2 (the reflections).  A classical group expands
+prod (1 - q**d) once for all its graded characters, and pn_series_molien
+is computed once per group.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
-from operator import itemgetter, mul
+from operator import getitem, itemgetter, mul
 from typing import Iterator, Mapping
 
 from .laurent import BiLaurentPoly, LaurentPoly, q_quotient, q_quotient_coefficients
@@ -86,7 +92,7 @@ def _degrees(family: str, rank: int) -> tuple[int, ...]:
 def weyl_type(family: str, rank: int) -> WeylType:
     """Look up a supported Weyl type; for groups of order up to 1200 the
     degree table is validated against explicit enumeration (element count
-    and reflection count)."""
+    and reflection count, enumeration_counts)."""
     if type(family) is not str:
         raise TypeError(f"Weyl family must be a str, not {type(family).__name__}")
     if type(rank) is not int:  # bool is not a rank, and 2.0 would share 2's cache entry
@@ -96,6 +102,8 @@ def weyl_type(family: str, rank: int) -> WeylType:
 
 @lru_cache(maxsize=None)
 def _weyl_type(family: str, rank: int) -> WeylType:
+    """The table entry, validated up to order 1200 by enumeration_counts:
+    |W| and its involutions of trace rank - 2 must be prod d_i and N."""
     degrees = _degrees(family, rank)
     wt = WeylType(
         family=family,
@@ -158,19 +166,15 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return c
 
 
-@lru_cache(maxsize=None)
-def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int], ...]:
-    """The true conjugacy classes of W, each as (det(1 - t w), size).
-
-    The roots, in the simple-root basis, are the closure of the simple roots
-    under the simple reflections.  Each simple reflection becomes a
-    permutation of root indices, so a group element is a tuple and
+def _search(family: str, rank: int) -> tuple[list, list, list[int], list[tuple[int, int]]]:
+    """(roots, elements, right, tree): the roots, in the simple-root basis,
+    are the closure of the simple roots under the simple reflections.  Each
+    simple reflection becomes a permutation of root indices, so a group
+    element is a tuple (w[i] the index of w applied to roots[i]) and
     composition is tuple indexing (operator.itemgetter).  W is enumerated
-    breadth first into flat index tables: right[k * rank + j] is the index
-    of elements[k] s_j, and left[k * rank + j], that of s_j elements[k], is
-    filled along the search tree.  The classes are the closures under
-    conjugation s_j w s_j = right[left[w * rank + j] * rank + j], on ints
-    alone."""
+    breadth first into a flat index table: right[k * rank + j] is the index
+    of elements[k] s_j, and tree[m] = (k, j) when elements[m] was found as
+    elements[k] s_j."""
     cartan = _cartan_matrix(family, rank)
 
     def reflect(j: int, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -191,7 +195,7 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
     elements = [tuple(range(len(roots)))]
     found = {itemgetter(*range(rank))(elements[0]): 0}
     right: list[int] = []
-    tree = [(0, 0)]  # tree[m] = (k, i): elements[m] was found as elements[k] s_i
+    tree = [(0, 0)]
     for k, w in enumerate(elements):
         for i, (compose, key) in enumerate(steps):
             m = found.setdefault(key(w), len(elements))
@@ -199,7 +203,18 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
                 elements.append(compose(w))
                 tree.append((k, i))
             right.append(m)
-    del found
+    return roots, elements, right, tree
+
+
+@lru_cache(maxsize=None)
+def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int], ...]:
+    """The true conjugacy classes of W, each as (det(1 - t w), size).
+
+    W comes from _search; left[k * rank + j], the index of s_j elements[k],
+    is filled along its search tree.  The classes are the closures under
+    conjugation s_j w s_j = right[left[w * rank + j] * rank + j], on ints
+    alone."""
+    roots, elements, right, tree = _search(family, rank)
     left = right[:rank]
     for k, i in tree[1:]:  # s_j (w s_i) = (s_j w) s_i
         left += [right[m * rank + i] for m in left[k * rank : (k + 1) * rank]]
@@ -245,16 +260,16 @@ def _det_from_power_sums(sums: list[int]) -> LaurentPoly:
 
 
 def _grouped_char_factors(family: str, rank: int) -> tuple[tuple[LaurentPoly, int], ...]:
-    groups: dict[LaurentPoly, int] = {}
+    groups: Counter[LaurentPoly] = Counter()
     for f, size in _conjugacy_classes(family, rank):
-        groups[f] = groups.get(f, 0) + size
-    return tuple(
-        sorted(groups.items(), key=lambda kv: sorted(kv[0].terms.items()))
-    )
+        groups[f] += size
+    return tuple(sorted(groups.items(), key=lambda kv: sorted(kv[0].terms.items())))
 
 
 def enumeration_counts(wt: WeylType) -> tuple[int, int]:
-    """(number of elements, number of reflections) by explicit enumeration.
+    """(number of elements, number of reflections) by explicit enumeration,
+    with no class split: the reflections are the involutions of trace
+    rank - 2, the elements of order 2 with exactly one eigenvalue -1.
 
     Validates the degree table: the counts must equal prod(d_i) and
     sum(d_i - 1) respectively.  Groups larger than E6 are refused.
@@ -264,11 +279,16 @@ def enumeration_counts(wt: WeylType) -> tuple[int, int]:
             f"enumerating {wt} needs {wt.order} elements, more than the "
             f"{_ENUMERATED_ORDER} of E6"
         )
-    groups = _grouped_char_factors(wt.family, wt.rank)
-    reflection_char = q_quotient([1] * (wt.rank - 1) + [2], [1], "t")  # (1-t)**(r-1) (1+t)
-    order = sum(count for _, count in groups)
-    reflections = sum(count for f, count in groups if f == reflection_char)
-    return order, reflections
+    rank = wt.rank
+    roots, elements, _, _ = _search(wt.family, rank)
+    coordinate = list(zip(*roots))  # coordinate[j][k]: coordinate j of roots[k]
+    # tr(w) = sum_j coordinate j of w(a_j), and w**2 = 1 iff it fixes every a_j
+    reflections = sum(
+        1
+        for w in elements
+        if sum(map(getitem, coordinate, w)) == rank - 2 and all(w[w[j]] == j for j in range(rank))
+    )
+    return len(elements), reflections
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +366,8 @@ def _class_characters(family: str, rank: int) -> tuple[tuple[str, int, tuple[int
     group; callers pass B for C, as B_n and C_n are one group with one class
     list.  The graded characters are kept as coefficient tuples, which are
     compact and immutable, so no caller can alter the cache.  A classical
-    f_c is one q-quotient, checked as in molien_graded_character."""
+    f_c is one q-quotient of the group's prod (1 - q**d), expanded once,
+    checked as in molien_graded_character."""
     wt = weyl_type(family, rank)
     out = []
     if family in EXCEPTIONAL_DEGREES:
@@ -354,8 +375,9 @@ def _class_characters(family: str, rank: int) -> tuple[tuple[str, int, tuple[int
             f = molien_graded_character(wt, cd)
             out.append((cd.label, cd.size, tuple(f.coeff(e) for e in range(f.degree + 1))))
         return tuple(out)
+    degree_product = q_quotient_coefficients(wt.degrees, ())
     for label, size, num, den in _classical_classes(family, rank):
-        f = q_quotient_coefficients([*wt.degrees, *den], num)  # prod (1 - q**d) / det(1 - q w)
+        f = q_quotient_coefficients(den, num, base=degree_product)  # / det(1 - q w)
         if len(f) != wt.num_positive_roots + 1 or f[0] != 1:
             raise AssertionError(f"malformed graded character for class {label}")
         out.append((label, size, tuple(f)))
@@ -372,46 +394,48 @@ def _classes_of(wt: WeylType) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
 
 
 @lru_cache(maxsize=None)
-def _mn_recursive(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> int:
+def _mn_beads(beads: int, mu_parts: tuple[int, ...]) -> int:
+    """chi^lam(mu) on the bead mask of lam: bit p is set for each
+    beta-number lam_i + l - 1 - i.  Removing a k-border strip moves a set
+    bead b to a clear b - k, with sign (-1)**(beads strictly between); the
+    trailing set bits, zero parts, are shifted off."""
     if not mu_parts:
         return 1
-    k = mu_parts[0]
-    rest = mu_parts[1:]
-    ell = len(lam_parts)
-    betas = [lam_parts[i] + ell - 1 - i for i in range(ell)]
-    beta_set = set(betas)
+    k, rest = mu_parts[0], mu_parts[1:]
     total = 0
-    for b in betas:
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for x in betas if nb < x < b)
-        new_betas = sorted((beta_set - {b}) | {nb}, reverse=True)
-        parts = tuple(
-            nb2 - (ell - 1 - i) for i, nb2 in enumerate(new_betas)
-        )
-        total += (-1) ** height * _mn_recursive(
-            tuple(p for p in parts if p > 0), rest
-        )
+    between = (1 << (k - 1)) - 1
+    for b in range(k, beads.bit_length()):
+        if beads >> b & 1 and not beads >> (b - k) & 1:
+            moved = beads ^ (1 << b) ^ (1 << (b - k))
+            value = _mn_beads(moved >> (moved ^ (moved + 1)).bit_length() - 1, rest)
+            total += -value if (beads >> (b - k + 1) & between).bit_count() & 1 else value
     return total
+
+
+def _beads(parts: tuple[int, ...]) -> int:
+    return sum(1 << (p + len(parts) - 1 - i) for i, p in enumerate(parts))
+
+
+@lru_cache(maxsize=None)
+def _cycle_types(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    return tuple((_csv(mu.parts), mu.parts) for mu in partitions_of(n))
 
 
 def mn_character(lam: Partition, cycle_type: Partition) -> int:
     """Irreducible symmetric-group character value chi^lam(cycle_type), by
-    recursive border-strip removal with sign (-1)**height."""
+    recursive border-strip removal with sign (-1)**height, on bead masks."""
     if lam.size != cycle_type.size:
         raise ValueError(
             f"character needs equal sizes: |{lam}| != |{cycle_type}|"
         )
-    return _mn_recursive(lam.parts, cycle_type.parts)
+    return _mn_beads(_beads(lam.parts), cycle_type.parts)
 
 
 def sn_character_values(lam: Partition) -> dict[str, int]:
     """chi^lam on every class of S_n, keyed by the class labels used by
     conjugacy_data for type A."""
-    return {
-        _csv(mu.parts): mn_character(lam, mu) for mu in partitions_of(lam.size)
-    }
+    beads = _beads(lam.parts)
+    return {label: _mn_beads(beads, parts) for label, parts in _cycle_types(lam.size)}
 
 
 def fake_degree_molien(
@@ -462,10 +486,18 @@ def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
 
     Agrees with the per-irreducible sum of Kostka-polynomial products
     because sum_chi FD_chi(a) FD_chi(b) class-averages f(a) f(b) for real
-    characters."""
+    characters.  Computed once per group (B_n and C_n are one); every call
+    returns a fresh copy."""
+    return BiLaurentPoly(_flag_series("B" if wt.family == "C" else wt.family, wt.rank))
+
+
+@lru_cache(maxsize=None)
+def _flag_series(family: str, rank: int) -> dict[tuple[int, int], int]:
+    """The term map of pn_series_molien, which every caller copies."""
+    wt = weyl_type(family, rank)
     npos = wt.num_positive_roots
     merged: Counter[tuple[int, ...]] = Counter()  # classes that share f_c add their sizes
-    for _, size, coeffs in _classes_of(wt):
+    for _, size, coeffs in _class_characters(family, rank):
         merged[coeffs] += size
     acc = BiLaurentPoly.sum_of_products(
         (
@@ -476,14 +508,11 @@ def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
         for coeffs, size in merged.items()
     )
     terms: dict[tuple[int, int], int] = {}
-    for key, c in acc.terms.items():
+    for (xe, ye), c in acc.terms.items():
         if c % wt.order:
             raise AssertionError("non-integral class average in the flag series")
-        v = c // wt.order
-        if v:
-            terms[key] = v
-    out = BiLaurentPoly(terms)
-    for (xe, ye), c in out.terms.items():
-        if not (0 <= xe <= 2 * npos and -2 * npos <= ye <= 0 and c > 0):
-            raise AssertionError("flag series violates its exponent window")
-    return out
+        if v := c // wt.order:
+            if not (0 <= xe <= 2 * npos and -2 * npos <= ye <= 0 and v > 0):
+                raise AssertionError("flag series violates its exponent window")
+            terms[xe, ye] = v
+    return terms

@@ -1,4 +1,5 @@
-from math import factorial
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 
@@ -10,6 +11,7 @@ from nilcone.weyl import (
     _class_characters,
     _conjugacy_classes,
     _det_from_power_sums,
+    _flag_series,
     _grouped_char_factors,
     _weyl_type,
     conjugacy_data,
@@ -114,6 +116,31 @@ class TestWeylType:
             weyl_type("A", 0)
         with pytest.raises(ValueError):
             weyl_type("B", 1)
+
+
+class TestDegreeTableTripwire:
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        _weyl_type.cache_clear()
+        yield
+        for cached in (_weyl_type, _conjugacy_classes, _class_characters, _flag_series):
+            cached.cache_clear()
+
+    # B3 with a simple last bond is A3 (24 elements); G2 with a double bond is B2 (8)
+    @pytest.mark.parametrize(
+        "family,rank,i,j,bond", [("B", 3, 1, 2, (-1, -1)), ("G2", 2, 0, 1, (-1, -2))]
+    )
+    def test_a_wrong_bond_trips(self, monkeypatch, family, rank, i, j, bond):
+        cartan = weyl._cartan_matrix
+
+        def wrong(family, rank):
+            c = cartan(family, rank)
+            c[i][j], c[j][i] = bond
+            return c
+
+        monkeypatch.setattr(weyl, "_cartan_matrix", wrong)
+        with pytest.raises(AssertionError, match="contradicts enumeration"):
+            weyl_type(family, rank)
 
 
 class TestEnumeration:
@@ -303,7 +330,7 @@ class TestMnCharacter:
         assert mn_character(P((2, 1)), P((3,))) == -1
 
     def test_dimension_at_identity(self):
-        for n in range(1, 8):
+        for n in range(1, 10):
             for lam in partitions_of(n):
                 assert mn_character(lam, P((1,) * n)) == lam.num_standard_tableaux()
 
@@ -332,6 +359,24 @@ class TestMnCharacter:
                     for c in classes
                 )
                 assert total == 0, (lam, nu)
+
+    def test_long_cycle_lives_on_hooks(self):
+        for n in range(1, 10):
+            for lam in partitions_of(n):
+                hook = all(p == 1 for p in lam.parts[1:])  # lam = (n - k, 1**k), k = len - 1
+                expected = (-1) ** (len(lam) - 1) if hook else 0
+                assert mn_character(lam, P((n,))) == expected, lam
+
+    def test_second_orthogonality(self):
+        for n in range(1, 9):
+            table = [sn_character_values(lam) for lam in partitions_of(n)]
+            for mu in partitions_of(n):
+                z = prod(p**m * factorial(m) for p, m in Counter(mu.parts).items())
+                label = ",".join(map(str, mu.parts))
+                for nu in partitions_of(n):
+                    other = ",".join(map(str, nu.parts))
+                    total = sum(row[label] * row[other] for row in table)
+                    assert total == (z if mu == nu else 0), (mu, nu)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -418,6 +463,13 @@ class TestFakeDegreeMolien:
 
 
 class TestPnSeriesMolien:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        # a series cached by an earlier test would skip sum_of_products
+        _flag_series.cache_clear()
+        yield
+        _flag_series.cache_clear()
+
     def test_rank_one_closed_form(self):
         assert pn_series_molien(weyl_type("A", 1)).terms == {(0, 0): 1, (2, -2): 1}
 
@@ -442,6 +494,11 @@ class TestPnSeriesMolien:
         wt = weyl_type(family, rank)
         assert pn_series_molien(wt).evaluate(1, 1) == wt.order
         assert counts == [triples]
+
+    def test_b_and_c_share_one_series(self):
+        b3, c3 = pn_series_molien(weyl_type("B", 3)), pn_series_molien(weyl_type("C", 3))
+        assert b3 == c3 and b3 is not c3
+        assert _flag_series.cache_info().currsize == 1
 
     def test_exponent_window(self):
         wt = weyl_type("B", 2)
