@@ -558,6 +558,18 @@ class TestQQuotient:
         with pytest.raises(ExactDivisionError):
             q_quotient([2], [3])
 
+    @given(dividing_exponents(), st.lists(st.integers(1, 6), max_size=3))
+    def test_base_is_a_pre_expanded_numerator(self, exponents, extra):
+        numerator, denominator = exponents
+        base = q_quotient_coefficients(extra, [])
+        assert q_quotient_coefficients(numerator, denominator, base=base) == (
+            q_quotient_coefficients([*extra, *numerator], denominator)
+        )
+
+    def test_base_that_is_not_divided_raises(self):
+        with pytest.raises(ExactDivisionError, match="the base times"):
+            q_quotient_coefficients([], [1], base=[1, 0, 1])  # 1 + q**2
+
     def test_generators_are_read_once(self):
         assert q_quotient((a for a in (2, 3)), (b for b in (1,))) == L({0: 1, 1: 1, 3: -1, 4: -1})
 
