@@ -13,7 +13,6 @@ from .partitions import Partition, partitions_of
 from .tableaux import ssyt_enumerate, syt_enumerate, syt_major_index_genfun
 from .kostka import (
     CONVENTION_TAG,
-    FORMAT_VERSION,
     KostkaTable,
     charge,
     compute_kostka_table,
@@ -57,7 +56,6 @@ __all__ = [
     "CONVENTION_TAG",
     "ClassDatum",
     "ExactDivisionError",
-    "FORMAT_VERSION",
     "KostkaTable",
     "LaurentPoly",
     "Partition",

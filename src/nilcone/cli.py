@@ -1,5 +1,5 @@
-"""Command-line front end: query any of the polynomial invariants, keep a
-persistent cache of Kostka tables, and run the verification suites.
+"""Command-line front end: query any of the polynomial invariants and run
+the verification suites.
 
 Exit codes: 0 on success, 1 on a usage error (malformed partition,
 unsupported Weyl type, negative truncation, ...), 2 on a failed
@@ -14,30 +14,20 @@ precision survives any consumer:
     {"query": {...},
      "result": {"variables": ["x", "y"],
                 "terms": [{"x": 0, "y": 0, "coeff": "1"}, ...]},
-     "meta": {"version": ..., "convention": ..., "ms": ..., "cache_hit": ...}}
+     "meta": {"version": ..., "convention": ..., "ms": ...}}
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 import time
 import warnings
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import asdict
 
 from . import __version__
-from .kostka import (
-    CONVENTION_TAG,
-    KostkaTable,
-    compute_kostka_table,
-    fake_degree_qhook,
-    kostka_foulkes,
-    kostka_foulkes_charge,
-)
+from .kostka import CONVENTION_TAG, fake_degree_qhook, kostka_foulkes, kostka_foulkes_charge
 from .laurent import LaurentPoly, TruncatedSeries, render
 from .partitions import Partition
 from .springer import (
@@ -52,8 +42,6 @@ from .springer import (
 from .verify import SUITES, run_suite
 from .weyl import EXCEPTIONAL_DEGREES, SUPPORTED_FAMILIES
 from .weyl import fake_degree_molien, pn_series_molien, sn_character_values, weyl_type
-
-ENV_CACHE_DIR = "NILCONE_CACHE_DIR"
 
 
 class UsageError(Exception):
@@ -103,71 +91,14 @@ def latex_poly(obj) -> str:
     return render(obj, latex=True)
 
 
-@dataclass
-class QueryResult:
-    """One successful query, in the exact shape it is serialized."""
-
-    query: dict
-    result: dict
-    meta: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QueryResult":
-        return cls(**json.loads(text))
-
-
-# ---------------------------------------------------------------------------
-# Kostka table cache.
-# ---------------------------------------------------------------------------
-
-
-def cache_load_store(
-    n: int, cache_dir: str | os.PathLike | None = None
-) -> tuple[KostkaTable, bool]:
-    """Load the full Kostka table for n from the cache directory (argument,
-    else the NILCONE_CACHE_DIR environment variable), computing and storing
-    on a miss.  Files with a wrong version or convention, or corrupted ones,
-    are recomputed and overwritten, never trusted.  An unwritable directory
-    degrades to in-memory computation with a warning.  Writes are atomic
-    (temp file plus rename)."""
-    directory = cache_dir if cache_dir is not None else os.environ.get(ENV_CACHE_DIR)
-    if directory is None:
-        return compute_kostka_table(n), False
-    path = Path(directory) / f"kostka-n{n}.json"
-    if path.is_file():
-        try:
-            table = KostkaTable.from_payload(json.loads(path.read_text()))
-            if table.n == n:
-                return table, True
-            warnings.warn(f"cache file {path} holds n={table.n}, not {n}; recomputing")
-        except (ValueError, KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
-            warnings.warn(f"ignoring unusable cache file {path}: {exc}")
-    table = compute_kostka_table(n)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(table.to_payload(), sort_keys=True))
-        os.replace(tmp, path)
-    except OSError as exc:
-        warnings.warn(
-            f"cache directory {directory} is not writable ({exc}); staying in memory"
-        )
-    return table, False
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.  A compute function takes the parsed options as a dict and
-# returns (value, cache_hit, exit_code); the value is a polynomial, a
-# payload already in the requested format, or None for no stdout.  The JSON
-# query echoes the options, less those that steer it without changing it.
+# returns (value, exit_code); the value is a polynomial, a payload already
+# in the requested format, or None for no stdout.  The JSON query echoes
+# the options, less --format.
 # ---------------------------------------------------------------------------
 
 _RENDERERS = {"text": str, "latex": latex_poly, "json": encode_poly}
-_UNQUERIED = ("format", "cache_dir")
 _FAKE_DEGREE_ROUTES = ("charge", "qhook", "molien")
 
 
@@ -175,11 +106,7 @@ def _kostka(o: dict):
     lam, mu = o["lambda"], o["mu"]
     if lam.size != mu.size:
         raise UsageError(f"|lambda| = {lam.size} and |mu| = {mu.size} differ")
-    directory = o["cache_dir"] or os.environ.get(ENV_CACHE_DIR)
-    if directory is None:
-        return kostka_foulkes(lam, mu), False, 0
-    table, hit = cache_load_store(lam.size, directory)
-    return table.lookup(lam, mu), hit, 0
+    return kostka_foulkes(lam, mu), 0
 
 
 def _fake_degree(o: dict):
@@ -199,8 +126,8 @@ def _fake_degree(o: dict):
     if any(v != first for v in values.values()):
         detail = "; ".join(f"{k}: {v}" for k, v in values.items())
         print(f"error: fake-degree cross-check failed for {lam}: {detail}", file=sys.stderr)
-        return None, False, 2
-    return first, False, 0
+        return None, 2
+    return first, 0
 
 
 def _pn(o: dict):
@@ -212,7 +139,7 @@ def _pn(o: dict):
         if o["n"] < 1:
             raise UsageError("--n must be at least 1")
         del o["type"], o["rank"]
-        return pn_series(o["n"]).poly, False, 0
+        return pn_series(o["n"]).poly, 0
     if o["type"] is None:
         raise UsageError("give --n or --type")
     del o["n"]
@@ -220,13 +147,13 @@ def _pn(o: dict):
         o["rank"] = len(EXCEPTIONAL_DEGREES[o["type"]])
     if o["rank"] is None:
         raise UsageError(f"--rank is required for type {o['type']}")
-    return pn_series_molien(weyl_type(o["type"], o["rank"])), False, 0
+    return pn_series_molien(weyl_type(o["type"], o["rank"])), 0
 
 
 def _walg(o: dict):
     if o["truncate"] < 0:
         raise UsageError("--truncate must be nonnegative")
-    return hp0_walg_full_series(o["phi"], o["truncate"]), False, 0
+    return hp0_walg_full_series(o["phi"], o["truncate"]), 0
 
 
 def _proudfoot(o: dict):
@@ -234,10 +161,10 @@ def _proudfoot(o: dict):
     report = proudfoot_check(lam)
     hp0, ih = show(report.hp0_series), show(report.ih_dual_series)
     if o["format"] == "json":
-        return {"equal": report.equal, "hp0_slice": hp0, "ih_dual_orbit": ih}, False, 0
+        return {"equal": report.equal, "hp0_slice": hp0, "ih_dual_orbit": ih}, 0
     verdict = "equal" if report.equal else "NOT EQUAL"
     text = f"hp0(slice {lam}): {hp0}\nih(closure {lam.conjugate()}): {ih}\nverdict: {verdict}"
-    return text, False, 0
+    return text, 0
 
 
 def _verify(o: dict):
@@ -246,9 +173,9 @@ def _verify(o: dict):
     report = run_suite(o["suite"], o["max_n"])
     code = 0 if report.passed else 2
     if o["format"] != "json":
-        return "\n".join(report.lines()), False, code
+        return "\n".join(report.lines()), code
     overall = "pass" if report.passed else "fail"
-    return {"overall": overall, "checks": [asdict(c) for c in report.checks]}, False, code
+    return {"overall": overall, "checks": [asdict(c) for c in report.checks]}, code
 
 
 _PARTS = {"type": parse_partition, "required": True, "metavar": "PARTS"}
@@ -258,8 +185,7 @@ _LAMBDA, _PHI, _INT = ("--lambda", _PARTS), ("--phi", _PARTS), {"type": int}
 COMMANDS = {
     "kostka": (
         "Kostka-Foulkes polynomial",
-        [_LAMBDA, ("--mu", _PARTS),
-         ("--cache-dir", {"help": f"table cache (or ${ENV_CACHE_DIR})"})],
+        [_LAMBDA, ("--mu", _PARTS)],
         _kostka,
     ),
     "fake-degree": (
@@ -277,7 +203,7 @@ COMMANDS = {
         _pn,
     ),
     "hp0": (
-        "slice Poisson-homology series", [_PHI], lambda o: (hp0_slice_series(o["phi"]), False, 0)
+        "slice Poisson-homology series", [_PHI], lambda o: (hp0_slice_series(o["phi"]), 0)
     ),
     "walg": (
         "full W-algebra series, truncated",
@@ -285,17 +211,17 @@ COMMANDS = {
         _walg,
     ),
     "ih": (
-        "orbit-closure IH series", [_LAMBDA], lambda o: (ih_orbit_closure(o["lambda"]), False, 0)
+        "orbit-closure IH series", [_LAMBDA], lambda o: (ih_orbit_closure(o["lambda"]), 0)
     ),
     "s3": (
         "orbit-closure slice IH series",
         [("--nu", _PARTS), _PHI],
-        lambda o: (ih_s3_variety(o["nu"], o["phi"]), False, 0),
+        lambda o: (ih_s3_variety(o["nu"], o["phi"]), 0),
     ),
     "springer-fiber": (
         "bigraded Springer-fiber series",
         [_PHI],
-        lambda o: (springer_fiber_series(o["phi"]).poly, False, 0),
+        lambda o: (springer_fiber_series(o["phi"]).poly, 0),
     ),
     "proudfoot": ("slice/orbit duality check", [_LAMBDA], _proudfoot),
     "verify": (
@@ -322,7 +248,7 @@ def build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     """Parse, compute and emit; returns the process exit code.  A warning
-    raised on the way, such as a cache diagnostic, is printed as one
+    raised on the way, such as an empty s3 slice, is printed as one
     `warning: <message>` line on stderr."""
     with warnings.catch_warnings(record=True) as caught:
         try:
@@ -336,7 +262,7 @@ def _query(argv) -> int:
     try:
         o = vars(build_parser().parse_args(argv))
         started = time.perf_counter()
-        value, hit, code = COMMANDS[o["command"]][2](o)
+        value, code = COMMANDS[o["command"]][2](o)
         if value is None:
             return code
         if not isinstance(value, (str, dict)):
@@ -344,11 +270,11 @@ def _query(argv) -> int:
         if o["format"] != "json":
             print(value)
             return code
-        echo = {k: v for k, v in o.items() if k not in _UNQUERIED}
+        echo = {k: v for k, v in o.items() if k != "format"}
         query = {k: list(v) if isinstance(v, Partition) else v for k, v in echo.items()}
         ms = int((time.perf_counter() - started) * 1000)
-        meta = {"version": __version__, "convention": CONVENTION_TAG, "ms": ms, "cache_hit": hit}
-        print(QueryResult(query=query, result=value, meta=meta).to_json())
+        meta = {"version": __version__, "convention": CONVENTION_TAG, "ms": ms}
+        print(json.dumps({"query": query, "result": value, "meta": meta}, sort_keys=True))
         return code
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,12 +24,13 @@ distinct, and sum_lam f^lam |SSYT(lam,mu)| = n!/prod mu_i!.  The series
 consumers of the (1^n) column take the q-hook closed form
 (kostka_from_fake_degree).
 
-Charge convention (pinned; recorded in CONVENTION_TAG and in every cache
-file): on a standard word the index of letter 1 is 0 and the index of r+1
-increments exactly when r+1 occurs to the RIGHT of r; charge is the sum of
-the indices.  Under this convention the single-row shape gets
-K[(n),(1^n)] = q^(n(n-1)/2) and the single-column shape gets
-K[(1^n),(1^n)] = 1, i.e. the trivial representation carries the top power.
+Charge convention (pinned; recorded in CONVENTION_TAG, which the JSON
+output of the command line prints): on a standard word the index of
+letter 1 is 0 and the index of r+1 increments exactly when r+1 occurs to
+the RIGHT of r; charge is the sum of the indices.  Under this convention
+the single-row shape gets K[(n),(1^n)] = q^(n(n-1)/2) and the
+single-column shape gets K[(1^n),(1^n)] = 1, i.e. the trivial
+representation carries the top power.
 The opposite (cocharge) convention is deliberately not offered.
 """
 
@@ -39,14 +40,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby, product
 from math import factorial, prod
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .laurent import LaurentPoly, q_quotient
 from .partitions import Partition, Shape, _add_horizontal, _trim, partitions_of
 from .tableaux import ssyt_enumerate
 
 CONVENTION_TAG = "charge-c1=0-right-increment"
-FORMAT_VERSION = 1
 
 
 def _validate_partition_content(word: Sequence[int]) -> int:
@@ -262,70 +262,27 @@ class KostkaTable:
     """All Kostka-Foulkes polynomials for partitions of a fixed n.
 
     Only nonzero entries are stored; an entry exists exactly when the shape
-    dominates the content.  convention_tag and format_version make cache
-    files self-describing.
+    dominates the content.  check_invariants tells whether a table, however
+    it was built, is a plausible full table for n.
     """
 
     n: int
     entries: dict[tuple[Partition, Partition], LaurentPoly] = field(default_factory=dict)
-    convention_tag: str = CONVENTION_TAG
-    format_version: int = FORMAT_VERSION
 
     def lookup(self, lam: Partition, mu: Partition) -> LaurentPoly:
         return self.entries.get((lam, mu), LaurentPoly.zero("t"))
 
-    def to_payload(self) -> dict:
-        entries = []
-        for (lam, mu), poly in sorted(
-            self.entries.items(), key=lambda kv: (kv[0][0].parts, kv[0][1].parts)
-        ):
-            entries.append(
-                {
-                    "lambda": list(lam.parts),
-                    "mu": list(mu.parts),
-                    "poly": {str(e): str(c) for e, c in sorted(poly.terms.items())},
-                }
-            )
-        return {
-            "format_version": self.format_version,
-            "convention_tag": self.convention_tag,
-            "n": self.n,
-            "entries": entries,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "KostkaTable":
-        if payload.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported table format_version: {payload.get('format_version')!r}"
-            )
-        if payload.get("convention_tag") != CONVENTION_TAG:
-            raise ValueError(
-                f"table was built under convention {payload.get('convention_tag')!r},"
-                f" expected {CONVENTION_TAG!r}"
-            )
-        n = payload["n"]
-        if type(n) is not int:
-            raise ValueError(f"table size n must be an int, not {n!r}")
-        entries: dict[tuple[Partition, Partition], LaurentPoly] = {}
-        for item in payload["entries"]:
-            lam = Partition(item["lambda"])
-            mu = Partition(item["mu"])
-            poly = LaurentPoly({_decimal(e): _decimal(c) for e, c in item["poly"].items()}, "t")
-            entries[(lam, mu)] = poly
-        table = cls(n=n, entries=entries)
-        table.check_invariants()
-        return table
-
     def check_invariants(self) -> None:
         """Raise ValueError unless the table is a plausible full table for
-        n: K[lam,lam] = 1; K[lam,mu] != 0 only when lam dominates mu, and
-        then monic of degree n(mu) - n(lam) with no negative coefficient
-        (charge counts tableaux); and for every mu,
+        an int n: K[lam,lam] = 1; K[lam,mu] != 0 only when lam dominates
+        mu, and then monic of degree n(mu) - n(lam) with no negative
+        coefficient (charge counts tableaux); and for every mu,
         sum_lam f^lam K[lam,mu](1) = n!/prod mu_i!.  The column count is
         compared with p(n) first, so a crafted n costs no more than the
         entries do."""
         n = self.n
+        if type(n) is not int:  # True would pass as the table for n = 1
+            raise ValueError(f"table size n must be an int, not {n!r}")
         nonzero = [(lam, mu, poly) for (lam, mu), poly in self.entries.items() if poly]
         for lam, mu, _ in nonzero:
             if lam.size != n or mu.size != n:
@@ -352,13 +309,6 @@ class KostkaTable:
             expected = factorial(n) // prod(factorial(p) for p in mu.parts)
             if total != expected:
                 raise ValueError(f"sum of f^lam K[lam,{mu}](1) is {total}, not {expected}")
-
-
-def _decimal(text: object) -> int:
-    """The int behind a decimal string exactly as to_payload writes it."""
-    if not isinstance(text, str) or text != str(value := int(text)):
-        raise ValueError(f"table exponent or coefficient {text!r} is not a decimal string")
-    return value
 
 
 def _partition_count(n: int, cap: int) -> int:

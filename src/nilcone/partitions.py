@@ -112,6 +112,8 @@ class Partition:
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, in reverse lexicographic order: (n) first,
     (1,...,1) last."""
+    if type(n) is not int:  # True would partition 1, and 2.0 fails on range()
+        raise TypeError(f"partitions_of needs an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     out: list[Partition] = []

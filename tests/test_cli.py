@@ -1,16 +1,9 @@
 import json
+import re
 
 import pytest
 
-from nilcone.cli import (
-    ENV_CACHE_DIR,
-    QueryResult,
-    UsageError,
-    cache_load_store,
-    parse_partition,
-    run,
-)
-from nilcone.kostka import FORMAT_VERSION
+from nilcone.cli import UsageError, parse_partition, run
 from nilcone.laurent import BiLaurentPoly, ExactDivisionError, LaurentPoly
 from nilcone.verify import CheckResult
 
@@ -57,7 +50,7 @@ class TestKostkaCommand:
             {"t": 2, "coeff": "1"},
         ]
         meta = payload["meta"]
-        assert meta["cache_hit"] is False
+        assert sorted(meta) == ["convention", "ms", "version"]
         assert isinstance(meta["ms"], int)
         assert meta["convention"]
 
@@ -164,50 +157,6 @@ class TestOtherCommands:
         assert err.count("\n") == 1
         assert err.startswith("warning: slice of orbit closure (2,2) at (3,1) is empty")
         assert ".py" not in err and "warnings.warn" not in err
-
-    def test_tampered_coefficient_recomputed_with_one_warning(self, tmp_path, capsys):
-        argv = ["kostka", "--lambda", "3,1,1", "--mu", "2,1,1,1", "--cache-dir", str(tmp_path)]
-        assert invoke(capsys, *argv)[:2] == (0, "t + t^2 + t^3\n")
-        path = tmp_path / "kostka-n5.json"
-        payload = json.loads(path.read_text())
-        entry = next(
-            e for e in payload["entries"] if (e["lambda"], e["mu"]) == ([3, 1, 1], [2, 1, 1, 1])
-        )
-        entry["poly"]["2"] = "2"
-        path.write_text(json.dumps(payload))
-        code, out, err = invoke(capsys, *argv, "--format", "json")
-        assert code == 0
-        assert json.loads(out)["meta"]["cache_hit"] is False
-        assert err.count("\n") == 1
-        assert err.startswith("warning: ignoring unusable cache file ")
-        assert "sum of f^lam" in err
-        assert invoke(capsys, *argv) == (0, "t + t^2 + t^3\n", "")
-
-    def test_negative_coefficient_recomputed_with_one_warning(self, tmp_path, capsys):
-        # 1 - t + t^2 keeps the column sum and the monic top term of t^2
-        argv = ["kostka", "--lambda", "4", "--mu", "2,2", "--cache-dir", str(tmp_path)]
-        assert invoke(capsys, *argv) == (0, "t^2\n", "")
-        path = tmp_path / "kostka-n4.json"
-        payload = json.loads(path.read_text())
-        entry = next(e for e in payload["entries"] if (e["lambda"], e["mu"]) == ([4], [2, 2]))
-        assert entry["poly"] == {"2": "1"}
-        entry["poly"] = {"0": "1", "1": "-1", "2": "1"}
-        path.write_text(json.dumps(payload))
-        code, out, err = invoke(capsys, *argv)
-        assert (code, out) == (0, "t^2\n")
-        assert err.count("\n") == 1
-        assert err.startswith("warning: ignoring unusable cache file ")
-        assert "negative coefficient" in err
-        assert invoke(capsys, *argv) == (0, "t^2\n", "")
-
-    def test_cache_warning_is_one_line(self, tmp_path, capsys):
-        (tmp_path / "kostka-n3.json").write_text("{ not json !!")
-        argv = ["kostka", "--lambda", "2,1", "--mu", "1,1,1", "--cache-dir", str(tmp_path)]
-        code, out, err = invoke(capsys, *argv)
-        assert code == 0
-        assert out.strip() == "t + t^2"
-        assert err.count("\n") == 1
-        assert err.startswith("warning: ignoring unusable cache file ")
 
     def test_springer_fiber(self, capsys):
         code, out, _ = invoke(capsys, "springer-fiber", "--phi", "2,1", "--format", "json")
@@ -338,90 +287,23 @@ class TestDeterminism:
         b["meta"].pop("ms")
         assert a == b
 
-    def test_query_result_roundtrip(self, capsys):
-        _, out, _ = invoke(capsys, "pn", "--n", "3", "--format", "json")
-        parsed = QueryResult.from_json(out)
-        assert parsed.to_json() == out.strip()
 
+class TestNoTableCache:
+    """Every Kostka query is answered from the memoised column; the
+    variable that once named a table-cache directory selects nothing (the
+    golden cases pin --cache-dir as a usage error)."""
 
-class TestCache:
-    def test_cold_then_hit(self, tmp_path):
-        table, hit = cache_load_store(5, tmp_path)
-        assert not hit
-        path = tmp_path / "kostka-n5.json"
-        assert path.is_file()
-        first_bytes = path.read_bytes()
-        again, hit = cache_load_store(5, tmp_path)
-        assert hit
-        assert path.read_bytes() == first_bytes
-        assert again.entries == table.entries
-
-    def test_no_directory_means_in_memory(self, monkeypatch):
-        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
-        table, hit = cache_load_store(3)
-        assert not hit
-        assert table.n == 3
-
-    def test_environment_variable_used(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
-        _, hit = cache_load_store(4)
-        assert not hit
-        assert (tmp_path / "kostka-n4.json").is_file()
-        _, hit = cache_load_store(4)
-        assert hit
-
-    def test_corrupted_file_recomputed_with_warning(self, tmp_path):
-        cache_load_store(3, tmp_path)
-        path = tmp_path / "kostka-n3.json"
-        path.write_text("{ not json !!")
-        with pytest.warns(UserWarning, match="unusable cache file"):
-            table, hit = cache_load_store(3, tmp_path)
-        assert not hit
-        assert table.n == 3
-        # overwritten with a valid file
-        rebuilt = json.loads(path.read_text())
-        assert rebuilt["n"] == 3
-
-    def test_non_int_parts_recomputed_with_warning(self, tmp_path):
-        cache_load_store(3, tmp_path)
-        path = tmp_path / "kostka-n3.json"
-        payload = json.loads(path.read_text())
-        payload["entries"][0]["lambda"] = [2.5, 0.5]
-        path.write_text(json.dumps(payload))
-        with pytest.warns(UserWarning, match="unusable cache file"):
-            _, hit = cache_load_store(3, tmp_path)
-        assert not hit
-        assert json.loads(path.read_text())["entries"][0]["lambda"] != [2.5, 0.5]
-
-    def test_version_mismatch_recomputed(self, tmp_path):
-        cache_load_store(3, tmp_path)
-        path = tmp_path / "kostka-n3.json"
-        payload = json.loads(path.read_text())
-        payload["format_version"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(payload))
-        with pytest.warns(UserWarning):
-            _, hit = cache_load_store(3, tmp_path)
-        assert not hit
-        assert json.loads(path.read_text())["format_version"] == FORMAT_VERSION
-
-    def test_unwritable_directory_degrades_to_memory(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file, not a directory")
-        with pytest.warns(UserWarning, match="not writable"):
-            table, hit = cache_load_store(3, blocker / "sub")
-        assert not hit
-        assert table.n == 3
-
-    def test_kostka_command_uses_cache(self, tmp_path, capsys):
-        argv = [
-            "kostka", "--lambda", "2,1", "--mu", "1,1,1",
-            "--cache-dir", str(tmp_path), "--format", "json",
-        ]
-        code, out, _ = invoke(capsys, *argv)
-        assert code == 0
-        assert json.loads(out)["meta"]["cache_hit"] is False
-        code, out, _ = invoke(capsys, *argv)
-        assert json.loads(out)["meta"]["cache_hit"] is True
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    def test_environment_variable_is_ignored(self, tmp_path, monkeypatch, capsys, fmt):
+        argv = ["kostka", "--lambda", "3,1,1", "--mu", "2,1,1,1", "--format", fmt]
+        monkeypatch.delenv("NILCONE_CACHE_DIR", raising=False)
+        code, plain, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        monkeypatch.setenv("NILCONE_CACHE_DIR", str(tmp_path))
+        code, with_env, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert re.sub(r'"ms": \d+', "", with_env) == re.sub(r'"ms": \d+', "", plain)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_rendering_helpers_roundtrip():

@@ -33,6 +33,7 @@ QUERIES = (
     ("kostka", "--lambda", "2,1", "--mu", "1,1"),
     ("kostka", "--lambda", "1,2", "--mu", "1,1,1"),
     ("kostka", "--lambda", "2,x", "--mu", "1,1,1"),
+    ("kostka", "--lambda", "2,1", "--mu", "1,1,1", "--cache-dir", "DIR"),
     ("fake-degree", "--lambda", "3,1"),
     ("fake-degree", "--lambda", "2,2,1", "--algorithm", "molien"),
     ("pn", "--n", "3"),

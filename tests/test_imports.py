@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path
-    for folder in ("src/nilcone", "tests", "scripts")
+    for folder in ("src/nilcone", "tests")
     for path in (ROOT / folder).glob("*.py")
 )
 

@@ -4,8 +4,6 @@ from hypothesis import strategies as st
 
 from nilcone import kostka
 from nilcone.kostka import (
-    CONVENTION_TAG,
-    FORMAT_VERSION,
     KostkaTable,
     _unpack,
     charge,
@@ -316,40 +314,15 @@ class TestFakeDegrees:
         assert kostka_from_fake_degree(P((4,))).terms == {6: 1}
 
 
-def _n1_entry(exponent, coeff) -> dict:
-    """The one payload entry K[(1),(1)] of the n = 1 table."""
-    return {"lambda": [1], "mu": [1], "poly": {exponent: coeff}}
-
-
 class TestKostkaTable:
     def test_compute_small(self):
         table = compute_kostka_table(3)
         assert table.n == 3
-        assert table.convention_tag == CONVENTION_TAG
-        assert table.format_version == FORMAT_VERSION
         assert len(table.entries) == 6  # dominating pairs of n = 3
 
     def test_lookup_absent_is_zero(self):
         table = compute_kostka_table(3)
         assert not table.lookup(P((1, 1, 1)), P((3,)))
-
-    def test_payload_roundtrip(self):
-        table = compute_kostka_table(4)
-        rebuilt = KostkaTable.from_payload(table.to_payload())
-        assert rebuilt.n == table.n
-        assert rebuilt.entries == table.entries
-
-    def test_payload_version_mismatch_rejected(self):
-        payload = compute_kostka_table(2).to_payload()
-        payload["format_version"] = FORMAT_VERSION + 1
-        with pytest.raises(ValueError):
-            KostkaTable.from_payload(payload)
-
-    def test_payload_convention_mismatch_rejected(self):
-        payload = compute_kostka_table(2).to_payload()
-        payload["convention_tag"] = "cocharge"
-        with pytest.raises(ValueError):
-            KostkaTable.from_payload(payload)
 
     def test_recomputation_is_identical(self):
         a = compute_kostka_table(5)
@@ -359,43 +332,44 @@ class TestKostkaTable:
     def test_n12_table_passes_the_load_invariants(self):
         table = compute_kostka_table(12)
         table.check_invariants()
-        assert KostkaTable.from_payload(table.to_payload()).entries == table.entries
 
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda e, _: e[P((3, 1)), P((2, 1, 1))].terms.update({1: 2}), "sum of f"),
-            (lambda e, _: e[P((3, 1)), P((2, 1, 1))].terms.update({2: 2}), "not monic"),
-            (lambda e, _: e.update({(P((2, 2)), P((3, 1))): LaurentPoly.one()}), "does not dominate"),
-            (lambda e, _: e.update({(P((2, 2)), P((2, 2))): LaurentPoly({0: 1, 1: 1})}), "not monic"),
-            (lambda e, _: e.pop((P((1, 1, 1, 1)), P((1, 1, 1, 1)))), "= 0, not 1"),
-            (lambda e, _: e.pop((P((4,)), P((4,)))), "nonzero columns"),
-            (lambda e, _: e.update({(P((3,)), P((3,))): LaurentPoly.one()}), "not of size"),
-            # wrong JSON types, each of which int() would have coerced into a
-            # table that passes the invariants
-            (lambda _, p: p.update(n=3.9), "n must be an int"),
-            (lambda _, p: p.update(n=True, entries=[_n1_entry("0", "1")]), "n must be an int"),
-            (lambda _, p: p.update(n=1, entries=[_n1_entry("0", 1.5)]), "not a decimal string"),
-            (lambda _, p: p.update(n=1, entries=[_n1_entry("0", 1)]), "not a decimal string"),
-            (lambda _, p: p.update(n=1, entries=[_n1_entry("0", "+1")]), "not a decimal string"),
-            (lambda _, p: p.update(n=1, entries=[_n1_entry("-0", "1")]), "not a decimal string"),
+            (lambda t: t.entries[P((3, 1)), P((2, 1, 1))].terms.update({1: 2}), "sum of f"),
+            (lambda t: t.entries[P((3, 1)), P((2, 1, 1))].terms.update({2: 2}), "not monic"),
+            (lambda t: t.entries.update({(P((2, 2)), P((3, 1))): LaurentPoly.one()}), "does not dominate"),
+            (lambda t: t.entries.update({(P((2, 2)), P((2, 2))): LaurentPoly({0: 1, 1: 1})}), "not monic"),
+            # 1 - t + t^2 keeps the column sum and the monic top term of t^2
+            (
+                lambda t: t.entries.update({(P((4,)), P((2, 2))): LaurentPoly({0: 1, 1: -1, 2: 1})}),
+                "negative coefficient",
+            ),
+            (lambda t: t.entries.pop((P((1, 1, 1, 1)), P((1, 1, 1, 1)))), "= 0, not 1"),
+            (lambda t: t.entries.pop((P((4,)), P((4,)))), "nonzero columns"),
+            (lambda t: t.entries.update({(P((3,)), P((3,))): LaurentPoly.one()}), "not of size"),
+            # sizes that are not ints; True would pass as the table for n = 1
+            (lambda t: vars(t).update(n=3.9), "n must be an int"),
+            (
+                lambda t: vars(t).update(n=True, entries={(P((1,)), P((1,))): LaurentPoly.one()}),
+                "n must be an int",
+            ),
         ],
     )
     def test_broken_tables_rejected_on_load(self, tamper, message):
-        """tamper(entries, overrides) edits the n = 4 table's entries, or
-        sets payload fields in overrides."""
+        """tamper(table) edits a copy of the n = 4 table, whose
+        check_invariants must then fail."""
         table = compute_kostka_table(4)
         table.entries = {k: LaurentPoly(dict(v.terms)) for k, v in table.entries.items()}
-        overrides = {}
-        tamper(table.entries, overrides)
+        tamper(table)
         with pytest.raises(ValueError, match=message):
-            KostkaTable.from_payload(table.to_payload() | overrides)
+            table.check_invariants()
 
     def test_crafted_size_rejected_without_enumerating(self):
         n = 10**6
         table = KostkaTable(n=n, entries={(P((n,)), P((n,))): LaurentPoly.one()})
         with pytest.raises(ValueError, match="nonzero columns"):
-            KostkaTable.from_payload(table.to_payload())
+            table.check_invariants()
 
     def test_entries_are_stored_polynomials(self):
         table = compute_kostka_table(4)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilcone.kostka import compute_kostka_table
 from nilcone.partitions import Partition, partitions_of
+from nilcone.springer import pn_series
 
 
 def brute_force_partition_count(n):
@@ -80,6 +82,13 @@ class TestEnumeration:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partitions_of(-1)
+
+    @pytest.mark.parametrize("n", [True, 2.0, "3"])
+    @pytest.mark.parametrize("entry", [partitions_of, pn_series, compute_kostka_table])
+    def test_non_int_rejected(self, entry, n):
+        """True is not 1 and 2.0 is not 2: each is refused, not coerced."""
+        with pytest.raises(TypeError, match=type(n).__name__):
+            entry(n)
 
 
 class TestConjugate:
