@@ -11,8 +11,13 @@ Q'_() = 1 and, for mu = (m, mubar),
 
 In the Schur basis that is three Pieri moves per term of Q'_mubar: remove
 a horizontal j-strip, remove a vertical i-strip, add a horizontal
-(m+i+j)-strip.  One column is memoised per mu; a column that breaks
-dominance, K[mu,mu] = 1 or positivity raises AssertionError.
+(m+i+j)-strip.  The polynomials travel packed into ints, one digit of
+_digit_bytes(n!) bytes per power of t, and each finished entry is decoded
+in C by the decoder that laurent.py shares with
+BiLaurentPoly.sum_of_products.  One column is memoised per mu; a column
+that breaks dominance, K[mu,mu] = 1, positivity or the column sum
+sum_lam f^lam K[lam,mu](1) = n!/prod mu_i! raises AssertionError, and so
+does a coefficient that overflowed its digit.
 
 Which route verifies: kostka_foulkes_charge sums t**charge over the
 semistandard tableaux of shape lam and content mu; the verify suites and
@@ -38,11 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import accumulate, groupby, product
 from math import factorial, prod
+from operator import lt
 from typing import Sequence
 
-from .laurent import LaurentPoly, q_quotient
+from .laurent import LaurentPoly, _digit_bytes, _signed_digits, q_quotient
 from .partitions import Partition, Shape, _add_horizontal, _trim, partitions_of
 from .tableaux import ssyt_enumerate
 
@@ -160,21 +166,18 @@ def _remove_vertical(shape: Shape) -> tuple[tuple[int, Shape], ...]:
     return tuple(out)
 
 
-def _unpack(value: int, bits: int) -> dict[int, int]:
-    """Coefficients of sum_e c_e 2**(bits*e), read as balanced base-2**bits
-    digits; exact for every |c_e| < 2**(bits-1)."""
-    terms: dict[int, int] = {}
-    base = 1 << bits
-    e = 0
-    while value:
-        digit = value & (base - 1)
-        if digit >= base >> 1:
-            digit -= base
-        if digit:
-            terms[e] = digit
-        value = (value - digit) >> bits
-        e += 1
-    return terms
+@lru_cache(maxsize=None)
+def _standard_count(shape: Shape) -> int:
+    """f^shape, the number of standard tableaux: the sum of f over the
+    shapes with one corner cell removed."""
+    if not shape:
+        return 1
+    last = len(shape) - 1
+    return sum(
+        _standard_count(shape[:r] + (p - 1,) + shape[r + 1 :] if p > 1 else shape[:r])
+        for r, p in enumerate(shape)
+        if r == last or shape[r + 1] < p
+    )
 
 
 @lru_cache(maxsize=None)
@@ -184,12 +187,27 @@ def _kostka_column(mu_parts: Shape) -> dict[Shape, LaurentPoly]:
 
     Each polynomial travels packed into one int, t -> 2**bits (Kronecker
     substitution), so a Pieri move costs one big-int addition; each move
-    acts once per group of equal (shape, degree) keys.  A K[lam,mu](1)
-    counts tableaux, at most n!, so bits = len(n!) + 2 unpacks exactly."""
+    acts once per group of equal (shape, degree) keys.  t -> 2**bits is a
+    ring map, so the packed sums are exact whatever their digits; only the
+    finished K[lam,mu] must fit a digit.  A K[lam,mu](1) counts tableaux,
+    at most n!, so the digit is _digit_bytes(n!) bytes: 32 bits at n = 10,
+    64 bits from n = 13.  Each entry decodes in C (laurent._signed_digits)
+    into as many digits as its packed int spans.
+
+    Tripwires, raised and not asserted so that they survive python -O:
+    every entry must dominate mu and have no negative coefficient,
+    K[mu,mu] must be 1, and sum_lam f^lam K[lam,mu](1) must be
+    n!/prod mu_i!.  A coefficient that overflowed its digit decodes with
+    a carry into the next digit.  Unless that leaves a negative digit, it
+    lowers the entry's digit sum by a multiple of 2**bits - 1 (carries
+    into nonnegative coefficients are nonnegative), so the column sum
+    trips."""
     if not mu_parts:
         return {(): LaurentPoly.one("t")}
     m = mu_parts[0]
-    bits = factorial(sum(mu_parts)).bit_length() + 2
+    n = sum(mu_parts)
+    width = _digit_bytes(factorial(n))
+    bits = 8 * width
     after_h: dict[tuple[Shape, int], int] = {}  # t**j h_j^perp
     for lam, poly in _kostka_column(mu_parts[1:]).items():
         packed = sum(c << (bits * e) for e, c in poly.terms.items())
@@ -204,33 +222,59 @@ def _kostka_column(mu_parts: Shape) -> dict[Shape, LaurentPoly]:
         if packed:
             for nu in _add_horizontal(rho, m + k):
                 summed[nu] = summed.get(nu, 0) + packed
-    mu = Partition(mu_parts)
+    mu_sums = tuple(accumulate(mu_parts))
     column: dict[Shape, LaurentPoly] = {}
+    total = 0
     for nu, packed in summed.items():
-        poly = LaurentPoly(_unpack(packed, bits), "t")
-        if not poly:
+        if not packed:
             continue
-        # raised, not asserted: the tripwires must survive python -O
-        lam = Partition(nu)
-        if not lam.dominates(mu):
-            raise AssertionError(f"column {mu}: K[{lam},{mu}] = {poly}, not dominating")
-        if min(poly.terms.values()) < 0:
-            raise AssertionError(f"column {mu}: K[{lam},{mu}] = {poly}, a negative coefficient")
-        column[nu] = poly
+        digits = _signed_digits(packed, width, abs(packed).bit_length() // bits + 1)
+        if any(map(lt, accumulate(nu), mu_sums)):  # a partial sum of nu below mu's
+            raise _column_error(mu_parts, nu, digits, "not dominating")
+        if min(digits) < 0:
+            raise _column_error(mu_parts, nu, digits, "a negative coefficient")
+        column[nu] = LaurentPoly.from_coefficients(digits, "t")
+        total += _standard_count(nu) * sum(digits)
     if column.get(mu_parts) != 1:
+        mu = Partition(mu_parts)
         raise AssertionError(f"column {mu}: K[{mu},{mu}] = {column.get(mu_parts, 0)}, not 1")
+    expected = factorial(n) // prod(map(factorial, mu_parts))
+    if total != expected:
+        mu = Partition(mu_parts)
+        raise AssertionError(f"column {mu}: sum of f^lam K[lam,{mu}](1) is {total}, not {expected}")
     return column
+
+
+def _column_error(mu_parts: Shape, nu: Shape, digits: list[int], what: str) -> AssertionError:
+    mu, lam = Partition(mu_parts), Partition(nu)
+    return AssertionError(
+        f"column {mu}: K[{lam},{mu}] = {LaurentPoly.from_coefficients(digits, 't')}, {what}"
+    )
 
 
 def kostka_foulkes(lam: Partition, mu: Partition) -> LaurentPoly:
     """K[lam,mu](t), read from the memoised column of mu built by Jing's
     Hall-Littlewood operator (module docstring); zero unless lam dominates
-    mu.  Equal to kostka_foulkes_charge, the tableau-and-charge oracle."""
+    mu.  Equal to kostka_foulkes_charge, the tableau-and-charge oracle.
+
+    The column is read first: it holds only keys of size |mu|, so sizes
+    are compared only on a miss."""
+    try:
+        poly = _kostka_column(mu.parts).get(lam.parts)
+    except AttributeError:
+        for arg in (lam, mu):
+            if not isinstance(arg, Partition):
+                raise TypeError(
+                    f"kostka_foulkes needs Partitions, not {type(arg).__name__}"
+                ) from None
+        raise
+    if poly is not None:
+        return poly
     if lam.size != mu.size:
         raise ValueError(
             f"Kostka polynomial needs equal sizes: |{lam}| != |{mu}|"
         )
-    return _kostka_column(mu.parts).get(lam.parts) or LaurentPoly.zero("t")
+    return LaurentPoly.zero("t")
 
 
 def fake_degree_qhook(lam: Partition) -> LaurentPoly:

@@ -16,10 +16,16 @@ Fake degrees, Weyl-group class factors and Molien numerators all take it.
 Bivariate polynomials are built only as sums of products f(x) * g(y), by
 BiLaurentPoly.sum_of_products, which packs each g(y) into one int
 (Kronecker substitution) and sums one packed row per x-exponent; they have
-no ring arithmetic, only shifts, specializations and evaluation.  A row
-decodes in C: an XOR with the digit offset leaves two's-complement digits,
-which memoryview.cast reads from the row's bytes in native byte order at
-1, 2, 4 or 8 bytes a digit (int.from_bytes slices for wider digits).
+no ring arithmetic, only shifts, specializations and evaluation.
+
+One decoder, _signed_digits, serves every Kronecker-packed int: the rows
+of sum_of_products and the t -> 2**bits entries of the Jing column in
+kostka.py.  It decodes in C: an XOR with the digit offset leaves
+two's-complement digits, which memoryview.cast reads from the value's
+bytes in native byte order at 1, 2, 4 or 8 bytes a digit (int.from_bytes
+slices for wider digits), and a value its digits cannot hold raises
+AssertionError.  The caller sizes the digit (_digit_bytes) from a bound
+on the coefficients it packs.
 
 Grading convention used across the package: a graded vector space shifted
 down by d (written V[-d]) has its Hilbert series multiplied by var**d.
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd
 from operator import sub
@@ -64,6 +71,42 @@ def _digit_bytes(bound: int) -> int:
     up to a width in _SIGNED; a wider width stays exact."""
     exact = (bound.bit_length() + 8) // 8
     return exact if exact > 8 else 1 << (exact - 1).bit_length()
+
+
+@lru_cache(maxsize=256)
+def _digit_offset(width: int, count: int) -> int:
+    """sum_k 2**(8 * width * k + 8 * width - 1) over k < count: the top bit
+    of each of count digits."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _signed_digits(value: int, width: int, count: int) -> list[int]:
+    """The count digits d_k of value = sum_k d_k 2**(8 * width * k), lowest
+    first, each in [-2**(8 * width - 1), 2**(8 * width - 1)); AssertionError
+    if count such digits cannot hold value.
+
+    Decoded in C: value + offset puts every digit d at d + 2**(bits - 1),
+    in [0, 2**bits), and XOR with the offset flips each digit's top bit
+    back, which leaves d in two's complement.  The bytes, in native order,
+    then read as signed machine ints through memoryview.cast (width 1, 2, 4
+    or 8), or by int.from_bytes slices for a wider width."""
+    size = width * count
+    offset = _digit_offset(width, count)
+    value += offset
+    if not 0 <= value < 1 << 8 * size:
+        raise AssertionError(f"packed row overflows {count} digits of {width} bytes")
+    buf = (value ^ offset).to_bytes(size, sys.byteorder)
+    fmt = _SIGNED.get(width)
+    if fmt:
+        digits = memoryview(buf).cast(fmt).tolist()
+    else:
+        digits = [
+            int.from_bytes(buf[i : i + width], sys.byteorder, signed=True)
+            for i in range(0, size, width)
+        ]
+    if sys.byteorder == "big":  # the top digit's bytes came first
+        digits.reverse()
+    return digits
 
 
 def render(
@@ -116,6 +159,15 @@ class LaurentPoly:
     @classmethod
     def one(cls, var: str = "t") -> "LaurentPoly":
         return cls({0: 1}, var)
+
+    @classmethod
+    def from_coefficients(cls, coeffs: Iterable[int], var: str = "t") -> "LaurentPoly":
+        """sum_e coeffs[e] * var**e, constant term first; the zeros are
+        skipped as the term map is built, so it is not cleaned twice."""
+        poly = cls.__new__(cls)
+        poly.terms = {e: c for e, c in enumerate(coeffs) if c}
+        poly.var = var
+        return poly
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -286,12 +338,7 @@ class BiLaurentPoly:
         Every y-exponent of every g lies on the lattice ylo + step * k.  Each
         g becomes one int with a digit of 8 * width bits per lattice point,
         each x-exponent accumulates the row sum of c * f[xe] * G, and every
-        row is decoded once, with signed digits: row + offset puts every
-        digit d at d + 2**(bits - 1), in [0, 2**bits), and XOR with the
-        offset flips each digit's top bit back, which leaves d in two's
-        complement.  The row's bytes, in native order, then read as signed
-        machine ints through memoryview.cast (width 1, 2, 4 or 8), or by
-        int.from_bytes slices for a wider width.
+        row is decoded once, into signed digits, by _signed_digits.
 
         No digit can wrap: an output coefficient is at most
         sum |c| * max|f| * max|g| in absolute value, and a digit holds one
@@ -315,9 +362,7 @@ class BiLaurentPoly:
                 for c, f, g in live
             )
         )
-        bits, size = 8 * width, width * length
-        half = 1 << (bits - 1)
-        offset = int.from_bytes(half.to_bytes(width, "little") * length, "little")
+        bits = 8 * width
         rows: dict[int, int] = {}
         sums: dict[int, int] = {}
         for c, f, g in live:
@@ -328,22 +373,9 @@ class BiLaurentPoly:
                 rows[xe] = rows.get(xe, 0) + k * packed
                 sums[xe] = sums.get(xe, 0) + k * g1
         ys = range(ylo, ylo + step * length, step)
-        if sys.byteorder == "big":  # the top digit's bytes come first
-            ys = ys[::-1]
-        fmt = _SIGNED.get(width)
         out: dict[tuple[int, int], int] = {}
         for xe, row in rows.items():
-            value = row + offset
-            if not 0 <= value < 1 << 8 * size:
-                raise AssertionError(f"packed row of x^{xe} overflows {length} digits")
-            buf = (value ^ offset).to_bytes(size, sys.byteorder)
-            if fmt:
-                digits = memoryview(buf).cast(fmt).tolist()
-            else:
-                digits = [
-                    int.from_bytes(buf[i : i + width], sys.byteorder, signed=True)
-                    for i in range(0, size, width)
-                ]
+            digits = _signed_digits(row, width, length)
             if sum(digits) != sums[xe]:
                 raise AssertionError(f"packed row of x^{xe} wrapped a digit")
             out.update(zip(zip(repeat(xe), ys), digits))
@@ -494,4 +526,4 @@ def q_quotient_coefficients(
 
 def q_quotient(numerator: Iterable[int], denominator: Iterable[int], var: str = "q") -> LaurentPoly:
     """q_quotient_coefficients as a LaurentPoly in var."""
-    return LaurentPoly(dict(enumerate(q_quotient_coefficients(numerator, denominator, var))), var)
+    return LaurentPoly.from_coefficients(q_quotient_coefficients(numerator, denominator, var), var)

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 from nilcone import kostka
 from nilcone.kostka import (
     KostkaTable,
-    _unpack,
     charge,
     compute_kostka_table,
     fake_degree_qhook,
@@ -235,21 +236,29 @@ class TestKostkaFoulkes:
                 for mu in partitions_of(n):
                     assert kostka_foulkes(lam, mu) == kostka_foulkes_charge(lam, mu), (lam, mu)
 
-    @given(
-        st.integers(min_value=2, max_value=40).flatmap(
-            lambda bits: st.tuples(
-                st.just(bits),
-                st.dictionaries(
-                    st.integers(min_value=0, max_value=30),
-                    st.integers(min_value=1 - 2 ** (bits - 1), max_value=2 ** (bits - 1) - 1),
-                ),
-            )
-        )
+    def test_unequal_sizes_raise(self):
+        for _ in range(2):  # a cold column of mu, then a memoised one
+            with pytest.raises(ValueError, match=r"equal sizes: \|\(2,1\)\| != \|\(2\)\|"):
+                kostka_foulkes(P((2, 1)), P((2,)))
+
+    @pytest.mark.parametrize(
+        "lam, mu, name",
+        [((2, 1), (2, 1), "tuple"), (P((2, 1)), (2, 1), "tuple"), ([3], P((2, 1)), "list")],
     )
-    def test_packed_polynomials_unpack_exactly(self, bits_terms):
-        bits, terms = bits_terms
-        packed = sum(c << (bits * e) for e, c in terms.items())
-        assert _unpack(packed, bits) == {e: c for e, c in terms.items() if c}
+    def test_non_partitions_raise_type_error(self, lam, mu, name):
+        with pytest.raises(TypeError, match=f"kostka_foulkes needs Partitions, not {name}$"):
+            kostka_foulkes(lam, mu)
+
+    def test_first_eight_byte_digit(self):
+        # 13! needs 33 bits, so n = 13 is the first column with 8-byte digits
+        assert [kostka._digit_bytes(factorial(n)) for n in (12, 13)] == [4, 8]
+        compute_kostka_table(13).check_invariants()
+
+    def test_digits_wider_than_eight_bytes(self):
+        # 21! needs 66 bits: 9-byte digits, decoded by int.from_bytes slices
+        assert kostka._digit_bytes(factorial(21)) == 9
+        assert kostka_foulkes(P((21,)), P((20, 1))) == LaurentPoly({1: 1})
+        assert kostka_foulkes(P((21,)), P((19, 1, 1))) == LaurentPoly({3: 1})
 
 
 def _doctor_inner_column(monkeypatch, mu, doctor):
@@ -280,6 +289,22 @@ class TestColumnTripwires:
         _doctor_inner_column(monkeypatch, (2, 2), lambda c: {(1, 1): LaurentPoly.one()})
         with pytest.raises(AssertionError, match="not dominating"):
             kostka_foulkes(P((2, 2)), P((2, 2)))
+
+    def test_column_sum(self, monkeypatch):
+        # doubling K[(2),(1,1)] keeps dominance, signs and K[mu,mu] = 1
+        _doctor_inner_column(
+            monkeypatch, (2, 1, 1), lambda c: {k: v * 2 if k == (2,) else v for k, v in c.items()}
+        )
+        with pytest.raises(AssertionError, match=r"sum of f\^lam K\[lam,\(2,1,1\)\]\(1\) is 18, not 12"):
+            kostka_foulkes(P((2, 1, 1)), P((2, 1, 1)))
+
+    def test_overflowing_digit(self, monkeypatch):
+        # K[lam,(1^11)] has a coefficient of 165, which one-byte digits cannot hold
+        monkeypatch.setattr(kostka, "_digit_bytes", lambda bound: 1)
+        mu = (1,) * 11
+        _doctor_inner_column(monkeypatch, mu, lambda c: c)
+        with pytest.raises(AssertionError, match=r"column \(1,1,1,1,1,1,1,1,1,1,1\): "):
+            kostka_foulkes(P(mu), P(mu))
 
 
 class TestFakeDegrees:

@@ -133,6 +133,11 @@ class TestLaurentBasics:
         assert L({3: 0, 1: 2}).terms == {1: 2}
         assert not (L({1: 1}) - L({1: 1}))
 
+    @given(coefficient_lists)
+    def test_from_coefficients_keeps_the_nonzero_terms(self, coeffs):
+        p = LaurentPoly.from_coefficients(coeffs, "q")
+        assert p.terms == L(dict(enumerate(coeffs))).terms and p.var == "q"
+
     def test_equality_ignores_variable_name(self):
         assert L({1: 1}).with_var("q") == L({1: 1})
 
@@ -320,6 +325,30 @@ class TestBiLaurent:
     def test_str(self):
         p = BiLaurentPoly({(2, -2): 1, (0, 0): 1})
         assert str(p) == "1 + x^2 y^-2"
+
+
+class TestSignedDigits:
+    """laurent._signed_digits, the one decoder of Kronecker-packed ints: 1,
+    2, 4 and 8 bytes go through memoryview.cast, 9 through int.from_bytes."""
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
+    @given(data=st.data())
+    def test_round_trip(self, width, data):
+        half = 1 << (8 * width - 1)
+        digit = st.one_of(st.sampled_from([0, 1, -1, half - 1, -half]), st.integers(-half, half - 1))
+        digits = data.draw(st.lists(digit, min_size=1, max_size=12))
+        value = sum(d << (8 * width * k) for k, d in enumerate(digits))
+        assert laurent._signed_digits(value, width, len(digits)) == digits
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
+    @given(data=st.data())
+    def test_top_coefficient_past_its_digit_trips(self, width, data):
+        half = 1 << (8 * width - 1)
+        lower = data.draw(st.lists(st.integers(-half, half - 1), max_size=5))
+        top = data.draw(st.one_of(st.integers(half, 4 * half), st.integers(-4 * half, -half - 1)))
+        value = sum(d << (8 * width * k) for k, d in enumerate(lower + [top]))
+        with pytest.raises(AssertionError, match="packed row overflows"):
+            laurent._signed_digits(value, width, len(lower) + 1)
 
 
 class TestTruncatedSeries:
