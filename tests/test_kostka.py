@@ -237,7 +237,7 @@ class TestKostkaFoulkes:
                     assert kostka_foulkes(lam, mu) == kostka_foulkes_charge(lam, mu), (lam, mu)
 
     def test_unequal_sizes_raise(self):
-        for _ in range(2):  # a cold column of mu, then a memoised one
+        for _ in range(2):  # the second call finds the column of mu memoised
             with pytest.raises(ValueError, match=r"equal sizes: \|\(2,1\)\| != \|\(2\)\|"):
                 kostka_foulkes(P((2, 1)), P((2,)))
 
