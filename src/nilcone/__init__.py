@@ -13,7 +13,6 @@ from .partitions import Partition, partitions_of
 from .tableaux import ssyt_enumerate, syt_enumerate, syt_major_index_genfun
 from .kostka import (
     CONVENTION_TAG,
-    KostkaTable,
     charge,
     compute_kostka_table,
     fake_degree_qhook,
@@ -56,7 +55,6 @@ __all__ = [
     "CONVENTION_TAG",
     "ClassDatum",
     "ExactDivisionError",
-    "KostkaTable",
     "LaurentPoly",
     "Partition",
     "ProudfootReport",

@@ -41,7 +41,6 @@ The opposite (cocharge) convention is deliberately not offered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, groupby, product
 from math import factorial, prod
@@ -301,81 +300,11 @@ def kostka_from_fake_degree(lam: Partition) -> LaurentPoly:
     return fd.substitute_power(-1).shift(top).with_var("t")
 
 
-@dataclass
-class KostkaTable:
-    """All Kostka-Foulkes polynomials for partitions of a fixed n.
-
-    Only nonzero entries are stored; an entry exists exactly when the shape
-    dominates the content.  check_invariants tells whether a table, however
-    it was built, is a plausible full table for n.
-    """
-
-    n: int
-    entries: dict[tuple[Partition, Partition], LaurentPoly] = field(default_factory=dict)
-
-    def lookup(self, lam: Partition, mu: Partition) -> LaurentPoly:
-        return self.entries.get((lam, mu), LaurentPoly.zero("t"))
-
-    def check_invariants(self) -> None:
-        """Raise ValueError unless the table is a plausible full table for
-        an int n: K[lam,lam] = 1; K[lam,mu] != 0 only when lam dominates
-        mu, and then monic of degree n(mu) - n(lam) with no negative
-        coefficient (charge counts tableaux); and for every mu,
-        sum_lam f^lam K[lam,mu](1) = n!/prod mu_i!.  The column count is
-        compared with p(n) first, so a crafted n costs no more than the
-        entries do."""
-        n = self.n
-        if type(n) is not int:  # True would pass as the table for n = 1
-            raise ValueError(f"table size n must be an int, not {n!r}")
-        nonzero = [(lam, mu, poly) for (lam, mu), poly in self.entries.items() if poly]
-        for lam, mu, _ in nonzero:
-            if lam.size != n or mu.size != n:
-                raise ValueError(f"entry K[{lam},{mu}] is not of size n={n}")
-        columns = len({mu for _, mu, _ in nonzero})
-        if columns != _partition_count(n, columns):
-            raise ValueError(f"table for n={n} has {columns} nonzero columns, not p({n})")
-        shapes = partitions_of(n)
-        n_stat = {p: p.n_stat() for p in shapes}
-        syt = {p: p.num_standard_tableaux() for p in shapes}
-        totals = dict.fromkeys(shapes, 0)
-        for lam, mu, poly in nonzero:
-            if not lam.dominates(mu):
-                raise ValueError(f"K[{lam},{mu}] != 0 but {lam} does not dominate {mu}")
-            top = n_stat[mu] - n_stat[lam]
-            if poly.degree != top or poly.coeff(top) != 1:
-                raise ValueError(f"K[{lam},{mu}] = {poly} is not monic of degree {top}")
-            if min(poly.terms.values()) < 0:
-                raise ValueError(f"K[{lam},{mu}] = {poly} has a negative coefficient")
-            totals[mu] += syt[lam] * sum(poly.terms.values())
-        for mu, total in totals.items():
-            if self.lookup(mu, mu) != 1:
-                raise ValueError(f"K[{mu},{mu}] = {self.lookup(mu, mu)}, not 1")
-            expected = factorial(n) // prod(factorial(p) for p in mu.parts)
-            if total != expected:
-                raise ValueError(f"sum of f^lam K[lam,{mu}](1) is {total}, not {expected}")
-
-
-def _partition_count(n: int, cap: int) -> int:
-    """p(n), or cap + 1 as soon as some p(k), k <= n, exceeds cap; p grows
-    like exp(sqrt(k)), so the loop stops after O(log(cap)**2) steps."""
-    at_most = [[1]]  # at_most[k][m]: partitions of k with no part above m
-    for k in range(1, n + 1):
-        row = [0]
-        for m in range(1, k + 1):
-            row.append(row[m - 1] + at_most[k - m][min(m, k - m)])
-        if row[k] > cap:
-            return cap + 1
-        at_most.append(row)
-    return at_most[n][n] if n >= 0 else 0
-
-
-def compute_kostka_table(n: int) -> KostkaTable:
-    """Compute every K[lam,mu] for lam, mu partitions of n (nonzero entries)."""
-    table = KostkaTable(n=n)
-    parts = partitions_of(n)
-    for lam in parts:
-        for mu in parts:
-            poly = kostka_foulkes(lam, mu)
-            if poly:
-                table.entries[(lam, mu)] = poly
-    return table
+def compute_kostka_table(n: int) -> dict[tuple[Partition, Partition], LaurentPoly]:
+    """Every nonzero K[lam,mu] for lam, mu partitions of n, keyed (lam, mu):
+    the memoised columns of kostka_foulkes, which hold exactly those."""
+    return {
+        (Partition(lam), mu): poly
+        for mu in partitions_of(n)
+        for lam, poly in _kostka_column(mu.parts).items()
+    }

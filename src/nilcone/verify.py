@@ -14,9 +14,10 @@ the command line can run them over user-chosen ranges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .kostka import (
+    compute_kostka_table,
     fake_degree_qhook,
     kostka_foulkes,
     kostka_foulkes_charge,
@@ -77,24 +78,51 @@ def _single(name: str, params: str, failures: list[str]) -> CheckResult:
     )
 
 
-def suite_counts(max_n: int = 8) -> list[CheckResult]:
-    """Total dimension of the bigraded flag series is |W|."""
+def _kostka_table_failures(n: int) -> list[str]:
+    """The table invariants of n, read through routes the Jing column does
+    not use (Partition.dominates, f^lam by the hook formula): K[mu,mu] = 1;
+    a nonzero K[lam,mu] has lam dominating mu and is monic of degree
+    n(mu) - n(lam) with no negative coefficient; and for every mu,
+    sum_lam f^lam K[lam,mu](1) = n!/prod mu_i! (Macdonald III.6)."""
+    table = compute_kostka_table(n)
+    syt = {p: p.num_standard_tableaux() for p in partitions_of(n)}
+    totals = dict.fromkeys(syt, 0)
     failures = []
+    for (lam, mu), poly in table.items():
+        top = mu.n_stat() - lam.n_stat()
+        if not lam.dominates(mu):
+            failures.append(f"K[{lam},{mu}] != 0 but {lam} does not dominate {mu}")
+        elif poly.degree != top or poly.coeff(top) != 1:
+            failures.append(f"K[{lam},{mu}] = {poly} is not monic of degree {top}")
+        elif min(poly.terms.values()) < 0:
+            failures.append(f"K[{lam},{mu}] = {poly} has a negative coefficient")
+        totals[mu] += syt[lam] * sum(poly.terms.values())
+    for mu, total in totals.items():
+        if table.get((mu, mu)) != 1:
+            failures.append(f"K[{mu},{mu}] = {table.get((mu, mu), 0)}, not 1")
+        expected = factorial(n) // prod(map(factorial, mu.parts))
+        if total != expected:
+            failures.append(f"sum of f^lam K[lam,{mu}](1) is {total}, not {expected}")
+    return failures
+
+
+def suite_counts(max_n: int = 8) -> list[CheckResult]:
+    """Total dimension of the bigraded flag series is |W|, and the Kostka
+    table of each n passes its invariants."""
+    failures, table_failures = [], []
     for n in range(1, max_n + 1):
         if pn_series(n).evaluate(1, 1) != factorial(n):
             failures.append(f"n={n}")
-    out = [_single("counts: pn(1,1) = n!", f"n <= {max_n}", failures)]
+        table_failures += _kostka_table_failures(n)
+    out = [
+        _single("counts: pn(1,1) = n!", f"n <= {max_n}", failures),
+        _single("counts: Kostka table invariants", f"n <= {max_n}", table_failures),
+    ]
     for family, rank in (("B", 2), ("B", 3), ("G2", 2), ("F4", 4)):
         wt = weyl_type(family, rank)
         value = pn_series_molien(wt).evaluate(1, 1)
-        out.append(
-            CheckResult(
-                name="counts: molien series at (1,1) = |W|",
-                params=f"{wt}",
-                passed=value == wt.order,
-                counterexample=None if value == wt.order else f"got {value}",
-            )
-        )
+        failures = [] if value == wt.order else [f"got {value}"]
+        out.append(_single("counts: molien series at (1,1) = |W|", f"{wt}", failures))
     return out
 
 
@@ -250,16 +278,9 @@ def suite_tables(max_n: int = 0) -> list[CheckResult]:
         wt = weyl_type(family, rank)
         order, reflections = enumeration_counts(wt)
         ok = order == wt.order and reflections == wt.num_positive_roots
-        out.append(
-            CheckResult(
-                name="tables: enumeration confirms degrees",
-                params=f"{wt}: |W|={order}, reflections={reflections}",
-                passed=ok,
-                counterexample=None
-                if ok
-                else f"expected |W|={wt.order}, N={wt.num_positive_roots}",
-            )
-        )
+        failures = [] if ok else [f"expected |W|={wt.order}, N={wt.num_positive_roots}"]
+        params = f"{wt}: |W|={order}, reflections={reflections}"
+        out.append(_single("tables: enumeration confirms degrees", params, failures))
     return out
 
 
@@ -277,8 +298,13 @@ SUITES = {
 
 
 def run_suite(suite: str, max_n: int | None = None) -> VerificationReport:
-    """Run one named suite, or all of them; max_n overrides each suite's
-    default range."""
+    """Run one named suite, or all of them; an int max_n >= 0 overrides
+    each suite's default range."""
+    if max_n is not None:
+        if type(max_n) is not int:  # True would run every suite at n <= 1
+            raise TypeError(f"max_n must be an int, not {type(max_n).__name__}")
+        if max_n < 0:
+            raise ValueError(f"max_n must be nonnegative, not {max_n}")
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:

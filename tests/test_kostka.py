@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilcone import kostka
+from nilcone import kostka, verify
 from nilcone.kostka import (
-    KostkaTable,
     charge,
     compute_kostka_table,
     fake_degree_qhook,
@@ -252,7 +251,7 @@ class TestKostkaFoulkes:
     def test_first_eight_byte_digit(self):
         # 13! needs 33 bits, so n = 13 is the first column with 8-byte digits
         assert [kostka._digit_bytes(factorial(n)) for n in (12, 13)] == [4, 8]
-        compute_kostka_table(13).check_invariants()
+        assert _table_check(13).passed
 
     def test_digits_wider_than_eight_bytes(self):
         # 21! needs 66 bits: 9-byte digits, decoded by int.from_bytes slices
@@ -339,65 +338,57 @@ class TestFakeDegrees:
         assert kostka_from_fake_degree(P((4,))).terms == {6: 1}
 
 
-class TestKostkaTable:
-    def test_compute_small(self):
-        table = compute_kostka_table(3)
-        assert table.n == 3
-        assert len(table.entries) == 6  # dominating pairs of n = 3
+def _table_check(max_n):
+    """The counts suite's check of the Kostka table invariants, n <= max_n."""
+    [check] = [c for c in verify.suite_counts(max_n) if c.name == "counts: Kostka table invariants"]
+    return check
 
-    def test_lookup_absent_is_zero(self):
-        table = compute_kostka_table(3)
-        assert not table.lookup(P((1, 1, 1)), P((3,)))
+
+class TestKostkaTable:
+    """The dict that compute_kostka_table returns, and the counts check of
+    its invariants."""
+
+    def test_compute_small(self):
+        assert len(compute_kostka_table(3)) == 6  # dominating pairs of n = 3
 
     def test_recomputation_is_identical(self):
-        a = compute_kostka_table(5)
-        b = compute_kostka_table(5)
-        assert a.entries == b.entries
+        assert compute_kostka_table(5) == compute_kostka_table(5)
 
     def test_n12_table_passes_the_load_invariants(self):
-        table = compute_kostka_table(12)
-        table.check_invariants()
+        assert _table_check(12).passed
 
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda t: t.entries[P((3, 1)), P((2, 1, 1))].terms.update({1: 2}), "sum of f"),
-            (lambda t: t.entries[P((3, 1)), P((2, 1, 1))].terms.update({2: 2}), "not monic"),
-            (lambda t: t.entries.update({(P((2, 2)), P((3, 1))): LaurentPoly.one()}), "does not dominate"),
-            (lambda t: t.entries.update({(P((2, 2)), P((2, 2))): LaurentPoly({0: 1, 1: 1})}), "not monic"),
+            (lambda t: t[P((3, 1)), P((2, 1, 1))].terms.update({1: 2}), "sum of f"),
+            (lambda t: t[P((3, 1)), P((2, 1, 1))].terms.update({2: 2}), "not monic"),
+            (lambda t: t.update({(P((2, 2)), P((3, 1))): LaurentPoly.one()}), "does not dominate"),
+            (lambda t: t.update({(P((2, 2)), P((2, 2))): LaurentPoly({0: 1, 1: 1})}), "not monic"),
             # 1 - t + t^2 keeps the column sum and the monic top term of t^2
             (
-                lambda t: t.entries.update({(P((4,)), P((2, 2))): LaurentPoly({0: 1, 1: -1, 2: 1})}),
+                lambda t: t.update({(P((4,)), P((2, 2))): LaurentPoly({0: 1, 1: -1, 2: 1})}),
                 "negative coefficient",
             ),
-            (lambda t: t.entries.pop((P((1, 1, 1, 1)), P((1, 1, 1, 1)))), "= 0, not 1"),
-            (lambda t: t.entries.pop((P((4,)), P((4,)))), "nonzero columns"),
-            (lambda t: t.entries.update({(P((3,)), P((3,))): LaurentPoly.one()}), "not of size"),
-            # sizes that are not ints; True would pass as the table for n = 1
-            (lambda t: vars(t).update(n=3.9), "n must be an int"),
-            (
-                lambda t: vars(t).update(n=True, entries={(P((1,)), P((1,))): LaurentPoly.one()}),
-                "n must be an int",
-            ),
+            (lambda t: t.pop((P((1, 1, 1, 1)), P((1, 1, 1, 1)))), "= 0, not 1"),
         ],
     )
-    def test_broken_tables_rejected_on_load(self, tamper, message):
-        """tamper(table) edits a copy of the n = 4 table, whose
-        check_invariants must then fail."""
-        table = compute_kostka_table(4)
-        table.entries = {k: LaurentPoly(dict(v.terms)) for k, v in table.entries.items()}
+    def test_broken_tables_rejected_on_load(self, monkeypatch, tamper, message):
+        """tamper(table) edits a copy of the n = 4 table, which the counts
+        check must then fail, naming the edited entry or its column.  The
+        copy never passes through the column's own tripwires."""
+        right = compute_kostka_table(4)
+        table = {k: LaurentPoly(dict(v.terms)) for k, v in right.items()}
         tamper(table)
-        with pytest.raises(ValueError, match=message):
-            table.check_invariants()
-
-    def test_crafted_size_rejected_without_enumerating(self):
-        n = 10**6
-        table = KostkaTable(n=n, entries={(P((n,)), P((n,))): LaurentPoly.one()})
-        with pytest.raises(ValueError, match="nonzero columns"):
-            table.check_invariants()
+        monkeypatch.setattr(
+            verify, "compute_kostka_table", lambda n: table if n == 4 else compute_kostka_table(n)
+        )
+        check = _table_check(4)
+        assert not check.passed
+        assert message in check.counterexample
+        [(lam, mu)] = [k for k in right.keys() | table.keys() if right.get(k) != table.get(k)]
+        assert f"K[{lam},{mu}]" in check.counterexample or f"K[lam,{mu}]" in check.counterexample
 
     def test_entries_are_stored_polynomials(self):
-        table = compute_kostka_table(4)
-        for (lam, mu), poly in table.entries.items():
+        for (lam, mu), poly in compute_kostka_table(4).items():
             assert isinstance(poly, LaurentPoly)
             assert lam.dominates(mu)

@@ -85,6 +85,17 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("nonsense")
 
+    @pytest.mark.parametrize("max_n", [True, 2.0, "3"])
+    def test_non_int_max_n_rejected(self, max_n):
+        """True is not 1: it would run every suite at n <= 1 and print n <= True."""
+        with pytest.raises(TypeError, match=f"max_n must be an int, not {type(max_n).__name__}$"):
+            run_suite("counts", max_n)
+
+    def test_negative_max_n_rejected(self):
+        """A negative range would pass every suite without checking anything."""
+        with pytest.raises(ValueError, match="max_n must be nonnegative, not -3"):
+            run_suite("counts", -3)
+
     def test_report_lines_have_status_and_overall(self):
         report = run_suite("proudfoot", max_n=3)
         lines = report.lines()
