@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd
 from operator import sub
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Monomials = tuple[tuple[str, ...], list[tuple[tuple[int, ...], int]]]
@@ -51,6 +51,18 @@ class ExactDivisionError(ArithmeticError):
 
 def _clean(terms: Mapping[int, int]) -> dict[int, int]:
     return {e: c for e, c in terms.items() if c != 0}
+
+
+def _power(value: Scalar, exponents: Iterable[int]) -> Callable[[int], Scalar]:
+    """e -> value ** e for the given exponents, exactly: in ints when every
+    such power is an int (value an int, and each e >= 0 or value 1 or -1,
+    where value ** e = value ** (e & 1)), in Fractions otherwise."""
+    if type(value) is int:  # a bool takes the Fraction route
+        if value in (1, -1):
+            return lambda e: value ** (e & 1)
+        if min(exponents, default=0) >= 0:
+            return value.__pow__
+    return Fraction(value).__pow__
 
 
 def _check_exponents(exponents: list[int]) -> None:
@@ -255,10 +267,10 @@ class LaurentPoly:
         return LaurentPoly({e + d: c for e, c in self.terms.items()}, self.var)
 
     def evaluate(self, value: Scalar) -> Scalar:
-        """Evaluate at an integer or Fraction, exactly."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * Fraction(value) ** e
+        """Evaluate at an integer or Fraction, exactly (in ints where _power
+        allows)."""
+        power = _power(value, self.terms)
+        total = sum(c * power(e) for e, c in self.terms.items())
         return int(total) if total.denominator == 1 else total
 
     __call__ = evaluate
@@ -406,9 +418,9 @@ class BiLaurentPoly:
         )
 
     def evaluate(self, xvalue: Scalar, yvalue: Scalar) -> Scalar:
-        total = Fraction(0)
-        for (xe, ye), c in self.terms.items():
-            total += c * Fraction(xvalue) ** xe * Fraction(yvalue) ** ye
+        xpower = _power(xvalue, (xe for xe, _ in self.terms))
+        ypower = _power(yvalue, (ye for _, ye in self.terms))
+        total = sum(c * xpower(xe) * ypower(ye) for (xe, ye), c in self.terms.items())
         return int(total) if total.denominator == 1 else total
 
     __call__ = evaluate

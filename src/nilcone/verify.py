@@ -271,8 +271,9 @@ _TABLE_TYPES = (
 
 
 def suite_tables(max_n: int = 0) -> list[CheckResult]:
-    """Degree tables versus explicit enumeration: element count = prod d_i
-    and reflection count = sum (d_i - 1)."""
+    """Degree tables versus the counts of enumeration_counts, taken from the
+    Cartan matrix: element count = prod d_i and reflection count =
+    sum (d_i - 1)."""
     out = []
     for family, rank in _TABLE_TYPES:
         wt = weyl_type(family, rank)

@@ -21,8 +21,8 @@ may merge true classes (e.g. both reflection classes of G2) without
 affecting any sum.
 
 weyl_type validates a degree table up to order 1200 by counting, with no
-class split: enumeration_counts counts the elements and the involutions of
-trace rank - 2 (the reflections).  A classical group expands
+element list: enumeration_counts multiplies orbit sizes of fundamental
+weights and halves the root closure.  A classical group expands
 prod (1 - q**d) once for all its graded characters, and pn_series_molien
 is computed once per group.
 """
@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
-from operator import getitem, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Iterator, Mapping
 
 from .laurent import BiLaurentPoly, LaurentPoly, q_quotient, q_quotient_coefficients
@@ -43,11 +43,11 @@ from .partitions import Partition, partitions_of
 EXCEPTIONAL_DEGREES = {"G2": (2, 6), "F4": (2, 6, 8, 12), "E6": (2, 5, 6, 8, 9, 12)}
 SUPPORTED_FAMILIES = ("A", "B", "C", "D", *EXCEPTIONAL_DEGREES)
 
-# weyl_type checks the degree table against enumeration up to this order
-# (F4 has 1152 elements); larger groups are looked up from the table alone.
+# weyl_type checks the degree table against enumeration_counts up to this
+# order (F4 has 1152 elements); larger groups are looked up from the table.
 _VALIDATED_ORDER = 1200
-# Enumeration holds every element at once: it stops at E6 (51840 elements),
-# the largest supported exceptional group.
+# enumeration_counts stops at E6 (51840 elements), the largest group the
+# class split enumerates.
 _ENUMERATED_ORDER = prod(EXCEPTIONAL_DEGREES["E6"])
 
 
@@ -91,8 +91,8 @@ def _degrees(family: str, rank: int) -> tuple[int, ...]:
 
 def weyl_type(family: str, rank: int) -> WeylType:
     """Look up a supported Weyl type; for groups of order up to 1200 the
-    degree table is validated against explicit enumeration (element count
-    and reflection count, enumeration_counts)."""
+    degree table is validated against the element and reflection counts of
+    enumeration_counts, taken from the Cartan matrix."""
     if type(family) is not str:
         raise TypeError(f"Weyl family must be a str, not {type(family).__name__}")
     if type(rank) is not int:  # bool is not a rank, and 2.0 would share 2's cache entry
@@ -103,15 +103,9 @@ def weyl_type(family: str, rank: int) -> WeylType:
 @lru_cache(maxsize=None)
 def _weyl_type(family: str, rank: int) -> WeylType:
     """The table entry, validated up to order 1200 by enumeration_counts:
-    |W| and its involutions of trace rank - 2 must be prod d_i and N."""
+    |W| and its number of reflections must be prod d_i and N."""
     degrees = _degrees(family, rank)
-    wt = WeylType(
-        family=family,
-        rank=rank,
-        degrees=degrees,
-        order=prod(degrees),
-        num_positive_roots=sum(d - 1 for d in degrees),
-    )
+    wt = WeylType(family, rank, degrees, prod(degrees), sum(d - 1 for d in degrees))
     if wt.order <= _VALIDATED_ORDER:
         counted, reflections = enumeration_counts(wt)
         if counted != wt.order or reflections != wt.num_positive_roots:
@@ -123,7 +117,7 @@ def _weyl_type(family: str, rank: int) -> WeylType:
 
 
 # ---------------------------------------------------------------------------
-# Root system from the Cartan matrix, and group enumeration.
+# Root system and group order from the Cartan matrix, and group enumeration.
 # ---------------------------------------------------------------------------
 
 
@@ -166,29 +160,32 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return c
 
 
-def _search(family: str, rank: int) -> tuple[list, list, list[int], list[tuple[int, int]]]:
-    """(roots, elements, right, tree): the roots, in the simple-root basis,
-    are the closure of the simple roots under the simple reflections.  Each
-    simple reflection becomes a permutation of root indices, so a group
-    element is a tuple (w[i] the index of w applied to roots[i]) and
-    composition is tuple indexing (operator.itemgetter).  W is enumerated
-    breadth first into a flat index table: right[k * rank + j] is the index
-    of elements[k] s_j, and tree[m] = (k, j) when elements[m] was found as
-    elements[k] s_j."""
-    cartan = _cartan_matrix(family, rank)
-
-    def reflect(j: int, v: tuple[int, ...]) -> tuple[int, ...]:
-        pairing = sum(v[i] * cartan[i][j] for i in range(rank))
-        return v[:j] + (v[j] - pairing,) + v[j + 1 :]
-
+def _root_system(cartan: list[list[int]]) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """(roots, gens): the roots, in the simple-root basis, are the closure
+    of the simple roots under the simple reflections, found breadth first,
+    and gens[j][k] is the index of s_j roots[k]."""
+    rank = len(cartan)
     roots = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
     index = {r: k for k, r in enumerate(roots)}
-    for v in roots:  # the list grows while it is read: a breadth-first search
-        for j in range(rank):
-            if (w := reflect(j, v)) not in index:
-                index[w] = len(roots)
+    gens: list[list[int]] = [[] for _ in range(rank)]
+    for v in roots:  # the list grows while it is read
+        for j, images in enumerate(gens):
+            w = v[:j] + (v[j] - sum(v[i] * cartan[i][j] for i in range(rank)),) + v[j + 1 :]
+            images.append(index.setdefault(w, len(roots)))
+            if images[-1] == len(roots):
                 roots.append(w)
-    gens = [[index[reflect(j, v)] for v in roots] for j in range(rank)]
+    return roots, gens
+
+
+def _search(family: str, rank: int) -> tuple[list, list, list[int], list[tuple[int, int]]]:
+    """(roots, elements, right, tree): each simple reflection of
+    _root_system becomes a permutation of root indices, so a group element
+    is a tuple (w[i] the index of w applied to roots[i]) and composition is
+    tuple indexing (operator.itemgetter).  W is enumerated breadth first
+    into a flat index table: right[k * rank + j] is the index of
+    elements[k] s_j, and tree[m] = (k, j) when elements[m] was found as
+    elements[k] s_j."""
+    roots, gens = _root_system(_cartan_matrix(family, rank))
     # itemgetter(*g)(w)[i] = w[g[i]]: composition w s_j, done in C.  An
     # element is fixed by its images w[:rank] of the simple roots, its key.
     steps = [(itemgetter(*g), itemgetter(*g[:rank])) for g in gens]
@@ -267,28 +264,29 @@ def _grouped_char_factors(family: str, rank: int) -> tuple[tuple[LaurentPoly, in
 
 
 def enumeration_counts(wt: WeylType) -> tuple[int, int]:
-    """(number of elements, number of reflections) by explicit enumeration,
-    with no class split: the reflections are the involutions of trace
-    rank - 2, the elements of order 2 with exactly one eigenvalue -1.
+    """(number of elements, number of reflections) from the Cartan matrix,
+    with no element list.  For J = {0..k} the stabilizer in W_J of the
+    fundamental weight w_k is W_(J - k) (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.12), so |W| is the product over k of the orbit sizes
+    |W_J w_k|; the reflections are the positive roots, half the root closure.
 
     Validates the degree table: the counts must equal prod(d_i) and
-    sum(d_i - 1) respectively.  Groups larger than E6 are refused.
-    """
+    sum(d_i - 1).  Groups larger than E6 are refused."""
     if wt.order > _ENUMERATED_ORDER:
         raise ValueError(
-            f"enumerating {wt} needs {wt.order} elements, more than the "
-            f"{_ENUMERATED_ORDER} of E6"
+            f"counting {wt} ({wt.order} elements) is refused above the {_ENUMERATED_ORDER} of E6"
         )
-    rank = wt.rank
-    roots, elements, _, _ = _search(wt.family, rank)
-    coordinate = list(zip(*roots))  # coordinate[j][k]: coordinate j of roots[k]
-    # tr(w) = sum_j coordinate j of w(a_j), and w**2 = 1 iff it fixes every a_j
-    reflections = sum(
-        1
-        for w in elements
-        if sum(map(getitem, coordinate, w)) == rank - 2 and all(w[w[j]] == j for j in range(rank))
-    )
-    return len(elements), reflections
+    cartan = _cartan_matrix(wt.family, wt.rank)
+    order = 1
+    for k in range(wt.rank):
+        # on weight coordinates s_j lam = lam - lam_j * (row j of the Cartan matrix)
+        orbit = [tuple(int(i == k) for i in range(wt.rank))]
+        for lam in orbit:  # the list grows while it is read; it stays short (27 in E6)
+            for j in range(k + 1):
+                if (mu := tuple(a - lam[j] * c for a, c in zip(lam, cartan[j]))) not in orbit:
+                    orbit.append(mu)
+        order *= len(orbit)
+    return order, len(_root_system(cartan)[0]) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import nilcone.weyl as weyl
 from nilcone.kostka import fake_degree_qhook
 from nilcone.laurent import BiLaurentPoly, ExactDivisionError, LaurentPoly
 from nilcone.partitions import Partition, partitions_of
+from nilcone.verify import _TABLE_TYPES
 from nilcone.weyl import (
     _class_characters,
     _conjugacy_classes,
@@ -126,9 +127,11 @@ class TestDegreeTableTripwire:
         for cached in (_weyl_type, _conjugacy_classes, _class_characters, _flag_series):
             cached.cache_clear()
 
-    # B3 with a simple last bond is A3 (24 elements); G2 with a double bond is B2 (8)
+    # B3 with a simple last bond is A3 (24 elements), G2 with a double bond
+    # is B2 (8), and F4 with a simple middle bond is A4 (120)
     @pytest.mark.parametrize(
-        "family,rank,i,j,bond", [("B", 3, 1, 2, (-1, -1)), ("G2", 2, 0, 1, (-1, -2))]
+        "family,rank,i,j,bond",
+        [("B", 3, 1, 2, (-1, -1)), ("G2", 2, 0, 1, (-1, -2)), ("F4", 4, 1, 2, (-1, -1))],
     )
     def test_a_wrong_bond_trips(self, monkeypatch, family, rank, i, j, bond):
         cartan = weyl._cartan_matrix
@@ -142,6 +145,14 @@ class TestDegreeTableTripwire:
         with pytest.raises(AssertionError, match="contradicts enumeration"):
             weyl_type(family, rank)
 
+    # G2 with degrees (3, 4) keeps |W| = 12 but claims 5 reflections, not 6;
+    # F4 with degrees (2, 6, 8, 10) claims 960 elements, not 1152
+    @pytest.mark.parametrize("family,degrees", [("G2", (3, 4)), ("F4", (2, 6, 8, 10))])
+    def test_a_wrong_degree_table_trips(self, monkeypatch, family, degrees):
+        monkeypatch.setitem(weyl.EXCEPTIONAL_DEGREES, family, degrees)
+        with pytest.raises(AssertionError, match="contradicts enumeration"):
+            weyl_type(family, len(degrees))
+
 
 class TestEnumeration:
     @pytest.mark.parametrize(
@@ -154,6 +165,13 @@ class TestEnumeration:
         order, reflections = enumeration_counts(wt)
         assert order == wt.order
         assert reflections == wt.num_positive_roots
+
+    @pytest.mark.parametrize(
+        "family,rank", [*_TABLE_TYPES, ("A", 5), ("C", 4), ("D", 2), ("D", 3)]
+    )
+    def test_orbit_count_matches_the_element_list(self, family, rank):
+        elements = weyl._search(family, rank)[1]
+        assert enumeration_counts(weyl_type(family, rank))[0] == len(elements)
 
     def test_e6_counts(self):
         assert enumeration_counts(weyl_type("E6", 6)) == (51840, 36)
