@@ -24,24 +24,26 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import asdict
 
 from . import __version__
-from .kostka import CONVENTION_TAG, fake_degree_qhook, kostka_foulkes, kostka_foulkes_charge
+from .kostka import CONVENTION_TAG
 from .laurent import LaurentPoly, TruncatedSeries, render
 from .partitions import Partition
-from .springer import (
-    hp0_slice_series,
-    hp0_walg_full_series,
-    ih_orbit_closure,
-    ih_s3_variety,
-    pn_series,
-    proudfoot_check,
-    springer_fiber_series,
-)
-from .verify import SUITES, run_suite
-from .weyl import EXCEPTIONAL_DEGREES, SUPPORTED_FAMILIES
-from .weyl import fake_degree_molien, pn_series_molien, sn_character_values, weyl_type
+
+# Each command imports the modules it runs when it runs.  So that the parser
+# needs neither weyl nor verify, its choices copy their tables (tested equal).
+_FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6")
+_SUITES = ("counts", "fake-degrees", "cone-series", "proudfoot", "fibers", "walg",
+           "weights", "socle", "tables")
+
+
+def __getattr__(name: str):
+    """nilcone.cli.run_suite is verify.run_suite, imported on first access."""
+    if name == "run_suite":
+        from .verify import run_suite
+
+        return run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -103,6 +105,8 @@ _FAKE_DEGREE_ROUTES = ("charge", "qhook", "molien")
 
 
 def _kostka(o: dict):
+    from .kostka import kostka_foulkes
+
     lam, mu = o["lambda"], o["mu"]
     if lam.size != mu.size:
         raise UsageError(f"|lambda| = {lam.size} and |mu| = {mu.size} differ")
@@ -110,15 +114,23 @@ def _kostka(o: dict):
 
 
 def _fake_degree(o: dict):
+    from .kostka import fake_degree_qhook, kostka_foulkes_charge
+
     lam = o["lambda"]
     n = lam.size
     top, ones = n * (n - 1) // 2, Partition((1,) * n)
+
+    def molien():
+        from .weyl import fake_degree_molien, sn_character_values, weyl_type
+
+        if n < 2:
+            return LaurentPoly.one("q")
+        return fake_degree_molien(weyl_type("A", n - 1), sn_character_values(lam))
+
     routes = {
         "charge": lambda: kostka_foulkes_charge(lam, ones).substitute_power(-1).shift(top).with_var("q"),
         "qhook": lambda: fake_degree_qhook(lam),
-        "molien": lambda: LaurentPoly.one("q") if n < 2 else fake_degree_molien(
-            weyl_type("A", n - 1), sn_character_values(lam)
-        ),
+        "molien": molien,
     }
     wanted = _FAKE_DEGREE_ROUTES if o["algorithm"] == "all" else (o["algorithm"],)
     values = {name: routes[name]() for name in wanted}
@@ -138,10 +150,14 @@ def _pn(o: dict):
     if o["n"] is not None:
         if o["n"] < 1:
             raise UsageError("--n must be at least 1")
+        from .springer import pn_series
+
         del o["type"], o["rank"]
         return pn_series(o["n"]).poly, 0
     if o["type"] is None:
         raise UsageError("give --n or --type")
+    from .weyl import EXCEPTIONAL_DEGREES, pn_series_molien, weyl_type
+
     del o["n"]
     if o["rank"] is None and o["type"] in EXCEPTIONAL_DEGREES:
         o["rank"] = len(EXCEPTIONAL_DEGREES[o["type"]])
@@ -151,12 +167,40 @@ def _pn(o: dict):
 
 
 def _walg(o: dict):
+    from .springer import hp0_walg_full_series
+
     if o["truncate"] < 0:
         raise UsageError("--truncate must be nonnegative")
     return hp0_walg_full_series(o["phi"], o["truncate"]), 0
 
 
+def _hp0(o: dict):
+    from .springer import hp0_slice_series
+
+    return hp0_slice_series(o["phi"]), 0
+
+
+def _ih(o: dict):
+    from .springer import ih_orbit_closure
+
+    return ih_orbit_closure(o["lambda"]), 0
+
+
+def _s3(o: dict):
+    from .springer import ih_s3_variety
+
+    return ih_s3_variety(o["nu"], o["phi"]), 0
+
+
+def _springer_fiber(o: dict):
+    from .springer import springer_fiber_series
+
+    return springer_fiber_series(o["phi"]).poly, 0
+
+
 def _proudfoot(o: dict):
+    from .springer import proudfoot_check
+
     lam, show = o["lambda"], _RENDERERS[o["format"]]
     report = proudfoot_check(lam)
     hp0, ih = show(report.hp0_series), show(report.ih_dual_series)
@@ -168,6 +212,10 @@ def _proudfoot(o: dict):
 
 
 def _verify(o: dict):
+    from dataclasses import asdict
+
+    from .verify import run_suite
+
     if o["max_n"] is not None and o["max_n"] < 0:
         raise UsageError("--max-n must be nonnegative")
     report = run_suite(o["suite"], o["max_n"])
@@ -197,36 +245,24 @@ COMMANDS = {
         "bigraded nilpotent-cone series",
         [
             ("--n", {**_INT, "help": "type A, per-partition sum"}),
-            ("--type", {"choices": SUPPORTED_FAMILIES, "help": "class-average route"}),
+            ("--type", {"choices": _FAMILIES, "help": "class-average route"}),
             ("--rank", _INT),
         ],
         _pn,
     ),
-    "hp0": (
-        "slice Poisson-homology series", [_PHI], lambda o: (hp0_slice_series(o["phi"]), 0)
-    ),
+    "hp0": ("slice Poisson-homology series", [_PHI], _hp0),
     "walg": (
         "full W-algebra series, truncated",
         [_PHI, ("--truncate", {**_INT, "required": True})],
         _walg,
     ),
-    "ih": (
-        "orbit-closure IH series", [_LAMBDA], lambda o: (ih_orbit_closure(o["lambda"]), 0)
-    ),
-    "s3": (
-        "orbit-closure slice IH series",
-        [("--nu", _PARTS), _PHI],
-        lambda o: (ih_s3_variety(o["nu"], o["phi"]), 0),
-    ),
-    "springer-fiber": (
-        "bigraded Springer-fiber series",
-        [_PHI],
-        lambda o: (springer_fiber_series(o["phi"]).poly, 0),
-    ),
+    "ih": ("orbit-closure IH series", [_LAMBDA], _ih),
+    "s3": ("orbit-closure slice IH series", [("--nu", _PARTS), _PHI], _s3),
+    "springer-fiber": ("bigraded Springer-fiber series", [_PHI], _springer_fiber),
     "proudfoot": ("slice/orbit duality check", [_LAMBDA], _proudfoot),
     "verify": (
         "identity verification suites",
-        [("--suite", {"choices": (*SUITES, "all"), "default": "all"}), ("--max-n", _INT)],
+        [("--suite", {"choices": (*_SUITES, "all"), "default": "all"}), ("--max-n", _INT)],
         _verify,
     ),
 }

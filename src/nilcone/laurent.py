@@ -34,14 +34,13 @@ down by d (written V[-d]) has its Hilbert series multiplied by var**d.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd
 from operator import sub
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
-Scalar = Union[int, Fraction]
+Scalar = "int | Fraction"  # an annotation: only _power imports fractions
 Monomials = tuple[tuple[str, ...], list[tuple[tuple[int, ...], int]]]
 
 
@@ -62,6 +61,8 @@ def _power(value: Scalar, exponents: Iterable[int]) -> Callable[[int], Scalar]:
             return lambda e: value ** (e & 1)
         if min(exponents, default=0) >= 0:
             return value.__pow__
+    from fractions import Fraction
+
     return Fraction(value).__pow__
 
 

@@ -18,22 +18,29 @@ a point.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .kostka import _kostka_column, kostka_foulkes, kostka_from_fake_degree
 from .laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries, divide_one_minus
 from .partitions import Partition, partitions_of
-from .weyl import weyl_type
 
 
-@dataclass(frozen=True)
 class BigradedSeries:
-    """A bivariate Hilbert series: x tracks homological degree, y weight."""
+    """A bivariate Hilbert series: x tracks homological degree, y weight.
+    Two series are equal when their polynomials are."""
 
-    poly: BiLaurentPoly
-    x_meaning: str = field(default="homological degree", compare=False)
-    y_meaning: str = field(default="weight", compare=False)
+    def __init__(self, poly: BiLaurentPoly, x_meaning="homological degree", y_meaning="weight"):
+        self.poly, self.x_meaning, self.y_meaning = poly, x_meaning, y_meaning
+
+    def __eq__(self, other):
+        return self.poly == other.poly if type(other) is BigradedSeries else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.poly)
+
+    def __repr__(self) -> str:
+        return f"BigradedSeries({self.poly!r})"
 
     def evaluate(self, xvalue, yvalue):
         return self.poly.evaluate(xvalue, yvalue)
@@ -42,8 +49,7 @@ class BigradedSeries:
         return str(self.poly)
 
 
-@dataclass(frozen=True)
-class ProudfootReport:
+class ProudfootReport(NamedTuple):
     """Both sides of the slice/orbit-closure duality check for one Jordan
     type: zeroth Poisson homology of the slice at lam versus intersection
     cohomology of the closed orbit of the transposed type."""
@@ -110,14 +116,13 @@ def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
 
         hp0_slice_series(phi) * prod_i (1 - y**(2 d_i))**-1,
 
-    with d_i the degrees for sl_n.  The filtered quantization has the same
-    series.  Every exponent is even (dim O_phi and 2 d_i are), so the
-    division runs in u = y**2, by 1 - u**d_i, on the even coefficients."""
-    n = phi.size
-    degrees = weyl_type("A", n - 1).degrees if n >= 2 else ()
+    with d_i = 2, ..., n the degrees for sl_n.  The filtered quantization
+    has the same series.  Every exponent is even (dim O_phi and 2 d_i are),
+    so the division runs in u = y**2, by 1 - u**d_i, on the even
+    coefficients."""
     series = TruncatedSeries.from_poly(hp0_slice_series(phi), truncation)
     coeffs = series.coefficients
-    coeffs[::2] = divide_one_minus(coeffs[::2], degrees)
+    coeffs[::2] = divide_one_minus(coeffs[::2], range(2, phi.size + 1))
     return series
 
 

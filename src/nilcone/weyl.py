@@ -84,8 +84,10 @@ def _degrees(family: str, rank: int) -> tuple[int, ...]:
         return tuple(2 * i for i in range(1, rank + 1))
     if family == "D" and rank >= 2:
         return tuple(sorted([2 * i for i in range(1, rank)] + [rank]))
-    if family in EXCEPTIONAL_DEGREES and len(EXCEPTIONAL_DEGREES[family]) == rank:
-        return EXCEPTIONAL_DEGREES[family]
+    if family in EXCEPTIONAL_DEGREES:  # the name carries the rank
+        if (named := len(EXCEPTIONAL_DEGREES[family])) == rank:
+            return EXCEPTIONAL_DEGREES[family]
+        raise ValueError(f"{family} has rank {named}, not {rank}")
     raise ValueError(f"unsupported Weyl type {family}{rank}")
 
 

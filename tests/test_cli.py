@@ -112,6 +112,10 @@ class TestPnCommand:
         assert code == 1
         assert "unsupported" in err
 
+    def test_exceptional_rank_mismatch_reported(self, capsys):
+        code, _, err = invoke(capsys, "pn", "--type", "G2", "--rank", "3")
+        assert (code, err) == (1, "error: G2 has rank 2, not 3\n")
+
     def test_e6(self, capsys):
         code, out, _ = invoke(capsys, "pn", "--type", "E6")
         assert code == 0
@@ -201,9 +205,9 @@ class TestOtherCommands:
         assert code == 1
 
     def test_fake_degree_disagreement_exits_two(self, capsys, monkeypatch):
-        import nilcone.cli as cli_module
+        import nilcone.kostka as kostka
 
-        monkeypatch.setattr(cli_module, "fake_degree_qhook", lambda lam: LaurentPoly.one("q"))
+        monkeypatch.setattr(kostka, "fake_degree_qhook", lambda lam: LaurentPoly.one("q"))
         code, out, err = invoke(capsys, "fake-degree", "--lambda", "2,1")
         assert code == 2
         assert out == ""
@@ -216,12 +220,12 @@ class TestOtherCommands:
         "error", [ExactDivisionError("(1 + y) does not divide y"), AssertionError("bad")]
     )
     def test_broken_invariant_exits_three(self, capsys, monkeypatch, error):
-        import nilcone.cli as cli_module
+        import nilcone.springer as springer
 
         def broken(phi):
             raise error
 
-        monkeypatch.setattr(cli_module, "hp0_slice_series", broken)
+        monkeypatch.setattr(springer, "hp0_slice_series", broken)
         code, out, err = invoke(capsys, "hp0", "--phi", "2,1")
         assert code == 3
         assert out == ""
@@ -322,3 +326,23 @@ def test_rendering_helpers_roundtrip():
         {(term["x"], term["y"]): int(term["coeff"]) for term in encoded["terms"]}
     )
     assert rebuilt == bi
+
+
+def test_parser_choices_match_the_library_tables():
+    """The parser reads literals so that building it imports neither weyl nor
+    verify; they must stay equal to the tables those modules define."""
+    import nilcone.cli as cli
+    import nilcone.verify as verify
+    import nilcone.weyl as weyl
+
+    assert cli._FAMILIES == weyl.SUPPORTED_FAMILIES
+    assert cli._SUITES == tuple(verify.SUITES)
+
+
+def test_run_suite_is_read_from_verify():
+    import nilcone.cli as cli
+    import nilcone.verify as verify
+
+    assert cli.run_suite is verify.run_suite
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name

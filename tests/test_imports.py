@@ -1,5 +1,6 @@
-"""No module imports a name it never reads, and the package imports a
-pinned set of standard-library modules.
+"""No module imports a name it never reads, the package imports a pinned
+set of standard-library modules, and a fresh process loads only the modules
+its query runs.
 
 A name counts as read if it appears as a Name node, or as a word inside a
 string constant (which covers __all__ and quoted annotations).  Only the
@@ -7,7 +8,9 @@ standard library is used, so the check runs wherever the tests do.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,12 +61,17 @@ def test_detector_sees_unread_and_read_names():
     assert unused_imports(source) == ["os (line 1)", "z (line 3)"]
 
 
-# Every standard-library module that src/nilcone imports when it loads.  The
-# set decides what `import nilcone` puts in sys.modules, and with it the
-# speed of a fresh process and the pace reference of perfbench/pace.py, so a
-# change to it has to be made here on purpose.
+# Every standard-library module that a module of src/nilcone imports when it
+# loads.  The set decides what the package's modules put in sys.modules, and
+# with it the speed of a fresh process and the pace reference of
+# perfbench/pace.py, so a change to it has to be made here on purpose.
+# `fractions` is imported only where a Fraction is built.  `dataclasses` stays,
+# in weyl and verify: library workers load it through weyl_type, and the pace
+# reference takes about 12.8 ms with it loaded against 8.8 ms without, so
+# dropping it would move paced kostka-table times by about 30% for no work
+# of their own.
 STDLIB_IMPORTS = {
-    "__future__", "argparse", "collections", "dataclasses", "fractions", "functools",
+    "__future__", "argparse", "collections", "dataclasses", "functools",
     "itertools", "json", "math", "operator", "sys", "time", "typing", "warnings",
 }
 
@@ -101,3 +109,47 @@ def test_import_reader_skips_function_bodies():
         "def f():\n    import gzip\n"
     )
     assert import_time_modules(source) == {"os.path", "json", "csv", "re"}
+
+
+def loaded_modules(statements: str) -> set[str]:
+    """sys.modules after running the statements in a fresh interpreter
+    started with -S, so that no .pth file of the host's site-packages adds
+    imports of its own."""
+    probe = f"import sys\n{statements}\nprint(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return set(done.stdout.splitlines()[-1].split())
+
+
+HEAVY = {"nilcone.weyl", "nilcone.springer", "nilcone.verify", "dataclasses", "fractions"}
+
+
+def test_import_nilcone_loads_no_submodule():
+    loaded = loaded_modules("import nilcone")
+    assert "nilcone" in loaded
+    assert {name for name in loaded if name.startswith("nilcone.")} == set()
+
+
+def test_import_cli_loads_no_heavy_module():
+    loaded = loaded_modules("import nilcone.cli")
+    assert "nilcone.cli" in loaded
+    assert loaded & HEAVY == set()
+
+
+def test_kostka_query_loads_no_heavy_module():
+    loaded = loaded_modules(
+        "from nilcone.cli import run\n"
+        "assert run(['kostka', '--lambda', '3,1', '--mu', '2,1,1', '--format', 'json']) == 0"
+    )
+    assert "nilcone.kostka" in loaded
+    assert loaded & HEAVY == set()
+
+
+def test_hp0_query_loads_neither_weyl_nor_verify():
+    loaded = loaded_modules(
+        "from nilcone.cli import run\nassert run(['hp0', '--phi', '3,2,1']) == 0"
+    )
+    assert "nilcone.springer" in loaded
+    assert loaded & {"nilcone.weyl", "nilcone.verify", "dataclasses"} == set()

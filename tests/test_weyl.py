@@ -118,6 +118,17 @@ class TestWeylType:
         with pytest.raises(ValueError):
             weyl_type("B", 1)
 
+    # an exceptional name already carries its rank, so G23 would be no type
+    @pytest.mark.parametrize(
+        "family,rank,message",
+        [("G2", 3, "G2 has rank 2, not 3"), ("F4", 2, "F4 has rank 4, not 2"),
+         ("E6", 7, "E6 has rank 6, not 7"), ("B", 1, "unsupported Weyl type B1"),
+         ("A", 0, "unsupported Weyl type A0")],
+    )
+    def test_rejection_message(self, family, rank, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            weyl_type(family, rank)
+
 
 class TestDegreeTableTripwire:
     @pytest.fixture(autouse=True)
