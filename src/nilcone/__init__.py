@@ -16,8 +16,8 @@ _EXPORTS = {
     "kostka": ("CONVENTION_TAG", "charge", "compute_kostka_table", "fake_degree_qhook",
                "kostka_foulkes", "kostka_foulkes_charge", "kostka_from_fake_degree"),
     "weyl": ("ClassDatum", "WeylType", "conjugacy_data", "enumeration_counts",
-             "fake_degree_molien", "mn_character", "molien_graded_character",
-             "pn_series_molien", "sn_character_values", "weyl_type"),
+             "fake_degree_molien", "mn_character", "pn_series_molien",
+             "sn_character_values", "weyl_type"),
     "springer": ("BigradedSeries", "ProudfootReport", "hp0_slice_series",
                  "hp0_walg_full_series", "ih_orbit_closure", "ih_s3_variety", "kostka_g",
                  "orbit_dim", "pn_series", "proudfoot_check", "slice_series_typeA_printed",

@@ -276,43 +276,6 @@ class LaurentPoly:
 
     __call__ = evaluate
 
-    def div_exact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient in the integer Laurent polynomial ring.
-
-        Raises ExactDivisionError unless other * q == self for some integer
-        Laurent polynomial q.  Used as a correctness tripwire: every
-        division performed by this package is exact by theorem, so a failure
-        means corrupted input or an upstream bug.
-        """
-        if not other.terms:
-            raise ExactDivisionError("division by the zero polynomial")
-        if not self.terms:
-            return LaurentPoly.zero(self.var)
-        bv = other.valuation
-        b0 = other.terms[bv]
-        hi = self.degree - other.degree
-        rem = dict(self.terms)
-        quot: dict[int, int] = {}
-        while rem:
-            v = min(rem)
-            e = v - bv
-            if e > hi:
-                raise ExactDivisionError(f"{other} does not divide {self}")
-            c, r = divmod(rem[v], b0)
-            if r:
-                raise ExactDivisionError(
-                    f"quotient of {self} by {other} is not integral"
-                )
-            quot[e] = c
-            for be, bc in other.terms.items():
-                ne = e + be
-                nc = rem.get(ne, 0) - c * bc
-                if nc:
-                    rem[ne] = nc
-                else:
-                    rem.pop(ne, None)
-        return LaurentPoly(quot, self.var)
-
     def monomials(self) -> Monomials:
         """Variable names and (exponents, coefficient) pairs, ascending."""
         return (self.var,), [((e,), c) for e, c in sorted(self.terms.items())]

@@ -8,23 +8,25 @@ Degrees here are the classical degrees d_i of the fundamental invariants
 need the doubled grading of invariants on the ambient Lie algebra write
 y**(2*d_i) explicitly.
 
-Class data comes from closed-form cycle-type combinatorics in the classical
-families, where det(1 - t w) = prod (1 - t**a) / prod (1 - t**b), and from
-explicit enumeration in the exceptional ones.  For D_n the classes are
-grouped by their ambient hyperoctahedral cycle type (some of those sets
-split into two true conjugacy classes, but det(1 - t w) and the class sums
-used here are constant on each set, which is all that any formula in this
-package consumes).  The exceptional groups are enumerated on index tables
-and split into true conjugacy classes, det(1 - t w) coming from traces of
-powers; only the returned class list groups them by det(1 - t w), which
-may merge true classes (e.g. both reflection classes of G2) without
-affecting any sum.
+Every class of every type is one row (label, size, a, b) of _class_rows,
+with det(1 - t w) = prod (1 - t**a) / prod (1 - t**b), so each graded
+character is one q-quotient.  In the classical families the rows come from
+closed-form cycle-type combinatorics.  For D_n the classes are grouped by
+their ambient hyperoctahedral cycle type (some of those sets split into two
+true conjugacy classes, but det(1 - t w) and the class sums used here are
+constant on each set, which is all that any formula in this package
+consumes).  The exceptional groups are enumerated on index tables and split
+into true conjugacy classes; w has finite order, so det(1 - t w) is a
+product of factors (1 - t**k)**e_k, and the e_k come from the traces of
+w**j for j up to ord(w).  Only the returned class list groups the true
+classes by (a, b), which may merge some (e.g. both reflection classes of
+G2) without affecting any sum.
 
 weyl_type validates a degree table up to order 1200 by counting, with no
 element list: enumeration_counts multiplies orbit sizes of fundamental
-weights and halves the root closure.  A classical group expands
-prod (1 - q**d) once for all its graded characters, and pn_series_molien
-is computed once per group.
+weights and halves the root closure.  Every group expands prod (1 - q**d)
+once for all its graded characters, and pn_series_molien is computed once
+per group.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .laurent import BiLaurentPoly, LaurentPoly, q_quotient, q_quotient_coefficients
@@ -68,9 +70,9 @@ class WeylType:
 @dataclass(frozen=True)
 class ClassDatum:
     """One conjugacy class (or a union of classes on which det(1 - t w) is
-    constant: an ambient cycle type in D_n, a characteristic polynomial in
+    constant: an ambient cycle type in D_n, the classes with one factor in
     the exceptional types): its size and the factor det(1 - t w) on the
-    reflection representation."""
+    reflection representation, prod (1 - t**a) / prod (1 - t**b) in t."""
 
     label: str
     size: int
@@ -206,8 +208,9 @@ def _search(family: str, rank: int) -> tuple[list, list, list[int], list[tuple[i
 
 
 @lru_cache(maxsize=None)
-def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int], ...]:
-    """The true conjugacy classes of W, each as (det(1 - t w), size).
+def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[tuple, tuple, int], ...]:
+    """The true conjugacy classes of W, each as (a, b, size) with
+    det(1 - t w) = prod (1 - t**a) / prod (1 - t**b).
 
     W comes from _search; left[k * rank + j], the index of s_j elements[k],
     is filled along its search tree.  The classes are the closures under
@@ -229,12 +232,14 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
                 if not classed[c := right[left[w * rank + j] * rank + j]]:
                     classed[c] = 1
                     orbit.append(c)
-        w = power = elements[rep]
-        sums = []
-        for _ in range(rank):  # tr(w**k) = sum_j coordinate j of w**k(a_j)
-            sums.append(sum(roots[power[j]][j] for j in range(rank)))
-            power = itemgetter(*w)(power)  # power w
-        classes.append((_det_from_power_sums(sums), len(orbit)))
+        power = elements[rep]
+        step, traces = itemgetter(*power), []
+        while True:  # tr(w**j) = sum_i coordinate i of w**j(a_i), j = 1..ord(w)
+            traces.append(sum(roots[power[i]][i] for i in range(rank)))
+            if power == elements[0]:
+                break
+            power = step(power)  # power w
+        classes.append((*_cyclotomic_exponents(traces, rank), len(orbit)))
     degrees = _degrees(family, rank)
     if len(elements) != prod(degrees) or len(roots) != 2 * sum(d - 1 for d in degrees):
         raise AssertionError(
@@ -244,25 +249,25 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[LaurentPoly, int],
     return tuple(classes)
 
 
-def _det_from_power_sums(sums: list[int]) -> LaurentPoly:
-    """det(1 - t w) of an integer r x r matrix w from its power sums
-    sums[k - 1] = tr(w**k), k = 1..r, by Newton's identities: the
-    coefficient of t**k is c_k = -(sum_i c_(k-i) tr(w**i)) / k, with
-    c_0 = 1, a division that must be exact."""
-    coeffs = [1]
-    for k in range(1, len(sums) + 1):  # c_(k-1) tr(w) + ... + c_0 tr(w**k)
-        c, remainder = divmod(-sum(map(mul, reversed(coeffs), sums)), k)
+def _cyclotomic_exponents(traces: list[int], rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(a, b) with det(1 - t w) = prod (1 - t**a) / prod (1 - t**b) for w of
+    finite order in GL_rank(Z), from traces[j - 1] = tr(w**j), j = 1..ord(w).
+
+    The characteristic polynomial of w is a product of cyclotomic factors
+    (Carter, Conjugacy classes in the Weyl group, 1972), so
+    det(1 - t w) = prod_k (1 - t**k)**e_k and tr(w**j) = sum_(k | j) k e_k:
+    k e_k = tr(w**k) - sum_(d | k, d < k) d e_d, a division that must be
+    exact, and the degree sum_k k e_k must be the rank."""
+    e = [0]  # e[k]; the 0 pads k = 0
+    for k, trace in enumerate(traces, 1):
+        e_k, remainder = divmod(trace - sum(d * e[d] for d in range(1, k) if k % d == 0), k)
         if remainder:
-            raise AssertionError(f"power sums {sums}: coefficient of t^{k} is not an integer")
-        coeffs.append(c)
-    return LaurentPoly(dict(enumerate(coeffs)), "t")
-
-
-def _grouped_char_factors(family: str, rank: int) -> tuple[tuple[LaurentPoly, int], ...]:
-    groups: Counter[LaurentPoly] = Counter()
-    for f, size in _conjugacy_classes(family, rank):
-        groups[f] += size
-    return tuple(sorted(groups.items(), key=lambda kv: sorted(kv[0].terms.items())))
+            raise AssertionError(f"traces {traces}: {k} e_{k} is not divisible by {k}")
+        e.append(e_k)
+    if sum(k * e_k for k, e_k in enumerate(e)) != rank:
+        raise AssertionError(f"traces {traces}: exponents {e[1:]} do not sum to the rank {rank}")
+    a = tuple(k for k, e_k in enumerate(e) for _ in range(e_k))
+    return a, tuple(k for k, e_k in enumerate(e) for _ in range(-e_k))
 
 
 def enumeration_counts(wt: WeylType) -> tuple[int, int]:
@@ -308,9 +313,20 @@ def _csv(parts: tuple[int, ...]) -> str:
     return ",".join(str(p) for p in parts)
 
 
-def _classical_classes(family: str, rank: int) -> Iterator[tuple[str, int, tuple, tuple]]:
-    """(label, size, a, b) for every class of type A, B, C or D, where
-    det(1 - t w) = prod (1 - t**a) / prod (1 - t**b)."""
+def _class_rows(family: str, rank: int) -> Iterator[tuple[str, int, tuple, tuple]]:
+    """(label, size, a, b) for every class of a supported type, where
+    det(1 - t w) = prod (1 - t**a) / prod (1 - t**b).  Types A-D read the
+    rows off cycle types; in G2, F4 and E6 the true classes of
+    _conjugacy_classes that share (a, b) make one row, labelled by
+    det(1 - t w) and ordered by its terms."""
+    if family in EXCEPTIONAL_DEGREES:
+        groups: Counter[tuple[tuple, tuple]] = Counter()
+        for a, b, size in _conjugacy_classes(family, rank):
+            groups[a, b] += size
+        factors = {ab: q_quotient(*ab, "t") for ab in groups}
+        for ab in sorted(groups, key=lambda ab: sorted(factors[ab].terms.items())):
+            yield str(factors[ab]), groups[ab], *ab
+        return
     if family == "A":
         n = rank + 1
         for mu in partitions_of(n):
@@ -331,61 +347,41 @@ def _classical_classes(family: str, rank: int) -> Iterator[tuple[str, int, tuple
 
 
 def conjugacy_data(wt: WeylType) -> list[ClassDatum]:
-    """Complete class list with sizes and det(1 - t w) factors.
+    """Complete class list with sizes and det(1 - t w) factors, one per row
+    (label, size, a, b) of _class_rows, in its order.
 
     See the module docstring for the grouping caveats in type D and in the
-    enumerated exceptional types.
+    enumerated exceptional types, whose factors come from traces of w**j up
+    to ord(w).
     """
-    if wt.family in EXCEPTIONAL_DEGREES:  # enumerate and group by det(1 - t w)
-        return [
-            ClassDatum(label=str(f), size=count, char_factor=f)
-            for f, count in _grouped_char_factors(wt.family, wt.rank)
-        ]
     return [
-        ClassDatum(label, size, q_quotient(num, den, "t"))
-        for label, size, num, den in _classical_classes(wt.family, wt.rank)
+        ClassDatum(label, size, q_quotient(a, b, "t"))
+        for label, size, a, b in _class_rows(wt.family, wt.rank)
     ]
-
-
-def molien_graded_character(wt: WeylType, cd: ClassDatum) -> LaurentPoly:
-    """Graded character of the coinvariant algebra at the class cd:
-
-        f_cd(q) = prod_i (1 - q**d_i) / det(1 - q w).
-
-    Always an honest polynomial of degree N with constant term 1 (the
-    division is a correctness tripwire)."""
-    f = q_quotient(wt.degrees, ()).div_exact(cd.char_factor)
-    if f.degree != wt.num_positive_roots or f.coeff(0) != 1:
-        raise AssertionError(f"malformed graded character for class {cd.label}")
-    return f
 
 
 @lru_cache(maxsize=None)
 def _class_characters(family: str, rank: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
-    """(label, size, coefficients of f_c) for every class, computed once per
-    group; callers pass B for C, as B_n and C_n are one group with one class
-    list.  The graded characters are kept as coefficient tuples, which are
-    compact and immutable, so no caller can alter the cache.  A classical
-    f_c is one q-quotient of the group's prod (1 - q**d), expanded once,
-    checked as in molien_graded_character."""
+    """(label, size, coefficients of f_c) for every class, once per group
+    (see _group): f_c(q) = prod_i (1 - q**d_i) / det(1 - q w), the graded
+    character of the coinvariant algebra at c, is one q-quotient of the
+    group's prod (1 - q**d), expanded once.  The division must be exact, of
+    degree N with constant term 1, or the class data is wrong.  Coefficient
+    tuples are immutable, so no caller can alter the cache."""
     wt = weyl_type(family, rank)
-    out = []
-    if family in EXCEPTIONAL_DEGREES:
-        for cd in conjugacy_data(wt):
-            f = molien_graded_character(wt, cd)
-            out.append((cd.label, cd.size, tuple(f.coeff(e) for e in range(f.degree + 1))))
-        return tuple(out)
     degree_product = q_quotient_coefficients(wt.degrees, ())
-    for label, size, num, den in _classical_classes(family, rank):
-        f = q_quotient_coefficients(den, num, base=degree_product)  # / det(1 - q w)
+    out = []
+    for label, size, a, b in _class_rows(family, rank):
+        f = q_quotient_coefficients(b, a, base=degree_product)  # / det(1 - q w)
         if len(f) != wt.num_positive_roots + 1 or f[0] != 1:
             raise AssertionError(f"malformed graded character for class {label}")
         out.append((label, size, tuple(f)))
     return tuple(out)
 
 
-def _classes_of(wt: WeylType) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
-    return _class_characters("B" if wt.family == "C" else wt.family, wt.rank)
+def _group(wt: WeylType) -> tuple[str, int]:
+    """The cache key of wt: B_n and C_n share one group and its caches."""
+    return "B" if wt.family == "C" else wt.family, wt.rank
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +442,7 @@ def fake_degree_molien(
 
     The average must clear |W| exactly and land on nonnegative integers;
     anything else means the supplied values are not a character."""
-    classes = _classes_of(wt)
+    classes = _class_characters(*_group(wt))
     missing = [label for label, _, _ in classes if label not in character_values]
     if missing:
         raise ValueError(f"character values missing for classes: {missing}")
@@ -488,7 +484,7 @@ def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
     because sum_chi FD_chi(a) FD_chi(b) class-averages f(a) f(b) for real
     characters.  Computed once per group (B_n and C_n are one); every call
     returns a fresh copy."""
-    return BiLaurentPoly(_flag_series("B" if wt.family == "C" else wt.family, wt.rank))
+    return BiLaurentPoly(_flag_series(*_group(wt)))
 
 
 @lru_cache(maxsize=None)

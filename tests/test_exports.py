@@ -2,8 +2,9 @@ import pytest
 
 import nilcone
 
-# The export list as it stood when the package became lazy; it changes only
-# on purpose.
+# The export list as it stood when the package became lazy, less
+# molien_graded_character (removed with LaurentPoly.div_exact); it changes
+# only on purpose.
 EXPORTS = [
     "BiLaurentPoly", "BigradedSeries", "CONVENTION_TAG", "ClassDatum",
     "ExactDivisionError", "LaurentPoly", "Partition", "ProudfootReport",
@@ -11,7 +12,7 @@ EXPORTS = [
     "conjugacy_data", "enumeration_counts", "fake_degree_molien",
     "fake_degree_qhook", "hp0_slice_series", "hp0_walg_full_series",
     "ih_orbit_closure", "ih_s3_variety", "kostka_foulkes", "kostka_foulkes_charge",
-    "kostka_from_fake_degree", "kostka_g", "mn_character", "molien_graded_character",
+    "kostka_from_fake_degree", "kostka_g", "mn_character",
     "orbit_dim", "partitions_of", "pn_series", "pn_series_molien", "proudfoot_check",
     "slice_series_typeA_printed", "sn_character_values", "springer_fiber_series",
     "ssyt_enumerate", "syt_enumerate", "syt_major_index_genfun", "weyl_type",

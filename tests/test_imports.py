@@ -43,6 +43,24 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
+def bare_asserts(source: str) -> list[int]:
+    """Lines of the assert statements in a source: python -O strips them, so
+    a tripwire must raise instead."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.parent.name == "nilcone"], ids=lambda p: p.name
+)
+def test_no_bare_assert_in_the_package(path):
+    assert bare_asserts(path.read_text()) == []
+
+
+def test_assert_finder_sees_statements_not_raises():
+    source = "assert x\nraise AssertionError('y')\ndef f():\n    assert y, 'z'\n"
+    assert bare_asserts(source) == [1, 4]
+
+
 def test_sources_found():
     assert ROOT / "tests" / "test_imports.py" in SOURCES
     assert ROOT / "src" / "nilcone" / "laurent.py" in SOURCES

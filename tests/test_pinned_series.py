@@ -10,8 +10,9 @@ The q-hook fake degrees are pinned per n, one digest over every lam of n,
 as they were before the q-hook moved onto the dense quotient q_quotient.
 
 The exceptional class data, the multiset of (det(1 - t w), class size) of
-_grouped_char_factors, was pinned while det(1 - t w) still came from
-Faddeev-LeVerrier, before it moved to traces of powers.
+conjugacy_data, was pinned while det(1 - t w) still came from
+Faddeev-LeVerrier, before it moved to traces of powers and then to
+cyclotomic exponents read from the traces up to ord(w).
 """
 
 import hashlib
@@ -21,7 +22,7 @@ import pytest
 from nilcone.kostka import fake_degree_qhook
 from nilcone.partitions import Partition, partitions_of
 from nilcone.springer import springer_fiber_series
-from nilcone.weyl import _grouped_char_factors, pn_series_molien, weyl_type
+from nilcone.weyl import conjugacy_data, pn_series_molien, weyl_type
 
 MOLIEN = {
     ("B", 2): "064f8df29de77f325f44831c7ed574eadd2079e2",
@@ -117,8 +118,8 @@ def test_mutating_a_molien_series_leaves_the_next_one_intact():
 
 @pytest.mark.parametrize("family,rank", list(CLASS_FACTORS))
 def test_exceptional_class_factors_pinned(family, rank):
-    groups = _grouped_char_factors(family, rank)
-    rows = sorted((sorted(f.terms.items()), size) for f, size in groups)
+    classes = conjugacy_data(weyl_type(family, rank))
+    rows = sorted((sorted(cd.char_factor.terms.items()), cd.size) for cd in classes)
     assert hashlib.sha1(repr(rows).encode()).hexdigest() == CLASS_FACTORS[family, rank]
 
 

@@ -5,21 +5,19 @@ import pytest
 
 import nilcone.weyl as weyl
 from nilcone.kostka import fake_degree_qhook
-from nilcone.laurent import BiLaurentPoly, ExactDivisionError, LaurentPoly
+from nilcone.laurent import BiLaurentPoly, ExactDivisionError, LaurentPoly, q_quotient
 from nilcone.partitions import Partition, partitions_of
 from nilcone.verify import _TABLE_TYPES
 from nilcone.weyl import (
     _class_characters,
     _conjugacy_classes,
-    _det_from_power_sums,
+    _cyclotomic_exponents,
     _flag_series,
-    _grouped_char_factors,
     _weyl_type,
     conjugacy_data,
     enumeration_counts,
     fake_degree_molien,
     mn_character,
-    molien_graded_character,
     pn_series_molien,
     sn_character_values,
     weyl_type,
@@ -203,29 +201,42 @@ class TestEnumeration:
         [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("D", 4)],
     )
     def test_enumeration_matches_closed_form_classes(self, family, rank):
-        closed_form: dict[LaurentPoly, int] = {}
+        closed_form: Counter[LaurentPoly] = Counter()
         for cd in conjugacy_data(weyl_type(family, rank)):
-            closed_form[cd.char_factor] = closed_form.get(cd.char_factor, 0) + cd.size
-        assert dict(_grouped_char_factors(family, rank)) == closed_form
+            closed_form[cd.char_factor] += cd.size
+        enumerated: Counter[LaurentPoly] = Counter()
+        for a, b, size in _conjugacy_classes(family, rank):
+            enumerated[q_quotient(a, b, "t")] += size
+        assert enumerated == closed_form
 
 
 class TestPowerSums:
+    """The traces tr(w**j) are the power sums of the eigenvalues of w."""
+
     @pytest.mark.parametrize(
-        "sums,terms",
+        "sums,rank,a,b",
         [
-            ([3, 3, 3], {0: 1, 1: -3, 2: 3, 3: -1}),  # the identity of rank 3
-            ([-2, 2], {0: 1, 1: 2, 2: 1}),  # -1 in rank 2
-            ([-1, -1], {0: 1, 1: 1, 2: 1}),  # a rotation of order 3
-            ([], {0: 1}),
+            pytest.param([3], 3, (1, 1, 1), (), id="identity"),  # of rank 3
+            pytest.param([-2, 2], 2, (2, 2), (1, 1), id="minus-one"),  # (1 + t)**2 in rank 2
+            pytest.param([-1, -1, 2], 2, (3,), (1,), id="order-3"),  # 1 + t + t**2
+            pytest.param([1, -1, -2, -1, 1, 2], 2, (1, 6), (2, 3), id="order-6"),  # 1 - t + t**2
+            pytest.param([0], 0, (), (), id="rank-0"),
         ],
     )
-    def test_newton_identities(self, sums, terms):
-        assert _det_from_power_sums(sums).terms == terms
+    def test_cyclotomic_exponents(self, sums, rank, a, b):
+        assert _cyclotomic_exponents(sums, rank) == (a, b)
 
     @pytest.mark.parametrize("sums", [[1, 0], [0, 1], [2, 2, 1]])
     def test_power_sums_of_no_integer_matrix_rejected(self, sums):
-        with pytest.raises(AssertionError, match="not an integer"):
-            _det_from_power_sums(sums)
+        with pytest.raises(AssertionError, match="is not divisible by"):
+            _cyclotomic_exponents(sums, 2)
+
+    # each k e_k is an integer multiple of k, but the degree sum_k k e_k is
+    # not the rank
+    @pytest.mark.parametrize("sums,rank", [([3], 2), ([2], 3), ([0, 2], 3), ([-2, 2], 3)])
+    def test_exponents_off_the_rank_rejected(self, sums, rank):
+        with pytest.raises(AssertionError, match="do not sum to the rank"):
+            _cyclotomic_exponents(sums, rank)
 
 
 class TestConjugacyData:
@@ -288,24 +299,23 @@ class TestConjugacyData:
 
 
 class TestMolienGradedCharacter:
+    """The graded characters f_c = prod (1 - q**d_i) / det(1 - q w) that
+    _class_characters keeps as coefficient tuples."""
+
     def test_s2_identity(self):
-        wt = weyl_type("A", 1)
-        identity = next(c for c in conjugacy_data(wt) if c.label == "1,1")
-        assert molien_graded_character(wt, identity).terms == {0: 1, 1: 1}
+        assert ("1,1", 1, (1, 1)) in _class_characters("A", 1)
 
     def test_s2_reflection(self):
-        wt = weyl_type("A", 1)
-        refl = next(c for c in conjugacy_data(wt) if c.label == "2")
-        assert molien_graded_character(wt, refl).terms == {0: 1, 1: -1}
+        assert ("2", 1, (1, -1)) in _class_characters("A", 1)
 
     @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G2", 2), ("F4", 4)])
     def test_identity_gives_group_order_at_one(self, family, rank):
         wt = weyl_type(family, rank)
         identity_factor = one_minus_power(1, wt.rank)
-        for cd in conjugacy_data(wt):
-            f = molien_graded_character(wt, cd)
-            expected = wt.order if cd.char_factor == identity_factor else 0
-            assert f.evaluate(1) == expected
+        rows = _class_characters(family, rank)
+        for cd, (label, _, coeffs) in zip(conjugacy_data(wt), rows, strict=True):
+            assert label == cd.label
+            assert sum(coeffs) == (wt.order if cd.char_factor == identity_factor else 0)
 
 
 class TestClassCharacters:
@@ -319,25 +329,30 @@ class TestClassCharacters:
         "family,rank",
         [("A", r) for r in range(1, 8)]
         + [("B", r) for r in range(2, 8)]
-        + [("D", r) for r in range(3, 8)],
+        + [("D", r) for r in range(3, 8)]
+        + [("G2", 2), ("F4", 4), ("E6", 6)],
     )
-    def test_dense_quotients_match_the_div_exact_route(self, family, rank):
+    def test_dense_quotients_multiply_back(self, family, rank):
+        # f_c * det(1 - q w) = prod (1 - q**d_i), by LaurentPoly.__mul__
         wt = weyl_type(family, rank)
-        route = []
-        for cd in conjugacy_data(wt):
-            f = molien_graded_character(wt, cd)
-            route.append((cd.label, cd.size, tuple(f.coeff(e) for e in range(f.degree + 1))))
-        assert _class_characters(family, rank) == tuple(route)
+        degree_product = LaurentPoly.one("q")
+        for d in wt.degrees:
+            degree_product = degree_product * LaurentPoly({0: 1, d: -1}, "q")
+        rows = _class_characters(family, rank)
+        for cd, (label, size, coeffs) in zip(conjugacy_data(wt), rows, strict=True):
+            assert (label, size) == (cd.label, cd.size)
+            det = LaurentPoly(cd.char_factor.terms, "q")
+            assert LaurentPoly.from_coefficients(coeffs, "q") * det == degree_product
 
-    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4)])
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("G2", 2), ("F4", 4)])
     def test_a_dropped_denominator_part_trips(self, monkeypatch, family, rank):
-        classes = weyl._classical_classes
+        classes = weyl._class_rows
 
         def wrong(family, rank):
             for label, size, num, den in classes(family, rank):
                 yield label, size, num, den[1:]
 
-        monkeypatch.setattr(weyl, "_classical_classes", wrong)
+        monkeypatch.setattr(weyl, "_class_rows", wrong)
         with pytest.raises((ExactDivisionError, AssertionError)):
             _class_characters(family, rank)
 
