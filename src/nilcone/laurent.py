@@ -13,18 +13,20 @@ slice subtraction per numerator factor, then the strided prefix sums of
 divide_one_minus, with no dict polynomial until the end.
 Fake degrees, Weyl-group class factors and Molien numerators all take it.
 
-Bivariate polynomials are built only as sums of products f(x) * g(y), by
+Bivariate polynomials are sums of products f(x) * g(y): built by
 BiLaurentPoly.sum_of_products, which packs each g(y) into one int
-(Kronecker substitution) and sums one packed row per x-exponent; they have
-no ring arithmetic, only shifts, specializations and evaluation.
+(Kronecker substitution) and sums one packed row per x-exponent, or, for
+the Molien flag series, from packed rows in weyl.py.  They have no ring
+arithmetic, only shifts, specializations and evaluation.
 
 One decoder, _signed_digits, serves every Kronecker-packed int: the rows
-of sum_of_products and the t -> 2**bits entries of the Jing column in
-kostka.py.  It decodes in C: an XOR with the digit offset leaves
-two's-complement digits, which memoryview.cast reads from the value's
-bytes in native byte order at 1, 2, 4 or 8 bytes a digit (int.from_bytes
-slices for wider digits), and a value its digits cannot hold raises
-AssertionError.  The caller sizes the digit (_digit_bytes) from a bound
+of sum_of_products, the t -> 2**bits entries of the Jing column in
+kostka.py, and the Molien class sums of weyl.py (each fake degree and
+each row of the flag series).  It decodes in C: an XOR with the digit
+offset leaves two's-complement digits, which memoryview.cast reads from
+the value's bytes in native byte order at 1, 2, 4 or 8 bytes a digit
+(int.from_bytes slices for wider digits), and a value its digits cannot
+hold raises AssertionError.  The caller sizes the digit (_digit_bytes) from a bound
 on the coefficients it packs.
 
 Grading convention used across the package: a graded vector space shifted

@@ -25,8 +25,16 @@ G2) without affecting any sum.
 weyl_type validates a degree table up to order 1200 by counting, with no
 element list: enumeration_counts multiplies orbit sizes of fundamental
 weights and halves the root closure.  Every group expands prod (1 - q**d)
-once for all its graded characters, and pn_series_molien is computed once
-per group.
+once for all its graded characters f_c and packs each into one int
+F_c = sum_i f_c[i] 2**(8 * width * i), with the digit width set from a
+coefficient bound by laurent._digit_bytes (Kronecker substitution).  A
+class sum is then one big-int sum of the F_c, decoded by
+laurent._signed_digits: sum_c size_c chi(c) F_c for a fake degree, and
+sum_c (size_c f_c[i]) F_c for row i of the flag series, which is computed
+once per group.  Only its rows i <= N/2 are summed, and row N - i is row i
+reversed.  That is exact: each f_c is a quotient of factors (1 - q**k) of
+degree N (checked), so q**N f_c(1/q) = +-f_c(q), and class data that
+passes that check, right or wrong, gives a symmetric sum.
 """
 
 from __future__ import annotations
@@ -35,10 +43,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
-from operator import itemgetter
+from operator import itemgetter, lshift, mul
 from typing import Iterator, Mapping
 
-from .laurent import BiLaurentPoly, LaurentPoly, q_quotient, q_quotient_coefficients
+from .laurent import BiLaurentPoly, LaurentPoly, _digit_bytes, _signed_digits
+from .laurent import q_quotient, q_quotient_coefficients
 from .partitions import Partition, partitions_of
 
 # Fundamental degrees of the exceptional types; the rank is their number.
@@ -379,8 +388,36 @@ def _class_characters(family: str, rank: int) -> tuple[tuple[str, int, tuple[int
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _packed_classes(family: str, rank: int) -> tuple[int, tuple, tuple, tuple]:
+    """(width, packs, heights, at_one) in the order of _class_characters:
+    F_c, max|f_c[i]| and f_c(1).  The one cached width is the flag series',
+    whose entries are at most sum_c size_c max|f_c|**2."""
+    classes = _class_characters(family, rank)
+    heights = tuple(max(map(abs, f)) for _, _, f in classes)
+    width = _digit_bytes(sum(size * h * h for (_, size, _), h in zip(classes, heights)))
+    packs = tuple(_pack(f, width) for _, _, f in classes)
+    return width, packs, heights, tuple(sum(f) for _, _, f in classes)
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    bits = 8 * width
+    return sum(map(lshift, coeffs, range(0, bits * len(coeffs), bits)))
+
+
+def _merged_classes(family: str, rank: int) -> list[list]:
+    """[size, f_c, F_c, f_c(1)] per distinct f_c, summing the sizes that share it."""
+    merged: dict[tuple[int, ...], list] = {}
+    _, packs, _, at_one = _packed_classes(family, rank)
+    for (_, size, f), packed, f1 in zip(_class_characters(family, rank), packs, at_one):
+        merged.setdefault(f, [0, f, packed, f1])[0] += size
+    return list(merged.values())
+
+
 def _group(wt: WeylType) -> tuple[str, int]:
     """The cache key of wt: B_n and C_n share one group and its caches."""
+    if not isinstance(wt, WeylType):
+        raise TypeError(f"expected a WeylType (see weyl_type), not {type(wt).__name__}")
     return "B" if wt.family == "C" else wt.family, wt.rank
 
 
@@ -438,40 +475,44 @@ def fake_degree_molien(
     wt: WeylType, character_values: Mapping[str, int]
 ) -> LaurentPoly:
     """Graded multiplicity of the character in the coinvariant algebra, by
-    class averaging:  (1/|W|) sum_c size_c * chi(c) * f_c(q).
+    class averaging:  (1/|W|) sum_c size_c * chi(c) * f_c(q), one packed sum
+    with digits up to sum_c |size_c chi(c)| max|f_c| (a chi that needs wider
+    digits than the group's packs its classes anew, uncached).  The digits
+    must total sum_c size_c chi(c) f_c(1) = |W| chi(1), or one wrapped.
 
     The average must clear |W| exactly and land on nonnegative integers;
     anything else means the supplied values are not a character."""
-    classes = _class_characters(*_group(wt))
+    group = _group(wt)
+    if not isinstance(character_values, Mapping):
+        kind = type(character_values).__name__
+        raise TypeError(f"character values must be a Mapping of class labels, not {kind}")
+    classes = _class_characters(*group)
     missing = [label for label, _, _ in classes if label not in character_values]
     if missing:
         raise ValueError(f"character values missing for classes: {missing}")
     unknown = sorted(set(character_values) - {label for label, _, _ in classes})
     if unknown:
         raise ValueError(f"character values given for no class of {wt}: {unknown}")
-    acc = [0] * (wt.num_positive_roots + 1)  # every f_c has degree N
-    for label, size, coeffs in classes:
+    weights = []  # size_c * chi(c)
+    for label, size, _ in classes:
         chi = character_values[label]
         if type(chi) is not int:  # bool is not a character value
             raise TypeError(
                 f"character value of class {label} must be an int, not {type(chi).__name__}"
             )
-        if chi:
-            for e, c in enumerate(coeffs):
-                acc[e] += size * chi * c
-    terms: dict[int, int] = {}
-    for e, c in enumerate(acc):
-        if c % wt.order:
-            raise ValueError(
-                "class average is not integral: input is not a character"
-            )
-        terms[e] = c // wt.order
-    fd = LaurentPoly(terms, "q")
-    if any(c < 0 for c in fd.terms.values()):
-        raise ValueError(
-            "class average has negative multiplicities: input is not a character"
-        )
-    return fd
+        weights.append(size * chi)
+    width, packs, heights, at_one = _packed_classes(*group)
+    if (wide := _digit_bytes(sum(map(mul, map(abs, weights), heights)))) > width:
+        width, packs = wide, [_pack(f, wide) for _, _, f in classes]
+    digits = _signed_digits(sum(map(mul, weights, packs)), width, wt.num_positive_roots + 1)
+    if sum(digits) != sum(map(mul, weights, at_one)):
+        raise AssertionError("packed class sum of a fake degree wrapped a digit")
+    if any(map(wt.order.__rmod__, digits)):
+        raise ValueError("class average is not integral: input is not a character")
+    fd = list(map(wt.order.__rfloordiv__, digits))
+    if min(fd) < 0:
+        raise ValueError("class average has negative multiplicities: input is not a character")
+    return LaurentPoly(dict(enumerate(fd)), "q")
 
 
 def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
@@ -482,33 +523,34 @@ def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
 
     Agrees with the per-irreducible sum of Kostka-polynomial products
     because sum_chi FD_chi(a) FD_chi(b) class-averages f(a) f(b) for real
-    characters.  Computed once per group (B_n and C_n are one); every call
-    returns a fresh copy."""
+    characters.  Computed once per group (B_n and C_n are one), from packed
+    rows of which only half are summed (see the module docstring); every
+    call returns a fresh copy."""
     return BiLaurentPoly(_flag_series(*_group(wt)))
 
 
 @lru_cache(maxsize=None)
 def _flag_series(family: str, rank: int) -> dict[tuple[int, int], int]:
-    """The term map of pn_series_molien, which every caller copies."""
+    """The term map of pn_series_molien, which every caller copies:
+    x**(2N - 2i) y**(2j - 2N) has |W| M[i][j] = sum_c size_c f_c[i] f_c[j].
+    Row i, for i <= N/2 (row N - i is row i reversed; see the module
+    docstring), is a packed sum over _merged_classes decoded to N + 1 powers
+    of y, which must total sum_c size_c f_c[i] f_c(1) = |W| f_1[i]."""
     wt = weyl_type(family, rank)
     npos = wt.num_positive_roots
-    merged: Counter[tuple[int, ...]] = Counter()  # classes that share f_c add their sizes
-    for _, size, coeffs in _class_characters(family, rank):
-        merged[coeffs] += size
-    acc = BiLaurentPoly.sum_of_products(
-        (
-            size,
-            LaurentPoly({2 * (npos - e): c for e, c in enumerate(coeffs)}),
-            LaurentPoly({2 * (e - npos): c for e, c in enumerate(coeffs)}),
-        )
-        for coeffs, size in merged.items()
-    )
-    terms: dict[tuple[int, int], int] = {}
-    for (xe, ye), c in acc.terms.items():
-        if c % wt.order:
+    sizes, fs, packs, at_one = zip(*_merged_classes(family, rank))
+    width = _packed_classes(family, rank)[0]
+    weights = list(zip(*([size * x for x in f] for size, f in zip(sizes, fs))))  # [i][c]
+    rows = []
+    for i in range(npos // 2 + 1):
+        digits = _signed_digits(sum(map(mul, weights[i], packs)), width, npos + 1)
+        if sum(digits) != sum(map(mul, weights[i], at_one)):
+            raise AssertionError(f"packed row {i} of the flag series wrapped a digit")
+        if any(map(wt.order.__rmod__, digits)):
             raise AssertionError("non-integral class average in the flag series")
-        if v := c // wt.order:
-            if not (0 <= xe <= 2 * npos and -2 * npos <= ye <= 0 and v > 0):
-                raise AssertionError("flag series violates its exponent window")
-            terms[xe, ye] = v
-    return terms
+        rows.append(list(map(wt.order.__rfloordiv__, digits)))
+        if min(rows[-1]) < 0:
+            raise AssertionError("negative coefficient in the flag series")
+    rows += [row[::-1] for row in reversed(rows[: (npos + 1) // 2])]
+    ys = range(-2 * npos, 1, 2)
+    return {(2 * (npos - i), y): v for i, row in enumerate(rows) for y, v in zip(ys, row) if v}

@@ -4,7 +4,10 @@ Outside type A the Molien series has no second route yet, and its other
 tests see only the (1,1)-value, the exponent window and y = 1.  A
 builder that paired one class's x-factor with another class's y-factor
 can keep all three, so these digests are what catch it.  They were recorded
-before the series builders were rewritten around sum_of_products.
+before the series builders were rewritten around sum_of_products; the
+digests of A2-A7, B6-B8, C7 and D3, D6-D8 and A9 were recorded before the
+class sums moved onto packed rows of the graded characters, whose flag
+rows take 8-byte digits from A9, B7 and D8 on.
 
 The q-hook fake degrees are pinned per n, one digest over every lam of n,
 as they were before the q-hook moved onto the dense quotient q_quotient.
@@ -25,13 +28,28 @@ from nilcone.springer import springer_fiber_series
 from nilcone.weyl import conjugacy_data, pn_series_molien, weyl_type
 
 MOLIEN = {
+    ("A", 2): "40f1d3ef4a4116b587e7eb4efa8c8d439c78337b",
+    ("A", 3): "cf530c5942cc7cdb2e939bad26099169d1e16109",
+    ("A", 4): "563875cb1022cc9a75e715437c5cb353694ec599",
+    ("A", 5): "3b94dcfa0be749f5886e85427b1a44b95ddacb46",
+    ("A", 6): "37e2f3c21f6084e3163e7cd3349c8481557cf546",
+    ("A", 7): "b7bd4be0f2cc586bc526346d98d7b12506d41347",
+    ("A", 9): "310561187e48386658ac6f0947f812e835b331b6",
     ("B", 2): "064f8df29de77f325f44831c7ed574eadd2079e2",
     ("B", 3): "1e7a2ed8c72144adf977270efba3d26281417cec",
     ("B", 4): "bf6142574359712197baa0d6e582985cfb45b17f",
     ("B", 5): "7e1d6544595885760e79774e67c687410da0160e",
+    ("B", 6): "e7252455fca812455170d4efaca045f985570ec7",
+    ("B", 7): "61bb2a934ae3ab630a84e61dc30d09f77ecefbd6",
+    ("B", 8): "41673c00622f3e26a09429e8874e258606c6003b",
     ("C", 3): "1e7a2ed8c72144adf977270efba3d26281417cec",
+    ("C", 7): "61bb2a934ae3ab630a84e61dc30d09f77ecefbd6",
+    ("D", 3): "cf530c5942cc7cdb2e939bad26099169d1e16109",
     ("D", 4): "d06aca55662f48b8c9d18c735a9b1f3959df15f9",
     ("D", 5): "3d8a794857a92c42b3cb92b6ae66533ea07baad4",
+    ("D", 6): "b4e5239dc8eddf7435a6730451d9dd96b19cee20",
+    ("D", 7): "86eeb5b73b40fa8239d8fca82b8d9c7b0f1f5012",
+    ("D", 8): "3461637152dffd45561b059876f28aad53e41a06",
     ("G2", 2): "18e6adbca831caef70db92cba13f23b90b819582",
     ("F4", 4): "9375caa41612d0678385c820fc240ed7c1f75dc5",
     ("E6", 6): "9f4757b6be30053c058558f9b464b571dddff432",

@@ -5,7 +5,7 @@ import pytest
 
 import nilcone.weyl as weyl
 from nilcone.kostka import fake_degree_qhook
-from nilcone.laurent import BiLaurentPoly, ExactDivisionError, LaurentPoly, q_quotient
+from nilcone.laurent import ExactDivisionError, LaurentPoly, q_quotient
 from nilcone.partitions import Partition, partitions_of
 from nilcone.verify import _TABLE_TYPES
 from nilcone.weyl import (
@@ -499,6 +499,28 @@ class TestFakeDegreeMolien:
         with pytest.raises(TypeError, match="must be an int"):
             fake_degree_molien(wt, values)
 
+    def test_non_weyl_type_rejected(self):
+        with pytest.raises(TypeError, match="WeylType.*tuple"):
+            fake_degree_molien(("A", 2), sn_character_values(P((2, 1))))
+
+    def test_non_mapping_values_rejected(self):
+        pairs = list(sn_character_values(P((2, 1))).items())
+        with pytest.raises(TypeError, match="Mapping.*list"):
+            fake_degree_molien(weyl_type("A", 2), pairs)
+
+    def test_digits_wider_than_eight_bytes(self):
+        # 10**30 chi needs 14-byte digits, wider than the group's cached
+        # packs, which it must leave as they are
+        wt, scale = weyl_type("A", 4), 10**30
+        cached = weyl._packed_classes("A", 4)
+        standard = sn_character_values(P((4, 1)))
+        fd = fake_degree_molien(wt, {label: scale * v for label, v in standard.items()})
+        assert fd.terms == {e: scale * c for e, c in fake_degree_molien(wt, standard).terms.items()}
+        bogus = {label: scale * (label == "1,1,1,1,1") for label in standard}
+        with pytest.raises(ValueError, match="not integral"):
+            fake_degree_molien(wt, bogus)
+        assert weyl._packed_classes("A", 4) is cached
+
     def test_mutating_a_result_leaves_the_next_one_intact(self):
         wt = weyl_type("A", 2)
         standard = sn_character_values(P((2, 1)))
@@ -509,7 +531,7 @@ class TestFakeDegreeMolien:
 class TestPnSeriesMolien:
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
-        # a series cached by an earlier test would skip sum_of_products
+        # a series cached by an earlier test would skip the packed class sums
         _flag_series.cache_clear()
         yield
         _flag_series.cache_clear()
@@ -524,20 +546,24 @@ class TestPnSeriesMolien:
         wt = weyl_type(family, rank)
         assert pn_series_molien(wt).evaluate(1, 1) == wt.order
 
-    @pytest.mark.parametrize("family,rank,triples", [("B", 7, 64), ("B", 6, 40), ("D", 7, 45)])
-    def test_classes_sharing_a_character_are_merged(self, monkeypatch, family, rank, triples):
+    @pytest.mark.parametrize("family,rank,merged", [("B", 7, 64), ("B", 6, 40), ("D", 7, 45)])
+    def test_classes_sharing_a_character_are_merged(self, monkeypatch, family, rank, merged):
         counts = []
-        packed = BiLaurentPoly.sum_of_products
+        merge = weyl._merged_classes
 
-        def counting(rows):
-            rows = list(rows)
-            counts.append(len(rows))
-            return packed(rows)
+        def counting(family, rank):
+            classes = merge(family, rank)
+            counts.append(len(classes))
+            return classes
 
-        monkeypatch.setattr(BiLaurentPoly, "sum_of_products", staticmethod(counting))
+        monkeypatch.setattr(weyl, "_merged_classes", counting)
         wt = weyl_type(family, rank)
         assert pn_series_molien(wt).evaluate(1, 1) == wt.order
-        assert counts == [triples]
+        assert counts == [merged]
+
+    def test_non_weyl_type_rejected(self):
+        with pytest.raises(TypeError, match="WeylType.*tuple"):
+            pn_series_molien(("B", 3))
 
     def test_b_and_c_share_one_series(self):
         b3, c3 = pn_series_molien(weyl_type("B", 3)), pn_series_molien(weyl_type("C", 3))
@@ -564,3 +590,40 @@ class TestPnSeriesMolien:
         for d in wt.degrees:
             expected = expected * LaurentPoly({2 * i: 1 for i in range(d)}, "x")
         assert LaurentPoly(series) == expected
+
+
+class TestPackedClassSumTripwires:
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        caches = (_class_characters, weyl._packed_classes, _flag_series)
+        for cached in caches:
+            cached.cache_clear()
+        yield
+        for cached in caches:
+            cached.cache_clear()
+
+    @pytest.fixture
+    def moved_size(self, monkeypatch):
+        """B4 with the size of its first class moved by one."""
+        rows = weyl._class_rows
+
+        def moved(family, rank):
+            for k, (label, size, a, b) in enumerate(rows(family, rank)):
+                yield label, size + (k == 0), a, b
+
+        monkeypatch.setattr(weyl, "_class_rows", moved)
+        return weyl_type("B", 4)
+
+    def test_a_moved_class_size_trips_the_flag_series(self, moved_size):
+        with pytest.raises(AssertionError, match="non-integral"):
+            pn_series_molien(moved_size)
+
+    def test_a_moved_class_size_trips_a_fake_degree(self, moved_size):
+        trivial = {c.label: 1 for c in conjugacy_data(moved_size)}
+        with pytest.raises(ValueError, match="not integral"):
+            fake_degree_molien(moved_size, trivial)
+
+    def test_digits_too_narrow_trip_the_flag_series(self, monkeypatch):
+        monkeypatch.setattr(weyl, "_digit_bytes", lambda bound: 1)
+        with pytest.raises(AssertionError):
+            pn_series_molien(weyl_type("B", 4))
