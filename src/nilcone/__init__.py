@@ -15,8 +15,7 @@ _EXPORTS = {
     "tableaux": ("ssyt_enumerate", "syt_enumerate", "syt_major_index_genfun"),
     "kostka": ("CONVENTION_TAG", "charge", "compute_kostka_table", "fake_degree_qhook",
                "kostka_foulkes", "kostka_foulkes_charge", "kostka_from_fake_degree"),
-    "weyl": ("ClassDatum", "WeylType", "conjugacy_data", "enumeration_counts",
-             "fake_degree_molien", "mn_character", "pn_series_molien",
+    "weyl": ("WeylType", "enumeration_counts", "fake_degree_molien", "pn_series_molien",
              "sn_character_values", "weyl_type"),
     "springer": ("BigradedSeries", "ProudfootReport", "hp0_slice_series",
                  "hp0_walg_full_series", "ih_orbit_closure", "ih_s3_variety", "kostka_g",

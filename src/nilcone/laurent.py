@@ -17,7 +17,8 @@ Bivariate polynomials are sums of products f(x) * g(y): built by
 BiLaurentPoly.sum_of_products, which packs each g(y) into one int
 (Kronecker substitution) and sums one packed row per x-exponent, or, for
 the Molien flag series, from packed rows in weyl.py.  They have no ring
-arithmetic, only shifts, specializations and evaluation.
+arithmetic, only shifts; the value at (1, 1) is the sum of the
+coefficients.
 
 One decoder, _signed_digits, serves every Kronecker-packed int: the rows
 of sum_of_products, the t -> 2**bits entries of the Jing column in
@@ -40,9 +41,8 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd
 from operator import sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-Scalar = "int | Fraction"  # an annotation: only _power imports fractions
 Monomials = tuple[tuple[str, ...], list[tuple[tuple[int, ...], int]]]
 
 
@@ -52,20 +52,6 @@ class ExactDivisionError(ArithmeticError):
 
 def _clean(terms: Mapping[int, int]) -> dict[int, int]:
     return {e: c for e, c in terms.items() if c != 0}
-
-
-def _power(value: Scalar, exponents: Iterable[int]) -> Callable[[int], Scalar]:
-    """e -> value ** e for the given exponents, exactly: in ints when every
-    such power is an int (value an int, and each e >= 0 or value 1 or -1,
-    where value ** e = value ** (e & 1)), in Fractions otherwise."""
-    if type(value) is int:  # a bool takes the Fraction route
-        if value in (1, -1):
-            return lambda e: value ** (e & 1)
-        if min(exponents, default=0) >= 0:
-            return value.__pow__
-    from fractions import Fraction
-
-    return Fraction(value).__pow__
 
 
 def _check_exponents(exponents: list[int]) -> None:
@@ -269,15 +255,6 @@ class LaurentPoly:
         """Multiply by var**d (the Hilbert series of a shift by -d)."""
         return LaurentPoly({e + d: c for e, c in self.terms.items()}, self.var)
 
-    def evaluate(self, value: Scalar) -> Scalar:
-        """Evaluate at an integer or Fraction, exactly (in ints where _power
-        allows)."""
-        power = _power(value, self.terms)
-        total = sum(c * power(e) for e, c in self.terms.items())
-        return int(total) if total.denominator == 1 else total
-
-    __call__ = evaluate
-
     def monomials(self) -> Monomials:
         """Variable names and (exponents, coefficient) pairs, ascending."""
         return (self.var,), [((e,), c) for e, c in sorted(self.terms.items())]
@@ -382,14 +359,6 @@ class BiLaurentPoly:
             self.xvar,
             self.yvar,
         )
-
-    def evaluate(self, xvalue: Scalar, yvalue: Scalar) -> Scalar:
-        xpower = _power(xvalue, (xe for xe, _ in self.terms))
-        ypower = _power(yvalue, (ye for _, ye in self.terms))
-        total = sum(c * xpower(xe) * ypower(ye) for (xe, ye), c in self.terms.items())
-        return int(total) if total.denominator == 1 else total
-
-    __call__ = evaluate
 
     def monomials(self) -> Monomials:
         """Variable names and (exponents, coefficient) pairs, ascending."""

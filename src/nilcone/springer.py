@@ -30,8 +30,8 @@ class BigradedSeries:
     """A bivariate Hilbert series: x tracks homological degree, y weight.
     Two series are equal when their polynomials are."""
 
-    def __init__(self, poly: BiLaurentPoly, x_meaning="homological degree", y_meaning="weight"):
-        self.poly, self.x_meaning, self.y_meaning = poly, x_meaning, y_meaning
+    def __init__(self, poly: BiLaurentPoly):
+        self.poly = poly
 
     def __eq__(self, other):
         return self.poly == other.poly if type(other) is BigradedSeries else NotImplemented
@@ -41,9 +41,6 @@ class BigradedSeries:
 
     def __repr__(self) -> str:
         return f"BigradedSeries({self.poly!r})"
-
-    def evaluate(self, xvalue, yvalue):
-        return self.poly.evaluate(xvalue, yvalue)
 
     def __str__(self) -> str:
         return str(self.poly)

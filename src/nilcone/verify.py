@@ -111,7 +111,7 @@ def suite_counts(max_n: int = 8) -> list[CheckResult]:
     table of each n passes its invariants."""
     failures, table_failures = [], []
     for n in range(1, max_n + 1):
-        if pn_series(n).evaluate(1, 1) != factorial(n):
+        if sum(pn_series(n).poly.terms.values()) != factorial(n):
             failures.append(f"n={n}")
         table_failures += _kostka_table_failures(n)
     out = [
@@ -120,7 +120,7 @@ def suite_counts(max_n: int = 8) -> list[CheckResult]:
     ]
     for family, rank in (("B", 2), ("B", 3), ("G2", 2), ("F4", 4)):
         wt = weyl_type(family, rank)
-        value = pn_series_molien(wt).evaluate(1, 1)
+        value = sum(pn_series_molien(wt).terms.values())
         failures = [] if value == wt.order else [f"got {value}"]
         out.append(_single("counts: molien series at (1,1) = |W|", f"{wt}", failures))
     return out
@@ -202,7 +202,7 @@ def suite_fibers(max_n: int = 6) -> list[CheckResult]:
         if springer_fiber_series(Partition((n,))).poly.terms != {(0, 0): 1}:
             failures.append(f"regular-orbit n={n}")
         for phi in partitions_of(n):
-            total = springer_fiber_series(phi).evaluate(1, 1)
+            total = sum(springer_fiber_series(phi).poly.terms.values())
             oracle = sum(
                 len(ssyt_enumerate(nu, phi)) * nu.num_standard_tableaux()
                 for nu in partitions_of(n)

@@ -76,18 +76,6 @@ class WeylType:
         return self.family if self.family[-1].isdigit() else f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class ClassDatum:
-    """One conjugacy class (or a union of classes on which det(1 - t w) is
-    constant: an ambient cycle type in D_n, the classes with one factor in
-    the exceptional types): its size and the factor det(1 - t w) on the
-    reflection representation, prod (1 - t**a) / prod (1 - t**b) in t."""
-
-    label: str
-    size: int
-    char_factor: LaurentPoly
-
-
 def _degrees(family: str, rank: int) -> tuple[int, ...]:
     if family == "A" and rank >= 1:
         return tuple(range(2, rank + 2))
@@ -343,30 +331,20 @@ def _class_rows(family: str, rank: int) -> Iterator[tuple[str, int, tuple, tuple
             yield _csv(mu.parts), factorial(n) // _zvalue(mu), mu.parts, (1,)
         return
     hyperoctahedral_order = 2**rank * factorial(rank)
+    # (mu, 2**len(mu) z_mu) for each mu of size m <= rank: each z once per group
+    centralizers = [
+        [(mu, 2 ** len(mu) * _zvalue(mu)) for mu in partitions_of(m)] for m in range(rank + 1)
+    ]
     for k in range(rank, -1, -1):
-        for alpha in partitions_of(k):
-            for beta in partitions_of(rank - k):
+        for alpha, z_alpha in centralizers[k]:
+            for beta, z_beta in centralizers[rank - k]:
                 if family == "D" and len(beta) % 2 != 0:
                     continue
-                z = 2 ** (len(alpha) + len(beta)) * _zvalue(alpha) * _zvalue(beta)
                 # prod (1 - t**a) * prod (1 + t**b); 1 + t**b = (1 - t**2b) / (1 - t**b)
                 label = f"{_csv(alpha.parts)}|{_csv(beta.parts)}"
                 doubled = tuple(2 * b for b in beta.parts)
-                yield label, hyperoctahedral_order // z, alpha.parts + doubled, beta.parts
-
-
-def conjugacy_data(wt: WeylType) -> list[ClassDatum]:
-    """Complete class list with sizes and det(1 - t w) factors, one per row
-    (label, size, a, b) of _class_rows, in its order.
-
-    See the module docstring for the grouping caveats in type D and in the
-    enumerated exceptional types, whose factors come from traces of w**j up
-    to ord(w).
-    """
-    return [
-        ClassDatum(label, size, q_quotient(a, b, "t"))
-        for label, size, a, b in _class_rows(wt.family, wt.rank)
-    ]
+                size = hyperoctahedral_order // (z_alpha * z_beta)
+                yield label, size, alpha.parts + doubled, beta.parts
 
 
 @lru_cache(maxsize=None)
@@ -454,19 +432,9 @@ def _cycle_types(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple((_csv(mu.parts), mu.parts) for mu in partitions_of(n))
 
 
-def mn_character(lam: Partition, cycle_type: Partition) -> int:
-    """Irreducible symmetric-group character value chi^lam(cycle_type), by
-    recursive border-strip removal with sign (-1)**height, on bead masks."""
-    if lam.size != cycle_type.size:
-        raise ValueError(
-            f"character needs equal sizes: |{lam}| != |{cycle_type}|"
-        )
-    return _mn_beads(_beads(lam.parts), cycle_type.parts)
-
-
 def sn_character_values(lam: Partition) -> dict[str, int]:
-    """chi^lam on every class of S_n, keyed by the class labels used by
-    conjugacy_data for type A."""
+    """chi^lam on every class of S_n, keyed by the class labels of
+    _class_rows for type A (the cycle types, as "3,1,1")."""
     beads = _beads(lam.parts)
     return {label: _mn_beads(beads, parts) for label, parts in _cycle_types(lam.size)}
 

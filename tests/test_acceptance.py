@@ -44,11 +44,11 @@ def test_criterion_01_regular_representation_count():
     def body():
         started = time.perf_counter()
         for n in range(1, 9):
-            assert pn_series(n).evaluate(1, 1) == factorial(n), n
+            assert sum(pn_series(n).poly.terms.values()) == factorial(n), n
         for family, rank, order in (("B", 2, 8), ("B", 3, 48), ("G2", 2, 12), ("F4", 4, 1152)):
             wt = weyl_type(family, rank)
             assert wt.order == order
-            assert pn_series_molien(wt).evaluate(1, 1) == order, (family, rank)
+            assert sum(pn_series_molien(wt).terms.values()) == order, (family, rank)
         assert time.perf_counter() - started < 30.0
 
     _record(1, "regular-representation count", body)

@@ -83,7 +83,7 @@ def test_detector_sees_unread_and_read_names():
 # loads.  The set decides what the package's modules put in sys.modules, and
 # with it the speed of a fresh process and the pace reference of
 # perfbench/pace.py, so a change to it has to be made here on purpose.
-# `fractions` is imported only where a Fraction is built.  `dataclasses` stays,
+# No module imports `fractions`: every value is an int.  `dataclasses` stays,
 # in weyl and verify: library workers load it through weyl_type, and the pace
 # reference takes about 12.8 ms with it loaded against 8.8 ms without, so
 # dropping it would move paced kostka-table times by about 30% for no work
