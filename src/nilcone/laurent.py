@@ -8,10 +8,11 @@ allowed everywhere (the weight gradings computed downstream genuinely
 produce them).
 
 Products of cyclotomic-type factors, prod_a (1 - var**a) / prod_b
-(1 - var**b), are built by q_quotient on one dense coefficient list: a
-slice subtraction per numerator factor, then the strided prefix sums of
-divide_one_minus, with no dict polynomial until the end.
-Fake degrees, Weyl-group class factors and Molien numerators all take it.
+(1 - var**b), are built by q_quotient: the exponents both sides share
+cancel first, then one dense coefficient list takes a slice subtraction
+per numerator factor and the strided prefix sums of divide_one_minus, with
+no dict polynomial until the end.  Fake degrees, Weyl-group class factors
+and Molien numerators all take it.
 
 Bivariate polynomials are sums of products f(x) * g(y): built by
 BiLaurentPoly.sum_of_products, which packs each g(y) into one int
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd
 from operator import sub
 from typing import Iterable, Mapping, Sequence
@@ -48,10 +49,6 @@ Monomials = tuple[tuple[str, ...], list[tuple[tuple[int, ...], int]]]
 
 class ExactDivisionError(ArithmeticError):
     """A division that was required to be exact left a remainder."""
-
-
-def _clean(terms: Mapping[int, int]) -> dict[int, int]:
-    return {e: c for e, c in terms.items() if c != 0}
 
 
 def _check_exponents(exponents: list[int]) -> None:
@@ -144,13 +141,15 @@ class LaurentPoly:
     """Integer Laurent polynomial in one variable.
 
     The variable name is display metadata only: arithmetic and equality look
-    at the term map alone.
+    at the term map alone.  substitute_power, shift and with_var map the
+    exponents one-to-one, so a clean term map stays clean: they build
+    through _from_clean and strip no zeros again.
     """
 
     __slots__ = ("terms", "var")
 
     def __init__(self, terms: Mapping[int, int] | None = None, var: str = "t"):
-        self.terms = _clean(terms) if terms else {}
+        self.terms = {e: c for e, c in terms.items() if c != 0} if terms else {}
         self.var = var
 
     @classmethod
@@ -162,13 +161,17 @@ class LaurentPoly:
         return cls({0: 1}, var)
 
     @classmethod
+    def _from_clean(cls, terms: dict[int, int], var: str) -> "LaurentPoly":
+        """A polynomial that owns terms, which must hold no zero coefficient."""
+        poly = cls.__new__(cls)
+        poly.terms, poly.var = terms, var
+        return poly
+
+    @classmethod
     def from_coefficients(cls, coeffs: Iterable[int], var: str = "t") -> "LaurentPoly":
         """sum_e coeffs[e] * var**e, constant term first; the zeros are
         skipped as the term map is built, so it is not cleaned twice."""
-        poly = cls.__new__(cls)
-        poly.terms = {e: c for e, c in enumerate(coeffs) if c}
-        poly.var = var
-        return poly
+        return cls._from_clean({e: c for e, c in enumerate(coeffs) if c}, var)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -191,7 +194,7 @@ class LaurentPoly:
         return max(self.terms)
 
     def with_var(self, var: str) -> "LaurentPoly":
-        return LaurentPoly(self.terms, var)
+        return LaurentPoly._from_clean(dict(self.terms), var)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
@@ -249,11 +252,11 @@ class LaurentPoly:
         """
         if k == 0:
             raise ValueError("substitute_power requires a nonzero exponent")
-        return LaurentPoly({k * e: c for e, c in self.terms.items()}, self.var)
+        return LaurentPoly._from_clean({k * e: c for e, c in self.terms.items()}, self.var)
 
     def shift(self, d: int) -> "LaurentPoly":
         """Multiply by var**d (the Hilbert series of a shift by -d)."""
-        return LaurentPoly({e + d: c for e, c in self.terms.items()}, self.var)
+        return LaurentPoly._from_clean({e + d: c for e, c in self.terms.items()}, self.var)
 
     def monomials(self) -> Monomials:
         """Variable names and (exponents, coefficient) pairs, ascending."""
@@ -283,6 +286,13 @@ class BiLaurentPoly:
         self.terms = {k: c for k, c in terms.items() if c != 0} if terms else {}
         self.xvar = xvar
         self.yvar = yvar
+
+    @classmethod
+    def _from_clean(cls, terms: dict, xvar: str = "x", yvar: str = "y") -> "BiLaurentPoly":
+        """A polynomial that owns terms, which must hold no zero coefficient."""
+        poly = cls.__new__(cls)
+        poly.terms, poly.xvar, poly.yvar = terms, xvar, yvar
+        return poly
 
     @classmethod
     def sum_of_products(
@@ -333,8 +343,8 @@ class BiLaurentPoly:
             digits = _signed_digits(row, width, length)
             if sum(digits) != sums[xe]:
                 raise AssertionError(f"packed row of x^{xe} wrapped a digit")
-            out.update(zip(zip(repeat(xe), ys), digits))
-        return cls(out)
+            out.update(compress(zip(zip(repeat(xe), ys), digits), digits))
+        return cls._from_clean(out)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -354,10 +364,8 @@ class BiLaurentPoly:
 
     def shift(self, dx: int, dy: int) -> "BiLaurentPoly":
         """Multiply by xvar**dx * yvar**dy."""
-        return BiLaurentPoly(
-            {(x + dx, y + dy): c for (x, y), c in self.terms.items()},
-            self.xvar,
-            self.yvar,
+        return BiLaurentPoly._from_clean(
+            {(x + dx, y + dy): c for (x, y), c in self.terms.items()}, self.xvar, self.yvar
         )
 
     def monomials(self) -> Monomials:
@@ -439,6 +447,21 @@ def divide_one_minus(coeffs: Iterable[int], exponents: Iterable[int]) -> list[in
     return coeffs
 
 
+def _cancel_common(numerator: Iterable[int], denominator: Iterable[int]) -> tuple[list, list]:
+    """The two exponent multisets less the exponents they share, since
+    (1 - var**e) / (1 - var**e) = 1: one merge of the sorted lists."""
+    num, den = sorted(numerator), sorted(denominator)
+    kept_num, kept_den = [], []
+    while num and den:
+        if num[-1] > den[-1]:
+            kept_num.append(num.pop())
+        elif num[-1] < den[-1]:
+            kept_den.append(den.pop())
+        else:
+            del num[-1], den[-1]
+    return num + kept_num, den + kept_den
+
+
 def q_quotient_coefficients(
     numerator: Iterable[int], denominator: Iterable[int], var: str = "q", base: Sequence[int] = (1,)
 ) -> list[int]:
@@ -446,23 +469,25 @@ def q_quotient_coefficients(
     multisets, as the coefficient list of a polynomial (constant term
     first); ExactDivisionError unless the quotient is one.
 
-    The numerator is expanded on one dense coefficient list (the base, by
-    default 1), one slice subtraction per factor, and divided as a power
-    series to its own degree by divide_one_minus."""
+    The exponents both multisets hold cancel first (_cancel_common).  What
+    is left of the numerator is expanded on one dense coefficient list (the
+    base, by default 1), one slice subtraction per factor, and divided as a
+    power series to its own degree by divide_one_minus."""
     numerator, denominator = list(numerator), list(denominator)
     _check_exponents(numerator + denominator)
+    num, den = _cancel_common(numerator, denominator)
     t = len(base) - 1
-    top = t + sum(numerator)
+    top = t + sum(num)
     coeffs = [*base] + [0] * (top - t)
-    for a in numerator:  # times (1 - var**a): c[k] -= c[k - a], old values
+    for a in num:  # times (1 - var**a): c[k] -= c[k - a], old values
         t += a
         coeffs[a : t + 1] = map(sub, coeffs[a : t + 1], coeffs[: t + 1 - a])
-    series = divide_one_minus(coeffs, denominator)
+    series = divide_one_minus(coeffs, den)
     # S = N/D mod var**(deg N + 1).  If S has degree at most deg N - deg D,
     # then S * D has degree at most deg N and agrees with N mod
     # var**(deg N + 1), so S * D = N exactly; if D divides N, the quotient
     # is S and has that degree.  So a nonzero tail means D does not divide N.
-    degree = top - sum(denominator)
+    degree = top - sum(den)
     if degree < 0 or any(series[degree + 1 :]):
         raise ExactDivisionError(
             f"prod (1 - {var}^b), b in {denominator}, does not divide"

@@ -109,6 +109,12 @@ class Partition:
         return count
 
 
+def _check_partition(lam: object, caller: str) -> None:
+    """TypeError, naming caller and the type received, unless lam is a Partition."""
+    if not isinstance(lam, Partition):
+        raise TypeError(f"{caller} needs a Partition, not {type(lam).__name__}")
+
+
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, in reverse lexicographic order: (n) first,
     (1,...,1) last."""

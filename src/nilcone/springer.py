@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .kostka import _kostka_column, kostka_foulkes, kostka_from_fake_degree
 from .laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries, divide_one_minus
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _check_partition, partitions_of
 
 
 class BigradedSeries:
@@ -69,6 +69,12 @@ def _kostka_g_parts(lam_parts: tuple[int, ...]) -> LaurentPoly:
     return kostka_from_fake_degree(Partition(lam_parts))
 
 
+def _reflected(k: LaurentPoly, d: int, var: str) -> LaurentPoly:
+    """var**d * k(var**-2), in one term map: hp0 of a slice, IH of an orbit
+    closure or of a slice of one, and the y factor of a Springer fiber."""
+    return LaurentPoly._from_clean({d - 2 * e: c for e, c in k.terms.items()}, var)
+
+
 def kostka_g(lam: Partition) -> LaurentPoly:
     """One-variable Kostka polynomial K[lam, (1^n)](t), the Hilbert series
     attached to the irreducible lam in the cohomological-degree convention
@@ -78,12 +84,15 @@ def kostka_g(lam: Partition) -> LaurentPoly:
     degree-reversed q-hook fake degree (kostka_from_fake_degree), memoised
     by parts.  The charge enumeration kostka_foulkes_charge(lam, (1^n)) is
     the independent route that the verify suites and tests compare it with."""
+    _check_partition(lam, "kostka_g")
     return _kostka_g_parts(lam.parts)
 
 
 def pn_series(n: int) -> BigradedSeries:
     """Bigraded series of the nilpotent cone of sl_n:
     sum over partitions lam of n of K[lam](x**2) * K[lam](y**-2)."""
+    if type(n) is not int:  # bool is not a size
+        raise TypeError(f"pn_series needs an int, not {type(n).__name__}")
     if n < 1:
         raise ValueError("the nilpotent-cone series needs n >= 1")
     return BigradedSeries(
@@ -102,9 +111,8 @@ def hp0_slice_series(phi: Partition) -> LaurentPoly:
 
     Constant term 1; value at 1 is the number of standard tableaux of
     shape phi."""
-    return (
-        kostka_g(phi).substitute_power(-2).shift(orbit_dim(phi)).with_var("y")
-    )
+    _check_partition(phi, "hp0_slice_series")
+    return _reflected(_kostka_g_parts(phi.parts), orbit_dim(phi), "y")
 
 
 def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
@@ -117,6 +125,7 @@ def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
     has the same series.  Every exponent is even (dim O_phi and 2 d_i are),
     so the division runs in u = y**2, by 1 - u**d_i, on the even
     coefficients."""
+    _check_partition(phi, "hp0_walg_full_series")
     series = TruncatedSeries.from_poly(hp0_slice_series(phi), truncation)
     coeffs = series.coefficients
     coeffs[::2] = divide_one_minus(coeffs[::2], range(2, phi.size + 1))
@@ -126,9 +135,8 @@ def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
 def ih_orbit_closure(lam: Partition) -> LaurentPoly:
     """Intersection-cohomology Poincare polynomial of the closure of the
     orbit with Jordan type lam:  x**dim(O_lam) * K[lam](x**-2)."""
-    return (
-        kostka_g(lam).substitute_power(-2).shift(orbit_dim(lam)).with_var("x")
-    )
+    _check_partition(lam, "ih_orbit_closure")
+    return _reflected(_kostka_g_parts(lam.parts), orbit_dim(lam), "x")
 
 
 def ih_s3_variety(nu: Partition, phi: Partition) -> LaurentPoly:
@@ -146,12 +154,7 @@ def ih_s3_variety(nu: Partition, phi: Partition) -> LaurentPoly:
             f"({nu} does not dominate {phi}); returning 0"
         )
         return LaurentPoly.zero("x")
-    return (
-        kostka_foulkes(nu, phi)
-        .substitute_power(-2)
-        .shift(orbit_dim(nu) - orbit_dim(phi))
-        .with_var("x")
-    )
+    return _reflected(kostka_foulkes(nu, phi), orbit_dim(nu) - orbit_dim(phi), "x")
 
 
 def springer_fiber_series(phi: Partition) -> BigradedSeries:
@@ -163,14 +166,11 @@ def springer_fiber_series(phi: Partition) -> BigradedSeries:
     At phi = (1^n) this is the whole nilpotent cone, at phi = (n) a point.
     The nu are the keys of the memoised column of phi, which holds exactly
     the nonzero K[nu,phi], and y**dim(O_phi) goes into each y factor."""
+    _check_partition(phi, "springer_fiber_series")
     d = orbit_dim(phi)
     return BigradedSeries(
         BiLaurentPoly.sum_of_products(
-            (
-                1,
-                k.substitute_power(2),
-                LaurentPoly({d - 2 * e: c for e, c in _kostka_g_parts(nu).terms.items()}),
-            )
+            (1, k.substitute_power(2), _reflected(_kostka_g_parts(nu), d, "y"))
             for nu, k in _kostka_column(phi.parts).items()
         )
     )
@@ -190,6 +190,7 @@ def proudfoot_check(lam: Partition) -> ProudfootReport:
     """Symplectic-duality check: the Poisson-homology series of the slice
     at lam must equal the intersection-cohomology series of the closed
     orbit of the transposed Jordan type."""
+    _check_partition(lam, "proudfoot_check")
     hp0 = hp0_slice_series(lam)
     ih = ih_orbit_closure(lam.conjugate())
     return ProudfootReport(

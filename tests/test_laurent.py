@@ -1,3 +1,5 @@
+from operator import sub
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from nilcone.laurent import (
     ExactDivisionError,
     LaurentPoly,
     TruncatedSeries,
+    _cancel_common,
     divide_one_minus,
     q_quotient,
     q_quotient_coefficients,
@@ -226,7 +229,9 @@ class TestBiLaurent:
     @example([(5, L({-2: 1}), L({-3: -7}))])
     @example([(2**80, L({0: 2**80}), L({0: -(2**80), 4: 2**80})), (1, L({1: 1}), L({2: 1}))])
     def test_packed_rows_match_the_triple_loop(self, triples):
-        assert BiLaurentPoly.sum_of_products(triples) == naive_sum_of_products(triples)
+        p = BiLaurentPoly.sum_of_products(triples)
+        assert p == naive_sum_of_products(triples)
+        assert 0 not in p.terms.values()  # zero digits are never written
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 16])
     @given(data=st.data())
@@ -508,7 +513,60 @@ def dividing_exponents(draw):
     return draw(st.permutations(numerator)), draw(st.permutations(denominator))
 
 
+def uncancelled_coefficients(numerator, denominator, base=(1,)):
+    """q_quotient_coefficients with no exponent cancelled: every numerator
+    factor expanded on the dense list, then every denominator factor
+    divided; None when the division leaves a tail."""
+    t = len(base) - 1
+    top = t + sum(numerator)
+    coeffs = [*base] + [0] * (top - t)
+    for a in numerator:
+        t += a
+        coeffs[a : t + 1] = map(sub, coeffs[a : t + 1], coeffs[: t + 1 - a])
+    series = divide_one_minus(coeffs, denominator)
+    degree = top - sum(denominator)
+    return None if degree < 0 or any(series[degree + 1 :]) else series[: degree + 1]
+
+
 class TestQQuotient:
+    @given(
+        st.one_of(
+            dividing_exponents(),
+            st.tuples(st.lists(st.integers(1, 8), max_size=5), st.lists(st.integers(1, 8), max_size=4)),
+        ),
+        st.lists(st.integers(1, 6), max_size=4),
+        st.lists(st.integers(1, 5), max_size=2),
+    )
+    @example(([], []), [2, 3], [])
+    @example(([4], [1]), [2, 2, 2], [3])
+    def test_cancelling_shared_exponents_changes_nothing(self, exponents, shared, extra):
+        """Shared exponents, repeated ones among them, leave the quotient and
+        its exactness as the uncancelled expansion has them, with or without
+        a base."""
+        numerator = [*exponents[0], *shared]
+        denominator = [*shared[::-1], *exponents[1]]
+        base = uncancelled_coefficients(extra, [])
+        expected = uncancelled_coefficients(numerator, denominator, base)
+        if expected is None:
+            with pytest.raises(ExactDivisionError):
+                q_quotient_coefficients(numerator, denominator, base=base)
+        else:
+            assert q_quotient_coefficients(numerator, denominator, base=base) == expected
+
+    def test_shared_exponents_cancel(self):
+        assert _cancel_common([2, 3], [3, 2]) == ([], [])
+        assert q_quotient_coefficients([2, 3], [3, 2]) == [1]
+        assert _cancel_common([2, 2, 4, 1], [2, 1, 2, 2]) == ([4], [2])
+        assert q_quotient_coefficients([2, 2, 4], [2, 2, 2]) == [1, 0, 1]  # 1 + q**2
+
+    def test_exponent_types_are_checked_before_sorting(self):
+        """A str or None among ints would fail the merge's sort with a
+        comparison error; the worded check must come first."""
+        with pytest.raises(TypeError, match="^factor exponents must be ints, not str$"):
+            q_quotient_coefficients([3, "2"], [1])
+        with pytest.raises(TypeError, match="^factor exponents must be ints, not NoneType$"):
+            q_quotient_coefficients([2], [1, None])
+
     @given(dividing_exponents())
     @example(([2, 4, 6], [1, 2, 3]))
     def test_matches_product_route(self, exponents):

@@ -2,7 +2,7 @@ from math import comb, factorial
 
 import pytest
 
-from nilcone import kostka
+from nilcone import kostka, springer
 from nilcone.kostka import (
     _kostka_column,
     _kostka_foulkes_charge_parts,
@@ -379,3 +379,26 @@ class TestDegenerateInputs:
 
     def test_pn_series_one(self):
         assert pn_series(1).poly.terms == {(0, 0): 1}
+
+
+@pytest.mark.parametrize("bad", [(2, 1), 2.0, "21"], ids=["tuple", "float", "str"])
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (springer, "kostka_g"),
+        (springer, "hp0_slice_series"),
+        (springer, "ih_orbit_closure"),
+        (springer, "proudfoot_check"),
+        (springer, "springer_fiber_series"),
+        (springer, "hp0_walg_full_series"),
+        (springer, "pn_series"),
+        (kostka, "fake_degree_qhook"),
+        (kostka, "kostka_from_fake_degree"),
+    ],
+)
+def test_wrong_argument_type_is_named(module, name, bad):
+    """A tuple, float or str fails with a TypeError naming the function and
+    the type received, not an AttributeError or a comparison error."""
+    args = (bad, 8) if name == "hp0_walg_full_series" else (bad,)
+    with pytest.raises(TypeError, match=rf"^{name} needs an? \w+, not {type(bad).__name__}$"):
+        getattr(module, name)(*args)

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from nilcone import kostka, laurent, springer, verify
-from nilcone.laurent import ExactDivisionError, LaurentPoly
+from nilcone.laurent import ExactDivisionError
 from nilcone.partitions import Partition
 from nilcone.springer import _kostka_g_parts, kostka_g
 from nilcone.verify import SUITES, run_suite
@@ -27,17 +27,20 @@ class TestSuites:
     def test_fake_degrees_suite_catches_a_wrong_qhook(self, monkeypatch):
         """One wrong q-hook value fails the suite even when the major-index
         and Molien routes are made to agree with it: the charge route is
-        left to catch it, so it must not share the q-hook's code."""
-        right = kostka.fake_degree_qhook
+        left to catch it, so it must not share the q-hook's code.  The
+        wrong value is planted in the one coefficient helper that both
+        fake_degree_qhook and kostka_from_fake_degree read."""
+        right = kostka._qhook_coefficients
 
-        def wrong(lam):
-            fd = right(lam)
-            return fd + LaurentPoly.one("q") if lam == Partition((2, 1)) else fd
+        def wrong(lam, caller):
+            coeffs = right(lam, caller)
+            return [coeffs[0] + 1, *coeffs[1:]] if lam == Partition((2, 1)) else coeffs
 
-        monkeypatch.setattr(kostka, "fake_degree_qhook", wrong)
-        monkeypatch.setattr(verify, "syt_major_index_genfun", wrong)
+        wrong_fd = kostka.fake_degree_qhook
+        monkeypatch.setattr(kostka, "_qhook_coefficients", wrong)
+        monkeypatch.setattr(verify, "syt_major_index_genfun", wrong_fd)
         monkeypatch.setattr(verify, "sn_character_values", lambda lam: lam)
-        monkeypatch.setattr(verify, "fake_degree_molien", lambda wt, lam: wrong(lam))
+        monkeypatch.setattr(verify, "fake_degree_molien", lambda wt, lam: wrong_fd(lam))
         _kostka_g_parts.cache_clear()  # a memoised column would hide the patch
         try:
             report = run_suite("fake-degrees", max_n=4)
@@ -71,13 +74,19 @@ class TestSuites:
         assert report.checks[0].counterexample.startswith("phi=(2)")
 
     def test_wrong_stride_trips_the_qhook_division(self, monkeypatch):
+        """The shared exponents cancel before the division, so the shapes
+        must keep a denominator that the wrong stride cannot divide: (3,1)
+        keeps (1 - q**3) / (1 - q), (2,2) keeps (1 - q**4) / (1 - q**2)."""
+        for parts in ((3, 1), (2, 2)):
+            lam = Partition(parts)
+            assert laurent._cancel_common(range(1, lam.size + 1), lam.hooks())[1]
         self._patch_wrong_stride(monkeypatch)
         _kostka_g_parts.cache_clear()
         try:
             with pytest.raises(ExactDivisionError):
-                kostka.fake_degree_qhook(Partition((2, 1)))
+                kostka.fake_degree_qhook(Partition((3, 1)))
             with pytest.raises(ExactDivisionError):
-                kostka_g(Partition((2,)))
+                kostka_g(Partition((2, 2)))
         finally:
             _kostka_g_parts.cache_clear()
 
