@@ -132,6 +132,8 @@ def kostka_foulkes_charge(lam: Partition, mu: Partition) -> LaurentPoly:
     """K[lam,mu](t) = sum of t**charge(reading word) over the semistandard
     tableaux of shape lam and content mu; zero when no tableau exists.
     The oracle that kostka_foulkes is checked against."""
+    for arg in (lam, mu):
+        _check_partition(arg, "kostka_foulkes_charge")
     if lam.size != mu.size:
         raise ValueError(
             f"Kostka polynomial needs equal sizes: |{lam}| != |{mu}|"

@@ -1,11 +1,13 @@
 """Exact arithmetic for integer Laurent polynomials and truncated power series.
 
 Coefficients are Python ints throughout, so all operations are exact; there
-is no floating point anywhere.  A polynomial is stored as a map from integer
-exponent to nonzero coefficient, with zero coefficients stripped eagerly, so
-equality of polynomials is equality of term maps.  Negative exponents are
-allowed everywhere (the weight gradings computed downstream genuinely
-produce them).
+is no floating point anywhere.  A polynomial, LaurentPoly in one variable
+or BiLaurentPoly in x and y, is a map from exponent (a pair of them in x
+and y) to coefficient, and one value rule holds for both: the map holds no
+zero coefficient, two polynomials of one class are equal when their maps
+are, a LaurentPoly never equals a BiLaurentPoly, and a constant equals its
+int and hashes like it.  Negative exponents are allowed everywhere (the
+weight gradings computed downstream genuinely produce them).
 
 Products of cyclotomic-type factors, prod_a (1 - var**a) / prod_b
 (1 - var**b), are built by q_quotient: the exponents both sides share
@@ -137,7 +139,31 @@ def render(
     return text
 
 
-class LaurentPoly:
+class _TermMap:
+    """The value rule of the module docstring; _ONE keys the constant term."""
+
+    __slots__ = ("terms",)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            return self.terms == other.terms
+        if isinstance(other, int):
+            return self.terms == ({self._ONE: other} if other else {})
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # a constant equals its int, so it must hash like it
+        if self.terms.keys() <= {self._ONE}:
+            return hash(self.terms.get(self._ONE, 0))
+        return hash(frozenset(self.terms.items()))
+
+    __str__ = render
+
+
+class LaurentPoly(_TermMap):
     """Integer Laurent polynomial in one variable.
 
     The variable name is display metadata only: arithmetic and equality look
@@ -146,7 +172,8 @@ class LaurentPoly:
     through _from_clean and strip no zeros again.
     """
 
-    __slots__ = ("terms", "var")
+    __slots__ = ("var",)
+    _ONE = 0
 
     def __init__(self, terms: Mapping[int, int] | None = None, var: str = "t"):
         self.terms = {e: c for e, c in terms.items() if c != 0} if terms else {}
@@ -173,9 +200,6 @@ class LaurentPoly:
         skipped as the term map is built, so it is not cleaned twice."""
         return cls._from_clean({e: c for e, c in enumerate(coeffs) if c}, var)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def coeff(self, exponent: int) -> int:
         return self.terms.get(exponent, 0)
 
@@ -195,19 +219,6 @@ class LaurentPoly:
 
     def with_var(self, var: str) -> "LaurentPoly":
         return LaurentPoly._from_clean(dict(self.terms), var)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == ({0: other} if other else {})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # a constant equals its int, so it must hash like it
-        if self.terms.keys() <= {0}:
-            return hash(self.terms.get(0, 0))
-        return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self.terms.items()}, self.var)
@@ -262,36 +273,28 @@ class LaurentPoly:
         """Variable names and (exponents, coefficient) pairs, ascending."""
         return (self.var,), [((e,), c) for e, c in sorted(self.terms.items())]
 
-    __str__ = render
-
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(sorted(self.terms.items()))!r}, var={self.var!r})"
 
 
-class BiLaurentPoly:
-    """Integer Laurent polynomial in two variables (x and y by default).
+class BiLaurentPoly(_TermMap):
+    """Integer Laurent polynomial in x and y.
 
     Every bigraded series in the package is a sum of products of a
     polynomial in x and a polynomial in y, so one is built from a term map
     or by sum_of_products, and there is no ring arithmetic."""
 
-    __slots__ = ("terms", "xvar", "yvar")
+    __slots__ = ()
+    _ONE = (0, 0)
 
-    def __init__(
-        self,
-        terms: Mapping[tuple[int, int], int] | None = None,
-        xvar: str = "x",
-        yvar: str = "y",
-    ):
+    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         self.terms = {k: c for k, c in terms.items() if c != 0} if terms else {}
-        self.xvar = xvar
-        self.yvar = yvar
 
     @classmethod
-    def _from_clean(cls, terms: dict, xvar: str = "x", yvar: str = "y") -> "BiLaurentPoly":
+    def _from_clean(cls, terms: dict) -> "BiLaurentPoly":
         """A polynomial that owns terms, which must hold no zero coefficient."""
         poly = cls.__new__(cls)
-        poly.terms, poly.xvar, poly.yvar = terms, xvar, yvar
+        poly.terms = terms
         return poly
 
     @classmethod
@@ -346,33 +349,13 @@ class BiLaurentPoly:
             out.update(compress(zip(zip(repeat(xe), ys), digits), digits))
         return cls._from_clean(out)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BiLaurentPoly):
-            return self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == ({(0, 0): other} if other else {})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # a constant equals its int, so it must hash like it
-        if self.terms.keys() <= {(0, 0)}:
-            return hash(self.terms.get((0, 0), 0))
-        return hash(frozenset(self.terms.items()))
-
     def shift(self, dx: int, dy: int) -> "BiLaurentPoly":
-        """Multiply by xvar**dx * yvar**dy."""
-        return BiLaurentPoly._from_clean(
-            {(x + dx, y + dy): c for (x, y), c in self.terms.items()}, self.xvar, self.yvar
-        )
+        """Multiply by x**dx * y**dy."""
+        return BiLaurentPoly._from_clean({(x + dx, y + dy): c for (x, y), c in self.terms.items()})
 
     def monomials(self) -> Monomials:
         """Variable names and (exponents, coefficient) pairs, ascending."""
-        return (self.xvar, self.yvar), sorted(self.terms.items())
-
-    __str__ = render
+        return ("x", "y"), sorted(self.terms.items())
 
     def __repr__(self) -> str:
         return f"BiLaurentPoly({dict(sorted(self.terms.items()))!r})"
@@ -398,8 +381,9 @@ class TruncatedSeries:
         return len(self.coefficients) - 1
 
     @classmethod
-    def from_poly(cls, p: LaurentPoly, order: int, var: str | None = None) -> "TruncatedSeries":
-        """Truncate a polynomial with nonnegative exponents to the given order."""
+    def from_poly(cls, p: LaurentPoly, order: int) -> "TruncatedSeries":
+        """Truncate a polynomial with nonnegative exponents to the given
+        order, in its variable."""
         if type(order) is not int:  # bool is not an order
             raise TypeError(f"truncation order must be an int, not {type(order).__name__}")
         if order < 0:
@@ -410,7 +394,7 @@ class TruncatedSeries:
         for e, c in p.terms.items():
             if e <= order:
                 coeffs[e] = c
-        return cls(coeffs, var if var is not None else p.var)
+        return cls(coeffs, p.var)
 
     def coeff(self, m: int) -> int:
         if m < 0 or m > self.order:

@@ -59,9 +59,11 @@ class ProudfootReport(NamedTuple):
 
 def orbit_dim(lam: Partition) -> int:
     """Dimension of the nilpotent orbit with Jordan type lam in sl_n:
-    n**2 - sum of squared column lengths; always even."""
+    n**2 - sum of squared column lengths, which is n(n - 1) - 2 n(lam)
+    because the squared column lengths sum to n + 2 n(lam); always even."""
+    _check_partition(lam, "orbit_dim")
     n = lam.size
-    return n * n - sum(p * p for p in lam.conjugate().parts)
+    return n * (n - 1) - 2 * lam.n_stat()
 
 
 @lru_cache(maxsize=None)
@@ -146,6 +148,8 @@ def ih_s3_variety(nu: Partition, phi: Partition) -> LaurentPoly:
         x**(dim O_nu - dim O_phi) * K[nu, phi](x**-2).
 
     Empty (zero polynomial, with a warning) unless nu dominates phi."""
+    for arg in (nu, phi):
+        _check_partition(arg, "ih_s3_variety")
     if nu.size != phi.size:
         raise ValueError(f"need partitions of one n: |{nu}| != |{phi}|")
     if not nu.dominates(phi):
@@ -181,6 +185,7 @@ def slice_series_typeA_printed(mu: Partition) -> BigradedSeries:
     prefactor y**(2 n_stat(mu)) in place of y**dim(O_mu).  One nu-sum
     serves both normalizations: this is springer_fiber_series shifted in
     y."""
+    _check_partition(mu, "slice_series_typeA_printed")
     return BigradedSeries(
         springer_fiber_series(mu).poly.shift(0, 2 * mu.n_stat() - orbit_dim(mu))
     )

@@ -12,7 +12,7 @@ partitions._add_horizontal order; it is stable across runs.
 from __future__ import annotations
 
 from .laurent import LaurentPoly
-from .partitions import Partition, _add_horizontal
+from .partitions import Partition, _add_horizontal, _check_partition
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -21,6 +21,8 @@ def ssyt_enumerate(shape: Partition, content: Partition) -> list[Rows]:
     """All semistandard tableaux of the given shape in which letter i occurs
     content[i-1] times, as tuples of rows, in the strip order of the module
     docstring."""
+    for arg in (shape, content):
+        _check_partition(arg, "ssyt_enumerate")
     if shape.size != content.size:
         raise ValueError(
             f"shape and content must have equal size: |{shape}| != |{content}|"
@@ -42,6 +44,7 @@ def ssyt_enumerate(shape: Partition, content: Partition) -> list[Rows]:
 
 def syt_enumerate(shape: Partition) -> list[Rows]:
     """Standard Young tableaux of the given shape (letters 1..n, each once)."""
+    _check_partition(shape, "syt_enumerate")
     return ssyt_enumerate(shape, Partition((1,) * shape.size))
 
 
@@ -51,6 +54,7 @@ def syt_major_index_genfun(shape: Partition) -> LaurentPoly:
     r counts toward maj(T) when r+1 sits in a strictly lower row than r; the
     value of this polynomial at 1 is the number of standard tableaux.
     """
+    _check_partition(shape, "syt_major_index_genfun")
     terms: dict[int, int] = {}
     for rows in syt_enumerate(shape):
         row_of = {v: r for r, row in enumerate(rows) for v in row}

@@ -48,7 +48,7 @@ from typing import Iterator, Mapping
 
 from .laurent import BiLaurentPoly, LaurentPoly, _digit_bytes, _signed_digits
 from .laurent import q_quotient, q_quotient_coefficients
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _check_partition, partitions_of
 
 # Fundamental degrees of the exceptional types; the rank is their number.
 EXCEPTIONAL_DEGREES = {"G2": (2, 6), "F4": (2, 6, 8, 12), "E6": (2, 5, 6, 8, 9, 12)}
@@ -276,6 +276,7 @@ def enumeration_counts(wt: WeylType) -> tuple[int, int]:
 
     Validates the degree table: the counts must equal prod(d_i) and
     sum(d_i - 1).  Groups larger than E6 are refused."""
+    _group(wt)  # TypeError unless wt is a WeylType
     if wt.order > _ENUMERATED_ORDER:
         raise ValueError(
             f"counting {wt} ({wt.order} elements) is refused above the {_ENUMERATED_ORDER} of E6"
@@ -435,6 +436,7 @@ def _cycle_types(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
 def sn_character_values(lam: Partition) -> dict[str, int]:
     """chi^lam on every class of S_n, keyed by the class labels of
     _class_rows for type A (the cycle types, as "3,1,1")."""
+    _check_partition(lam, "sn_character_values")
     beads = _beads(lam.parts)
     return {label: _mn_beads(beads, parts) for label, parts in _cycle_types(lam.size)}
 

@@ -2,7 +2,7 @@ from math import comb, factorial
 
 import pytest
 
-from nilcone import kostka, springer
+from nilcone import kostka, springer, tableaux, weyl
 from nilcone.kostka import (
     _kostka_column,
     _kostka_foulkes_charge_parts,
@@ -51,7 +51,7 @@ class TestOrbitDim:
         for n in range(9):
             for lam in partitions_of(n):
                 d = orbit_dim(lam)
-                assert d == 2 * (comb(n, 2) - lam.n_stat())
+                assert d == n * n - sum(p * p for p in lam.conjugate().parts)
                 assert d % 2 == 0
                 assert 0 <= d <= n * n - n
 
@@ -394,11 +394,21 @@ class TestDegenerateInputs:
         (springer, "pn_series"),
         (kostka, "fake_degree_qhook"),
         (kostka, "kostka_from_fake_degree"),
+        (springer, "ih_s3_variety"),
+        (kostka, "kostka_foulkes_charge"),
+        (springer, "orbit_dim"),
+        (weyl, "sn_character_values"),
+        (tableaux, "ssyt_enumerate"),
+        (tableaux, "syt_enumerate"),
+        (tableaux, "syt_major_index_genfun"),
+        (springer, "slice_series_typeA_printed"),
     ],
 )
 def test_wrong_argument_type_is_named(module, name, bad):
     """A tuple, float or str fails with a TypeError naming the function and
     the type received, not an AttributeError or a comparison error."""
-    args = (bad, 8) if name == "hp0_walg_full_series" else (bad,)
+    second = {"hp0_walg_full_series": 8, "ih_s3_variety": P((2, 1)),
+              "kostka_foulkes_charge": P((2, 1)), "ssyt_enumerate": P((2, 1))}
+    args = (bad, second[name]) if name in second else (bad,)
     with pytest.raises(TypeError, match=rf"^{name} needs an? \w+, not {type(bad).__name__}$"):
         getattr(module, name)(*args)

@@ -198,6 +198,10 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="362880 elements"):
             enumeration_counts(weyl_type("A", 8))
 
+    def test_non_weyl_type_rejected(self):
+        with pytest.raises(TypeError, match="WeylType.*tuple"):
+            enumeration_counts(("A", 2))
+
     @pytest.mark.parametrize(
         "family,rank,classes", [("G2", 2, 6), ("B", 3, 10), ("D", 4, 13), ("F4", 4, 25), ("E6", 6, 25)]
     )
@@ -615,3 +619,10 @@ class TestPackedClassSumTripwires:
         monkeypatch.setattr(weyl, "_digit_bytes", lambda bound: 1)
         with pytest.raises(AssertionError):
             pn_series_molien(weyl_type("B", 4))
+
+    def test_digits_too_narrow_trip_a_fake_degree(self, monkeypatch):
+        monkeypatch.setattr(weyl, "_digit_bytes", lambda bound: 1)
+        wt = weyl_type("B", 4)
+        trivial = {name: 1 for name, _, _ in class_data(wt)}
+        with pytest.raises(AssertionError, match="fake degree wrapped a digit"):
+            fake_degree_molien(wt, trivial)
