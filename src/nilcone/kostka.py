@@ -125,7 +125,7 @@ def _kostka_foulkes_charge_parts(
     for rows in ssyt_enumerate(lam, mu):
         c = charge([v for row in reversed(rows) for v in row])  # bottom row first
         terms[c] = terms.get(c, 0) + 1
-    return LaurentPoly(terms, "t")
+    return LaurentPoly._from_clean(terms, "t")  # counts, none zero
 
 
 def kostka_foulkes_charge(lam: Partition, mu: Partition) -> LaurentPoly:

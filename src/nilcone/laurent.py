@@ -7,14 +7,17 @@ and y) to coefficient, and one value rule holds for both: the map holds no
 zero coefficient, two polynomials of one class are equal when their maps
 are, a LaurentPoly never equals a BiLaurentPoly, and a constant equals its
 int and hashes like it.  Negative exponents are allowed everywhere (the
-weight gradings computed downstream genuinely produce them).
+weight gradings computed downstream genuinely produce them).  Exponents
+and coefficients are ints, not bools: the public constructors refuse
+anything else by name, and the package builds its own values unchecked.
 
 Products of cyclotomic-type factors, prod_a (1 - var**a) / prod_b
 (1 - var**b), are built by q_quotient: the exponents both sides share
 cancel first, then one dense coefficient list takes a slice subtraction
 per numerator factor and the strided prefix sums of divide_one_minus, with
-no dict polynomial until the end.  Fake degrees, Weyl-group class factors
-and Molien numerators all take it.
+no dict polynomial until the end.  The q-hook fake degrees and the labels
+of the exceptional Weyl-group classes take it; weyl.py divides its class
+characters as integers instead.
 
 Bivariate polynomials are sums of products f(x) * g(y): built by
 BiLaurentPoly.sum_of_products, which packs each g(y) into one int
@@ -25,8 +28,9 @@ coefficients.
 
 One decoder, _signed_digits, serves every Kronecker-packed int: the rows
 of sum_of_products, the t -> 2**bits entries of the Jing column in
-kostka.py, and the Molien class sums of weyl.py (each fake degree and
-each row of the flag series).  It decodes in C: an XOR with the digit
+kostka.py, and weyl.py's class characters, each an exact quotient at
+q = 2**bits, and Molien class sums (each fake degree and each row of the
+flag series).  It decodes in C: an XOR with the digit
 offset leaves two's-complement digits, which memoryview.cast reads from
 the value's bytes in native byte order at 1, 2, 4 or 8 bytes a digit
 (int.from_bytes slices for wider digits), and a value its digits cannot
@@ -139,6 +143,29 @@ def render(
     return text
 
 
+def _clean_terms(terms: object, owner: str, exponents: str, valid) -> dict:
+    """terms, which enter from outside, less their zero coefficients:
+    TypeError, naming owner and the type received, unless terms is None or
+    a Mapping from exponents that valid accepts to ints (bool is neither)."""
+    if terms is None:
+        return {}
+    if not isinstance(terms, Mapping):
+        raise TypeError(f"{owner} terms must be a Mapping, not {type(terms).__name__}")
+    for e, c in terms.items():
+        if not valid(e):
+            kind = type(e).__name__
+            if kind == "tuple":  # name the entries' types: a pair of a float and an int
+                kind = f"({', '.join(type(x).__name__ for x in e)})"
+            raise TypeError(f"{owner} terms need {exponents} exponents, not {kind}")
+        if type(c) is not int:
+            raise TypeError(f"{owner} terms need int coefficients, not {type(c).__name__}")
+    return {e: c for e, c in terms.items() if c}
+
+
+def _is_pair(e: object) -> bool:
+    return type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+
+
 class _TermMap:
     """The value rule of the module docstring; _ONE keys the constant term."""
 
@@ -169,23 +196,24 @@ class LaurentPoly(_TermMap):
     The variable name is display metadata only: arithmetic and equality look
     at the term map alone.  substitute_power, shift and with_var map the
     exponents one-to-one, so a clean term map stays clean: they build
-    through _from_clean and strip no zeros again.
+    through _from_clean and strip no zeros again.  Only the constructor
+    checks its terms; the arithmetic builds through _from_clean.
     """
 
     __slots__ = ("var",)
     _ONE = 0
 
     def __init__(self, terms: Mapping[int, int] | None = None, var: str = "t"):
-        self.terms = {e: c for e, c in terms.items() if c != 0} if terms else {}
+        self.terms = _clean_terms(terms, "LaurentPoly", "int", lambda e: type(e) is int)
         self.var = var
 
     @classmethod
     def zero(cls, var: str = "t") -> "LaurentPoly":
-        return cls({}, var)
+        return cls._from_clean({}, var)
 
     @classmethod
     def one(cls, var: str = "t") -> "LaurentPoly":
-        return cls({0: 1}, var)
+        return cls._from_clean({0: 1}, var)
 
     @classmethod
     def _from_clean(cls, terms: dict[int, int], var: str) -> "LaurentPoly":
@@ -221,17 +249,17 @@ class LaurentPoly(_TermMap):
         return LaurentPoly._from_clean(dict(self.terms), var)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()}, self.var)
+        return LaurentPoly._from_clean({e: -c for e, c in self.terms.items()}, self.var)
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            other = LaurentPoly({0: other}, self.var)
+            other = LaurentPoly._from_clean({0: other}, self.var)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out, self.var)
+            out[e] = out.get(e, 0) + c  # an int, even where c is a bool
+        return LaurentPoly._from_clean({e: c for e, c in out.items() if c}, self.var)
 
     __radd__ = __add__
 
@@ -243,7 +271,8 @@ class LaurentPoly(_TermMap):
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.terms.items()}, self.var)
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return LaurentPoly._from_clean(terms, self.var)
         if not isinstance(other, LaurentPoly):
             return NotImplemented  # a BiLaurentPoly or TruncatedSeries has no product
         out: dict[int, int] = {}
@@ -251,7 +280,7 @@ class LaurentPoly(_TermMap):
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out, self.var)
+        return LaurentPoly._from_clean({e: c for e, c in out.items() if c}, self.var)
 
     __rmul__ = __mul__
 
@@ -288,7 +317,7 @@ class BiLaurentPoly(_TermMap):
     _ONE = (0, 0)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        self.terms = {k: c for k, c in terms.items() if c != 0} if terms else {}
+        self.terms = _clean_terms(terms, "BiLaurentPoly", "(int, int)", _is_pair)
 
     @classmethod
     def _from_clean(cls, terms: dict) -> "BiLaurentPoly":
@@ -319,7 +348,7 @@ class BiLaurentPoly(_TermMap):
         this package, cannot.)"""
         live = [(c, f.terms, g.terms) for c, f, g in triples if c and f.terms and g.terms]
         if not live:
-            return cls()
+            return cls._from_clean({})
         ys = set().union(*(g for _, _, g in live))
         ylo = min(ys)
         step = gcd(*(e - ylo for e in ys)) or 1
@@ -371,10 +400,23 @@ class TruncatedSeries:
     __slots__ = ("coefficients", "var")
 
     def __init__(self, coefficients: Sequence[int], var: str = "y"):
+        if isinstance(coefficients, str) or not isinstance(coefficients, Sequence):
+            kind = type(coefficients).__name__
+            raise TypeError(f"TruncatedSeries coefficients must be a Sequence of ints, not {kind}")
+        for c in coefficients:
+            if type(c) is not int:  # bool is not a coefficient
+                raise TypeError(f"TruncatedSeries coefficients must be ints, not {type(c).__name__}")
         if len(coefficients) == 0:
             raise ValueError("a truncated series needs at least its constant term")
         self.coefficients = list(coefficients)
         self.var = var
+
+    @classmethod
+    def _from_clean(cls, coefficients: list[int], var: str) -> "TruncatedSeries":
+        """A series that owns coefficients, a nonempty list of ints."""
+        series = cls.__new__(cls)
+        series.coefficients, series.var = coefficients, var
+        return series
 
     @property
     def order(self) -> int:
@@ -394,7 +436,7 @@ class TruncatedSeries:
         for e, c in p.terms.items():
             if e <= order:
                 coeffs[e] = c
-        return cls(coeffs, p.var)
+        return cls._from_clean(coeffs, p.var)
 
     def coeff(self, m: int) -> int:
         if m < 0 or m > self.order:
@@ -447,22 +489,22 @@ def _cancel_common(numerator: Iterable[int], denominator: Iterable[int]) -> tupl
 
 
 def q_quotient_coefficients(
-    numerator: Iterable[int], denominator: Iterable[int], var: str = "q", base: Sequence[int] = (1,)
+    numerator: Iterable[int], denominator: Iterable[int], var: str = "q"
 ) -> list[int]:
-    """base * prod_a (1 - var**a) / prod_b (1 - var**b) over the two exponent
+    """prod_a (1 - var**a) / prod_b (1 - var**b) over the two exponent
     multisets, as the coefficient list of a polynomial (constant term
     first); ExactDivisionError unless the quotient is one.
 
     The exponents both multisets hold cancel first (_cancel_common).  What
-    is left of the numerator is expanded on one dense coefficient list (the
-    base, by default 1), one slice subtraction per factor, and divided as a
-    power series to its own degree by divide_one_minus."""
+    is left of the numerator is expanded on one dense coefficient list, one
+    slice subtraction per factor, and divided as a power series to its own
+    degree by divide_one_minus."""
     numerator, denominator = list(numerator), list(denominator)
     _check_exponents(numerator + denominator)
     num, den = _cancel_common(numerator, denominator)
-    t = len(base) - 1
-    top = t + sum(num)
-    coeffs = [*base] + [0] * (top - t)
+    top = sum(num)
+    coeffs = [1] + [0] * top
+    t = 0
     for a in num:  # times (1 - var**a): c[k] -= c[k - a], old values
         t += a
         coeffs[a : t + 1] = map(sub, coeffs[a : t + 1], coeffs[: t + 1 - a])
@@ -475,7 +517,7 @@ def q_quotient_coefficients(
     if degree < 0 or any(series[degree + 1 :]):
         raise ExactDivisionError(
             f"prod (1 - {var}^b), b in {denominator}, does not divide"
-            f" {'the base times ' if len(base) > 1 else ''}prod (1 - {var}^a), a in {numerator}"
+            f" prod (1 - {var}^a), a in {numerator}"
         )
     return series[: degree + 1]
 

@@ -24,7 +24,7 @@ class Partition:
         for p in parts:
             # no coercion: 2.7, True and "3" would silently become 2, 1 and 3
             if type(p) is not int:
-                raise TypeError(f"partition parts must be ints, not {p!r}")
+                raise TypeError(f"partition parts must be ints, not {type(p).__name__}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for i, p in enumerate(parts):

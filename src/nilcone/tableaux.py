@@ -60,4 +60,4 @@ def syt_major_index_genfun(shape: Partition) -> LaurentPoly:
         row_of = {v: r for r, row in enumerate(rows) for v in row}
         maj = sum(r for r in range(1, shape.size) if row_of[r + 1] > row_of[r])
         terms[maj] = terms.get(maj, 0) + 1
-    return LaurentPoly(terms, "q")
+    return LaurentPoly._from_clean(terms, "q")  # counts, none zero

@@ -24,12 +24,15 @@ G2) without affecting any sum.
 
 weyl_type validates a degree table up to order 1200 by counting, with no
 element list: enumeration_counts multiplies orbit sizes of fundamental
-weights and halves the root closure.  Every group expands prod (1 - q**d)
-once for all its graded characters f_c and packs each into one int
-F_c = sum_i f_c[i] 2**(8 * width * i), with the digit width set from a
-coefficient bound by laurent._digit_bytes (Kronecker substitution).  A
-class sum is then one big-int sum of the F_c, decoded by
-laurent._signed_digits: sum_c size_c chi(c) F_c for a fake degree, and
+weights and halves the root closure.  Every group evaluates its graded
+characters f_c at q = B = 2**(8 * width) (Kronecker substitution): F_c =
+f_c(B) is one exact integer division of prod (1 - B**d) prod (1 - B**b)
+by prod (1 - B**a), built from shifts and subtractions, and is decoded
+once, by laurent._signed_digits, into the coefficients of f_c.  The width
+(laurent._digit_bytes) holds the bounds that make that division exact in
+q (see _class_characters) and |W|**2 / max d, which bounds the digits of
+the flag series.  A class sum is then one big-int sum of the F_c, decoded
+by _signed_digits: sum_c size_c chi(c) F_c for a fake degree, and
 sum_c (size_c f_c[i]) F_c for row i of the flag series, which is computed
 once per group.  Only its rows i <= N/2 are summed, and row N - i is row i
 reversed.  That is exact: each f_c is a quotient of factors (1 - q**k) of
@@ -44,10 +47,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 from operator import itemgetter, lshift, mul
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .laurent import BiLaurentPoly, LaurentPoly, _digit_bytes, _signed_digits
-from .laurent import q_quotient, q_quotient_coefficients
+from .laurent import q_quotient
 from .partitions import Partition, _check_partition, partitions_of
 
 # Fundamental degrees of the exceptional types; the rank is their number.
@@ -349,46 +352,77 @@ def _class_rows(family: str, rank: int) -> Iterator[tuple[str, int, tuple, tuple
 
 
 @lru_cache(maxsize=None)
-def _class_characters(family: str, rank: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
-    """(label, size, coefficients of f_c) for every class, once per group
-    (see _group): f_c(q) = prod_i (1 - q**d_i) / det(1 - q w), the graded
-    character of the coinvariant algebra at c, is one q-quotient of the
-    group's prod (1 - q**d), expanded once.  The division must be exact, of
-    degree N with constant term 1, or the class data is wrong.  Coefficient
-    tuples are immutable, so no caller can alter the cache."""
+def _class_characters(family: str, rank: int) -> tuple[int, tuple, tuple, tuple, tuple]:
+    """(width, rows, packs, heights, at_one), once per group (see _group):
+    rows (label, size, coefficients of f_c) in the order of _class_rows,
+    and per class F_c = f_c(B), max|f_c| and f_c(1).  The graded character
+    f_c(q) = prod_i (1 - q**d_i) / det(1 - q w) of the coinvariant algebra
+    at c is one exact big-int division at q = B = 2**(8 * width), decoded
+    once; F_c is the quotient itself, so no class is packed twice.
+    Coefficient tuples are immutable, so no caller can alter the cache."""
     wt = weyl_type(family, rank)
-    degree_product = q_quotient_coefficients(wt.degrees, ())
-    out = []
-    for label, size, a, b in _class_rows(family, rank):
-        f = q_quotient_coefficients(b, a, base=degree_product)  # / det(1 - q w)
-        if len(f) != wt.num_positive_roots + 1 or f[0] != 1:
-            raise AssertionError(f"malformed graded character for class {label}")
-        out.append((label, size, tuple(f)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _packed_classes(family: str, rank: int) -> tuple[int, tuple, tuple, tuple]:
-    """(width, packs, heights, at_one) in the order of _class_characters:
-    F_c, max|f_c[i]| and f_c(1).  The one cached width is the flag series',
-    whose entries are at most sum_c size_c max|f_c|**2."""
-    classes = _class_characters(family, rank)
-    heights = tuple(max(map(abs, f)) for _, _, f in classes)
-    width = _digit_bytes(sum(size * h * h for (_, size, _), h in zip(classes, heights)))
-    packs = tuple(_pack(f, width) for _, _, f in classes)
-    return width, packs, heights, tuple(sum(f) for _, _, f in classes)
-
-
-def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    npos, order = wt.num_positive_roots, wt.order
+    rows = list(_class_rows(family, rank))
+    # A digit holds |W| 2**len(a) and 2**(rank + len(b)) (the division
+    # below), and |W|**2 / max d: for true class data the flag series has
+    # digits |W| M[i][j] <= |W| [q**i] prod_d (1 - q**d) / (1 - q), whose
+    # coefficients are at most |W| / max d.  Both class sums still check
+    # their own bound (_widened), so the width can only cost speed.
+    bound = max(max(order << len(a), 1 << (rank + len(b))) for _, _, a, b in rows)
+    width = _digit_bytes(max(bound, order * order // max(wt.degrees)))
     bits = 8 * width
-    return sum(map(lshift, coeffs, range(0, bits * len(coeffs), bits)))
+    degree_product = 1
+    for d in wt.degrees:
+        degree_product -= degree_product << bits * d
+    characters, packs, heights = [], [], []
+    for label, size, a, b in rows:
+        numerator, denominator = degree_product, 1
+        for e in b:
+            numerator -= numerator << bits * e
+        for e in a:
+            denominator -= denominator << bits * e
+        packed, remainder = divmod(numerator, denominator)
+        # Exact at B is exact in q: f_c * prod (1 - q**a) has coefficients
+        # at most |W| 2**len(a) (checked below: |f_c[i]| <= |W|, as a trace
+        # is at most the dimension), and prod (1 - q**d) prod (1 - q**b) at
+        # most 2**(rank + len(b)).  Both stay below B/2, so the two
+        # polynomials, which agree at B, have the same base-B digits and
+        # are equal.
+        if remainder:
+            raise AssertionError(f"det(1 - q w) of class {label} does not divide prod (1 - q^d)")
+        try:
+            f = tuple(_signed_digits(packed, width, npos + 1))
+        except AssertionError:
+            f = ()
+        if f and f[0] != 1:
+            raise AssertionError(f"graded character of class {label} has constant term {f[0]}")
+        if not f or not f[-1]:
+            raise AssertionError(f"graded character of class {label} is not of degree {npos}")
+        if (height := max(map(abs, f))) > order:
+            raise AssertionError(f"graded character of class {label} has a coefficient above |W|")
+        characters.append((label, size, f))
+        packs.append(packed)
+        heights.append(height)
+    at_one = tuple(sum(f) for _, _, f in characters)
+    return width, tuple(characters), tuple(packs), tuple(heights), at_one
+
+
+def _widened(
+    width: int, packs: Sequence[int], fs: Iterable[tuple[int, ...]], bound: int
+) -> tuple[int, Sequence[int]]:
+    """(width, packs) whose digits hold values up to bound: the group's, or
+    its classes packed anew, uncached, at the wider width bound needs."""
+    if (wide := _digit_bytes(bound)) <= width:
+        return width, packs
+    bits = 8 * wide
+    return wide, [sum(map(lshift, f, range(0, bits * len(f), bits))) for f in fs]
 
 
 def _merged_classes(family: str, rank: int) -> list[list]:
     """[size, f_c, F_c, f_c(1)] per distinct f_c, summing the sizes that share it."""
     merged: dict[tuple[int, ...], list] = {}
-    _, packs, _, at_one = _packed_classes(family, rank)
-    for (_, size, f), packed, f1 in zip(_class_characters(family, rank), packs, at_one):
+    _, rows, packs, _, at_one = _class_characters(family, rank)
+    for (_, size, f), packed, f1 in zip(rows, packs, at_one):
         merged.setdefault(f, [0, f, packed, f1])[0] += size
     return list(merged.values())
 
@@ -456,7 +490,7 @@ def fake_degree_molien(
     if not isinstance(character_values, Mapping):
         kind = type(character_values).__name__
         raise TypeError(f"character values must be a Mapping of class labels, not {kind}")
-    classes = _class_characters(*group)
+    width, classes, packs, heights, at_one = _class_characters(*group)
     missing = [label for label, _, _ in classes if label not in character_values]
     if missing:
         raise ValueError(f"character values missing for classes: {missing}")
@@ -471,9 +505,8 @@ def fake_degree_molien(
                 f"character value of class {label} must be an int, not {type(chi).__name__}"
             )
         weights.append(size * chi)
-    width, packs, heights, at_one = _packed_classes(*group)
-    if (wide := _digit_bytes(sum(map(mul, map(abs, weights), heights)))) > width:
-        width, packs = wide, [_pack(f, wide) for _, _, f in classes]
+    bound = sum(map(mul, map(abs, weights), heights))
+    width, packs = _widened(width, packs, (f for _, _, f in classes), bound)
     digits = _signed_digits(sum(map(mul, weights, packs)), width, wt.num_positive_roots + 1)
     if sum(digits) != sum(map(mul, weights, at_one)):
         raise AssertionError("packed class sum of a fake degree wrapped a digit")
@@ -482,7 +515,7 @@ def fake_degree_molien(
     fd = list(map(wt.order.__rfloordiv__, digits))
     if min(fd) < 0:
         raise ValueError("class average has negative multiplicities: input is not a character")
-    return LaurentPoly(dict(enumerate(fd)), "q")
+    return LaurentPoly.from_coefficients(fd, "q")
 
 
 def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
@@ -496,7 +529,7 @@ def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
     characters.  Computed once per group (B_n and C_n are one), from packed
     rows of which only half are summed (see the module docstring); every
     call returns a fresh copy."""
-    return BiLaurentPoly(_flag_series(*_group(wt)))
+    return BiLaurentPoly._from_clean(dict(_flag_series(*_group(wt))))
 
 
 @lru_cache(maxsize=None)
@@ -505,11 +538,15 @@ def _flag_series(family: str, rank: int) -> dict[tuple[int, int], int]:
     x**(2N - 2i) y**(2j - 2N) has |W| M[i][j] = sum_c size_c f_c[i] f_c[j].
     Row i, for i <= N/2 (row N - i is row i reversed; see the module
     docstring), is a packed sum over _merged_classes decoded to N + 1 powers
-    of y, which must total sum_c size_c f_c[i] f_c(1) = |W| f_1[i]."""
+    of y, which must total sum_c size_c f_c[i] f_c(1) = |W| f_1[i].  Its
+    digits are at most sum_c size_c max|f_c|**2, which the group's width
+    holds for true class data (_class_characters); else it is widened."""
     wt = weyl_type(family, rank)
     npos = wt.num_positive_roots
+    width, classes, _, heights, _ = _class_characters(family, rank)
     sizes, fs, packs, at_one = zip(*_merged_classes(family, rank))
-    width = _packed_classes(family, rank)[0]
+    bound = sum(size * h * h for (_, size, _), h in zip(classes, heights))
+    width, packs = _widened(width, packs, fs, bound)
     weights = list(zip(*([size * x for x in f] for size, f in zip(sizes, fs))))  # [i][c]
     rows = []
     for i in range(npos // 2 + 1):

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 import nilcone
@@ -55,3 +57,58 @@ def test_exported_name_is_its_home_modules_object():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         nilcone.no_such_name
+
+
+# The walk over the export list: every exported callable is called with a
+# wrong type for each of its data arguments in turn.  Record classes hold
+# what they are given and check nothing, so the walk skips them; the
+# exception class and the string constant take no data.
+RECORDS = {"BigradedSeries", "ProudfootReport", "WeylType"}
+NO_DATA = {"CONVENTION_TAG", "ExactDivisionError"}
+P21 = nilcone.Partition((2, 1))
+VALID = {
+    "lam": P21, "mu": P21, "nu": P21, "phi": P21, "shape": P21, "content": P21,
+    "n": 3, "truncation": 4, "word": [1, 2], "wt": nilcone.weyl_type("A", 2),
+    "character_values": nilcone.sn_character_values(P21), "family": "A", "rank": 2,
+    "coefficients": [1], "terms": {0: 1}, "parts": (2, 1),
+}
+# a tuple holding a float, so that no sequence argument takes it as data
+WRONG = ((0.5,), 0.5, "x")
+
+
+def data_arguments(fn) -> list[str]:
+    """The required parameters, or the first when none is (the term map of
+    LaurentPoly and BiLaurentPoly, the parts of a Partition)."""
+    params = list(inspect.signature(fn).parameters.values())
+    return [p.name for p in params if p.default is p.empty] or [params[0].name]
+
+
+WALK = [
+    (name, arg, bad)
+    for name in nilcone.__all__
+    if name not in RECORDS | NO_DATA
+    for arg in data_arguments(getattr(nilcone, name))
+    for bad in WRONG
+]
+
+
+def test_the_walk_skips_only_exported_records():
+    assert RECORDS | NO_DATA <= set(nilcone.__all__)
+    assert all(isinstance(getattr(nilcone, name), type) for name in RECORDS)
+    assert {name for name, _, _ in WALK} == set(nilcone.__all__) - RECORDS - NO_DATA
+
+
+@pytest.mark.parametrize("name,arg,bad", WALK, ids=[f"{n}-{a}-{type(b).__name__}" for n, a, b in WALK])
+def test_a_wrong_type_is_refused_in_words(name, arg, bad):
+    """A TypeError that names the type received (or, where a sequence is
+    data, the type of its entry), or a ValueError; never an AttributeError
+    from deep inside."""
+    fn = getattr(nilcone, name)
+    args = {a: VALID[a] for a in data_arguments(fn)}
+    args[arg] = bad
+    with pytest.raises((TypeError, ValueError)) as refused:
+        fn(**args)
+    if refused.type is TypeError:
+        entries = bad if type(bad) is tuple else ()
+        kinds = {type(bad).__name__, *(type(x).__name__ for x in entries)}
+        assert any(kind in str(refused.value) for kind in kinds), refused.value

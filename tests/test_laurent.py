@@ -151,6 +151,57 @@ class TestLaurentBasics:
         assert str(LaurentPoly.zero()) == "0"
 
 
+class TestConstructorsRefuseNonIntegerData:
+    """The public constructors check what enters from outside and name the
+    argument and the type received; bool is not an int here."""
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: LaurentPoly({0: 1.5}), "LaurentPoly terms need int coefficients, not float"),
+            (lambda: LaurentPoly({0: True}), "LaurentPoly terms need int coefficients, not bool"),
+            (lambda: LaurentPoly({0.5: 1}), "LaurentPoly terms need int exponents, not float"),
+            (lambda: LaurentPoly({True: 1}), "LaurentPoly terms need int exponents, not bool"),
+            (lambda: LaurentPoly((1, 2)), "LaurentPoly terms must be a Mapping, not tuple"),
+            (lambda: LaurentPoly(0), "LaurentPoly terms must be a Mapping, not int"),
+            (
+                lambda: BiLaurentPoly({(0.5, 1): 1}),
+                r"BiLaurentPoly terms need \(int, int\) exponents, not \(float, int\)",
+            ),
+            (lambda: BiLaurentPoly({0: 1}), r"BiLaurentPoly terms need \(int, int\) exponents, not int"),
+            (
+                lambda: BiLaurentPoly({(0, 1, 2): 1}),
+                r"BiLaurentPoly terms need \(int, int\) exponents, not \(int, int, int\)$",
+            ),
+            (lambda: BiLaurentPoly({(0, 1): 2.0}), "BiLaurentPoly terms need int coefficients, not float"),
+            (lambda: BiLaurentPoly([((0, 1), 1)]), "BiLaurentPoly terms must be a Mapping, not list"),
+            (lambda: TruncatedSeries("x"), "TruncatedSeries coefficients must be a Sequence of ints, not str"),
+            (lambda: TruncatedSeries(1.5), "TruncatedSeries coefficients must be a Sequence of ints, not float"),
+            (lambda: TruncatedSeries([1, 0.5]), "TruncatedSeries coefficients must be ints, not float"),
+            (lambda: TruncatedSeries([True]), "TruncatedSeries coefficients must be ints, not bool"),
+        ],
+    )
+    def test_non_integer_data_is_refused(self, build, message):
+        with pytest.raises(TypeError, match=f"^{message}"):
+            build()
+
+    def test_internal_builders_skip_the_check(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(laurent, "_clean_terms", refused)
+        p = LaurentPoly.from_coefficients([1, 0, -2], "q")
+        assert LaurentPoly.zero("q").terms == {} and LaurentPoly.one().terms == {0: 1}
+        assert (p + p - p * 2).terms == {} and (-p * p).terms == {0: -1, 2: 4, 4: -4}
+        assert TruncatedSeries.from_poly(p, 3).coefficients == [1, 0, -2, 0]
+        assert BiLaurentPoly.sum_of_products([]).terms == {}
+
+    def test_arithmetic_with_a_bool_stores_ints(self):
+        total = L({0: 1}) + True
+        assert total.terms == {0: 2} and type(total.terms[0]) is int
+        assert (L({1: 3}) * True).terms == {1: 3} and (L({1: 3}) * False).terms == {}
+
+
 class TestSubstitutePower:
     def test_exponent_scaling(self):
         assert L({1: 1, 2: 1}).substitute_power(-2).terms == {-2: 1, -4: 1}
@@ -513,13 +564,13 @@ def dividing_exponents(draw):
     return draw(st.permutations(numerator)), draw(st.permutations(denominator))
 
 
-def uncancelled_coefficients(numerator, denominator, base=(1,)):
+def uncancelled_coefficients(numerator, denominator):
     """q_quotient_coefficients with no exponent cancelled: every numerator
     factor expanded on the dense list, then every denominator factor
     divided; None when the division leaves a tail."""
-    t = len(base) - 1
-    top = t + sum(numerator)
-    coeffs = [*base] + [0] * (top - t)
+    t = 0
+    top = sum(numerator)
+    coeffs = [1] + [0] * top
     for a in numerator:
         t += a
         coeffs[a : t + 1] = map(sub, coeffs[a : t + 1], coeffs[: t + 1 - a])
@@ -542,16 +593,15 @@ class TestQQuotient:
     def test_cancelling_shared_exponents_changes_nothing(self, exponents, shared, extra):
         """Shared exponents, repeated ones among them, leave the quotient and
         its exactness as the uncancelled expansion has them, with or without
-        a base."""
-        numerator = [*exponents[0], *shared]
+        extra numerator factors."""
+        numerator = [*exponents[0], *shared, *extra]
         denominator = [*shared[::-1], *exponents[1]]
-        base = uncancelled_coefficients(extra, [])
-        expected = uncancelled_coefficients(numerator, denominator, base)
+        expected = uncancelled_coefficients(numerator, denominator)
         if expected is None:
             with pytest.raises(ExactDivisionError):
-                q_quotient_coefficients(numerator, denominator, base=base)
+                q_quotient_coefficients(numerator, denominator)
         else:
-            assert q_quotient_coefficients(numerator, denominator, base=base) == expected
+            assert q_quotient_coefficients(numerator, denominator) == expected
 
     def test_shared_exponents_cancel(self):
         assert _cancel_common([2, 3], [3, 2]) == ([], [])
@@ -602,18 +652,6 @@ class TestQQuotient:
     def test_non_dividing_pair_raises(self):
         with pytest.raises(ExactDivisionError):
             q_quotient([2], [3])
-
-    @given(dividing_exponents(), st.lists(st.integers(1, 6), max_size=3))
-    def test_base_is_a_pre_expanded_numerator(self, exponents, extra):
-        numerator, denominator = exponents
-        base = q_quotient_coefficients(extra, [])
-        assert q_quotient_coefficients(numerator, denominator, base=base) == (
-            q_quotient_coefficients([*extra, *numerator], denominator)
-        )
-
-    def test_base_that_is_not_divided_raises(self):
-        with pytest.raises(ExactDivisionError, match="the base times"):
-            q_quotient_coefficients([], [1], base=[1, 0, 1])  # 1 + q**2
 
     def test_generators_are_read_once(self):
         assert q_quotient((a for a in (2, 3)), (b for b in (1,))) == L({0: 1, 1: 1, 3: -1, 4: -1})

@@ -1,11 +1,12 @@
 from collections import Counter
+from dataclasses import replace
 from math import factorial, prod
 
 import pytest
 
 import nilcone.weyl as weyl
 from nilcone.kostka import fake_degree_qhook
-from nilcone.laurent import ExactDivisionError, LaurentPoly, q_quotient
+from nilcone.laurent import LaurentPoly, q_quotient
 from nilcone.partitions import Partition, partitions_of
 from nilcone.verify import _TABLE_TYPES
 from nilcone.weyl import (
@@ -306,16 +307,16 @@ class TestMolienGradedCharacter:
     _class_characters keeps as coefficient tuples."""
 
     def test_s2_identity(self):
-        assert ("1,1", 1, (1, 1)) in _class_characters("A", 1)
+        assert ("1,1", 1, (1, 1)) in _class_characters("A", 1)[1]
 
     def test_s2_reflection(self):
-        assert ("2", 1, (1, -1)) in _class_characters("A", 1)
+        assert ("2", 1, (1, -1)) in _class_characters("A", 1)[1]
 
     @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G2", 2), ("F4", 4)])
     def test_identity_gives_group_order_at_one(self, family, rank):
         wt = weyl_type(family, rank)
         identity_factor = one_minus_power(1, wt.rank)
-        rows = _class_characters(family, rank)
+        rows = _class_characters(family, rank)[1]
         for (name, _, factor), (row_name, _, coeffs) in zip(class_data(wt), rows, strict=True):
             assert row_name == name
             assert sum(coeffs) == (wt.order if factor == identity_factor else 0)
@@ -328,9 +329,13 @@ class TestClassCharacters:
         yield
         _class_characters.cache_clear()
 
+    # A8 is the n = 9 of the fake degrees the benchmark runs; A16 is the
+    # first type A group whose division bound |W| 2**len(mu) alone needs
+    # more than 8 bytes a digit, so its classes decode in Python
     @pytest.mark.parametrize(
         "family,rank",
-        [("A", r) for r in range(1, 8)]
+        [("A", r) for r in range(1, 9)]
+        + [("A", 16)]
         + [("B", r) for r in range(2, 8)]
         + [("D", r) for r in range(3, 8)]
         + [("G2", 2), ("F4", 4), ("E6", 6)],
@@ -341,7 +346,7 @@ class TestClassCharacters:
         degree_product = LaurentPoly.one("q")
         for d in wt.degrees:
             degree_product = degree_product * LaurentPoly({0: 1, d: -1}, "q")
-        rows = _class_characters(family, rank)
+        rows = _class_characters(family, rank)[1]
         for (name, size, factor), row in zip(class_data(wt), rows, strict=True):
             assert row[:2] == (name, size)
             coeffs, det = row[2], LaurentPoly(factor.terms, "q")
@@ -356,8 +361,48 @@ class TestClassCharacters:
                 yield label, size, num, den[1:]
 
         monkeypatch.setattr(weyl, "_class_rows", wrong)
-        with pytest.raises((ExactDivisionError, AssertionError)):
+        with pytest.raises(AssertionError, match="class"):
             _class_characters(family, rank)
+
+
+class TestClassCharacterTripwires:
+    """Each check of the division at B reached by A3 class data that is
+    wrong in one way; A3 has N = 6 and |W| = 24."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        _class_characters.cache_clear()
+        yield
+        _class_characters.cache_clear()
+
+    @staticmethod
+    def one_row(monkeypatch, a, b):
+        monkeypatch.setattr(weyl, "_class_rows", lambda family, rank: iter([("x", 1, a, b)]))
+
+    def test_a_remainder_trips(self, monkeypatch):
+        self.one_row(monkeypatch, (5,), (1,))  # 1 - q**5 divides no (1 - q**d), d <= 4
+        with pytest.raises(AssertionError, match="^det.* class x does not divide"):
+            _class_characters("A", 3)
+
+    def test_a_coefficient_above_the_group_order_trips(self, monkeypatch):
+        # the identity's f = [2][3][4] = 1 + 3q + 5q^2 + 6q^3 + ..., against |W| = 3
+        real = weyl.weyl_type
+        monkeypatch.setattr(weyl, "weyl_type", lambda f, r: replace(real(f, r), order=3))
+        with pytest.raises(AssertionError, match="class 1,1,1,1 has a coefficient above"):
+            _class_characters("A", 3)
+
+    def test_a_vanishing_numerator_trips_the_constant_term(self, monkeypatch):
+        self.one_row(monkeypatch, (1, 1, 1), (0,))  # 1 - q**0 = 0
+        with pytest.raises(AssertionError, match="class x has constant term 0$"):
+            _class_characters("A", 3)
+
+    # (4,) leaves (1 - q^2)(1 - q^3), of degree 5; nothing leaves all of
+    # prod (1 - q^d), of degree 9, which overflows N + 1 digits
+    @pytest.mark.parametrize("a", [(4,), ()])
+    def test_a_degree_other_than_n_trips(self, monkeypatch, a):
+        self.one_row(monkeypatch, a, ())
+        with pytest.raises(AssertionError, match="class x is not of degree 6$"):
+            _class_characters("A", 3)
 
 
 class TestMnCharacter:
@@ -504,14 +549,14 @@ class TestFakeDegreeMolien:
         # 10**30 chi needs 14-byte digits, wider than the group's cached
         # packs, which it must leave as they are
         wt, scale = weyl_type("A", 4), 10**30
-        cached = weyl._packed_classes("A", 4)
+        cached = _class_characters("A", 4)
         standard = sn_character_values(P((4, 1)))
         fd = fake_degree_molien(wt, {label: scale * v for label, v in standard.items()})
         assert fd.terms == {e: scale * c for e, c in fake_degree_molien(wt, standard).terms.items()}
         bogus = {label: scale * (label == "1,1,1,1,1") for label in standard}
         with pytest.raises(ValueError, match="not integral"):
             fake_degree_molien(wt, bogus)
-        assert weyl._packed_classes("A", 4) is cached
+        assert _class_characters("A", 4) is cached
 
     def test_mutating_a_result_leaves_the_next_one_intact(self):
         wt = weyl_type("A", 2)
@@ -587,7 +632,7 @@ class TestPnSeriesMolien:
 class TestPackedClassSumTripwires:
     @pytest.fixture(autouse=True)
     def fresh_caches(self):
-        caches = (_class_characters, weyl._packed_classes, _flag_series)
+        caches = (_class_characters, _flag_series)
         for cached in caches:
             cached.cache_clear()
         yield
@@ -614,6 +659,17 @@ class TestPackedClassSumTripwires:
         trivial = {name: 1 for name, _, _ in class_data(moved_size)}
         with pytest.raises(ValueError, match="not integral"):
             fake_degree_molien(moved_size, trivial)
+
+    def test_sizes_beyond_the_group_width_are_summed_wider(self, monkeypatch):
+        # every size times 10**30: the digits need 15 bytes, not B4's 2
+        true = pn_series_molien(weyl_type("B", 4)).terms
+        _class_characters.cache_clear()
+        _flag_series.cache_clear()
+        rows, scale = weyl._class_rows, 10**30
+        monkeypatch.setattr(
+            weyl, "_class_rows", lambda f, r: ((c, scale * size, a, b) for c, size, a, b in rows(f, r))
+        )
+        assert pn_series_molien(weyl_type("B", 4)).terms == {k: scale * v for k, v in true.items()}
 
     def test_digits_too_narrow_trip_the_flag_series(self, monkeypatch):
         monkeypatch.setattr(weyl, "_digit_bytes", lambda bound: 1)
