@@ -4,8 +4,10 @@ the verification suites.
 Exit codes: 0 on success, 1 on a usage error (malformed partition,
 unsupported Weyl type, negative truncation, ...), 2 on a failed
 verification, 3 when an internal invariant breaks (an exact division
-leaves a remainder, an assertion fails); 1 and 3 print a one-line
-diagnostic on stderr.  A warning prints as one `warning: ...` line there.
+leaves a remainder, an assertion fails), 4 when the reader of stdout
+closes it early (a broken pipe, as under `| head`); 1, 3 and 4 print a
+one-line diagnostic on stderr.  A warning prints as one `warning: ...`
+line there.
 
 Output formats: text (ascending exponents, explicit signs), json (the
 schema below), latex.  JSON coefficients are decimal strings so arbitrary
@@ -303,15 +305,21 @@ def _query(argv) -> int:
             return code
         if not isinstance(value, (str, dict)):
             value = _RENDERERS[o["format"]](value)
-        if o["format"] != "json":
-            print(value)
-            return code
-        echo = {k: v for k, v in o.items() if k != "format"}
-        query = {k: list(v) if isinstance(v, Partition) else v for k, v in echo.items()}
-        ms = int((time.perf_counter() - started) * 1000)
-        meta = {"version": __version__, "convention": CONVENTION_TAG, "ms": ms}
-        print(json.dumps({"query": query, "result": value, "meta": meta}, sort_keys=True))
+        if o["format"] == "json":
+            echo = {k: v for k, v in o.items() if k != "format"}
+            query = {k: list(v) if isinstance(v, Partition) else v for k, v in echo.items()}
+            ms = int((time.perf_counter() - started) * 1000)
+            meta = {"version": __version__, "convention": CONVENTION_TAG, "ms": ms}
+            value = json.dumps({"query": query, "result": value, "meta": meta}, sort_keys=True)
+        print(value, flush=True)  # a closed pipe fails here, not at exit
         return code
+    except BrokenPipeError:
+        import os
+
+        # point stdout at devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed (broken pipe)", file=sys.stderr)
+        return 4
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

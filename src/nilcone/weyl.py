@@ -15,12 +15,14 @@ closed-form cycle-type combinatorics.  For D_n the classes are grouped by
 their ambient hyperoctahedral cycle type (some of those sets split into two
 true conjugacy classes, but det(1 - t w) and the class sums used here are
 constant on each set, which is all that any formula in this package
-consumes).  The exceptional groups are enumerated on index tables and split
-into true conjugacy classes; w has finite order, so det(1 - t w) is a
-product of factors (1 - t**k)**e_k, and the e_k come from the traces of
-w**j for j up to ord(w).  Only the returned class list groups the true
-classes by (a, b), which may merge some (e.g. both reflection classes of
-G2) without affecting any sum.
+consumes).  The exceptional groups are enumerated as permutations of their
+roots, each element a bytes string of root indices composed by
+bytes.translate (so at most 256 roots; E6 has 72), and split into true
+conjugacy classes; w has finite order, so det(1 - t w) is a product of
+factors (1 - t**k)**e_k, and the e_k come from the traces of w**j for j up
+to ord(w).  Only the returned class list groups the true classes by
+(a, b), which may merge some (e.g. both reflection classes of G2) without
+affecting any sum.
 
 weyl_type validates a degree table up to order 1200 by counting, with no
 element list: enumeration_counts multiplies orbit sizes of fundamental
@@ -46,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
-from operator import itemgetter, lshift, mul
+from operator import lshift, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .laurent import BiLaurentPoly, LaurentPoly, _digit_bytes, _signed_digits
@@ -181,64 +183,48 @@ def _root_system(cartan: list[list[int]]) -> tuple[list[tuple[int, ...]], list[l
     return roots, gens
 
 
-def _search(family: str, rank: int) -> tuple[list, list, list[int], list[tuple[int, int]]]:
-    """(roots, elements, right, tree): each simple reflection of
-    _root_system becomes a permutation of root indices, so a group element
-    is a tuple (w[i] the index of w applied to roots[i]) and composition is
-    tuple indexing (operator.itemgetter).  W is enumerated breadth first
-    into a flat index table: right[k * rank + j] is the index of
-    elements[k] s_j, and tree[m] = (k, j) when elements[m] was found as
-    elements[k] s_j."""
-    roots, gens = _root_system(_cartan_matrix(family, rank))
-    # itemgetter(*g)(w)[i] = w[g[i]]: composition w s_j, done in C.  An
-    # element is fixed by its images w[:rank] of the simple roots, its key.
-    steps = [(itemgetter(*g), itemgetter(*g[:rank])) for g in gens]
-    elements = [tuple(range(len(roots)))]
-    found = {itemgetter(*range(rank))(elements[0]): 0}
-    right: list[int] = []
-    tree = [(0, 0)]
-    for k, w in enumerate(elements):
-        for i, (compose, key) in enumerate(steps):
-            m = found.setdefault(key(w), len(elements))
-            if m == len(elements):
-                elements.append(compose(w))
-                tree.append((k, i))
-            right.append(m)
-    return roots, elements, right, tree
-
-
 @lru_cache(maxsize=None)
 def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[tuple, tuple, int], ...]:
     """The true conjugacy classes of W, each as (a, b, size) with
     det(1 - t w) = prod (1 - t**a) / prod (1 - t**b).
 
-    W comes from _search; left[k * rank + j], the index of s_j elements[k],
-    is filled along its search tree.  The classes are the closures under
-    conjugation s_j w s_j = right[left[w * rank + j] * rank + j], on ints
-    alone."""
-    roots, elements, right, tree = _search(family, rank)
-    left = right[:rank]
-    for k, i in tree[1:]:  # s_j (w s_i) = (s_j w) s_i
-        left += [right[m * rank + i] for m in left[k * rank : (k + 1) * rank]]
-    classed = bytearray(len(elements))
+    The simple reflections of _root_system permute root indices, so a group
+    element is a bytes string (w[k] the index of w applied to roots[k]), of
+    at most 256 roots, and composition is bytes.translate, done in C:
+    w.translate(s + pad) is s w and s.translate(w + pad) is w s, with pad
+    filling the table to 256 bytes.  W is enumerated breadth first by left
+    multiplication, and the classes are its closures under w -> s_j w s_j;
+    only each class representative's powers are traced."""
+    roots, gens = _root_system(_cartan_matrix(family, rank))
+    if len(roots) > 256:
+        raise ValueError(f"{family}{rank} has {len(roots)} roots; enumeration takes at most 256")
+    pad = bytes(range(len(roots), 256))
+    reflections = [(bytes(g), bytes(g) + pad) for g in gens]
+    identity = bytes(range(len(roots)))
+    elements, unclassed = [identity], {identity}
+    for w in elements:  # the list grows while it is read
+        for _, left in reflections:
+            if (v := w.translate(left)) not in unclassed:
+                unclassed.add(v)
+                elements.append(v)
     classes = []
-    for rep in range(len(elements)):
-        if classed[rep]:
+    for rep in elements:
+        if rep not in unclassed:
             continue
-        classed[rep] = 1
+        unclassed.remove(rep)
         orbit = [rep]
         for w in orbit:
-            for j in range(rank):
-                if not classed[c := right[left[w * rank + j] * rank + j]]:
-                    classed[c] = 1
+            right = w + pad
+            for s, left in reflections:
+                if (c := s.translate(right).translate(left)) in unclassed:  # s w s
+                    unclassed.remove(c)
                     orbit.append(c)
-        power = elements[rep]
-        step, traces = itemgetter(*power), []
+        power, step, traces = rep, rep + pad, []
         while True:  # tr(w**j) = sum_i coordinate i of w**j(a_i), j = 1..ord(w)
             traces.append(sum(roots[power[i]][i] for i in range(rank)))
-            if power == elements[0]:
+            if power == identity:
                 break
-            power = step(power)  # power w
+            power = power.translate(step)  # power w
         classes.append((*_cyclotomic_exponents(traces, rank), len(orbit)))
     degrees = _degrees(family, rank)
     if len(elements) != prod(degrees) or len(roots) != 2 * sum(d - 1 for d in degrees):

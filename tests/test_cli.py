@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -346,3 +350,28 @@ def test_run_suite_is_read_from_verify():
     assert cli.run_suite is verify.run_suite
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         cli.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["kostka", "--lambda", "2,1", "--mu", "1,1,1"], id="one-line"),
+        pytest.param(["walg", "--phi", "3,2,1", "--truncate", "20000"], id="many-writes"),
+    ],
+)
+def test_closed_pipe_is_one_line_and_exit_4(argv):
+    """A reader that closes stdout before the output is written (as
+    `| head -c 100` does) costs one diagnostic line and exit 4, in a fresh
+    process, where the flush at interpreter exit would also fail."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "nilcone.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write)
+    assert done.stderr == "error: output closed (broken pipe)\n"
+    assert done.returncode == 4

@@ -189,8 +189,17 @@ class TestEnumeration:
         "family,rank", [*_TABLE_TYPES, ("A", 5), ("C", 4), ("D", 2), ("D", 3)]
     )
     def test_orbit_count_matches_the_element_list(self, family, rank):
-        elements = weyl._search(family, rank)[1]
-        assert enumeration_counts(weyl_type(family, rank))[0] == len(elements)
+        # the enumerated elements, split into classes: their sizes sum to the
+        # orbit count, and each divides it
+        order = enumeration_counts(weyl_type(family, rank))[0]
+        sizes = [size for _, _, size in _conjugacy_classes(family, rank)]
+        assert sum(sizes) == order
+        assert all(order % size == 0 for size in sizes)
+
+    def test_more_roots_than_a_byte_refused(self):
+        # B12 has 288 roots; a group element is a bytes string of root indices
+        with pytest.raises(ValueError, match="^B12 has 288 roots; enumeration takes at most 256$"):
+            _conjugacy_classes("B", 12)
 
     def test_e6_counts(self):
         assert enumeration_counts(weyl_type("E6", 6)) == (51840, 36)
