@@ -13,8 +13,9 @@ In the Schur basis that is three Pieri moves per term of Q'_mubar: remove
 a horizontal j-strip, remove a vertical i-strip, add a horizontal
 (m+i+j)-strip.  The polynomials travel packed into ints, one digit of
 _digit_bytes(n!) bytes per power of t, and each finished entry is decoded
-in C by the decoder that laurent.py shares with
-BiLaurentPoly.sum_of_products.  One column is memoised per mu; a column
+in C by laurent._signed_digits, the decoder that the packed rows of the
+Springer-fiber series and the Molien class sums share.  One column is
+memoised per mu; a column
 that breaks dominance, K[mu,mu] = 1, positivity or the column sum
 sum_lam f^lam K[lam,mu](1) = n!/prod mu_i! raises AssertionError, and so
 does a coefficient that overflowed its digit.

@@ -19,15 +19,18 @@ no dict polynomial until the end.  The q-hook fake degrees and the labels
 of the exceptional Weyl-group classes take it; weyl.py divides its class
 characters as integers instead.
 
-Bivariate polynomials are sums of products f(x) * g(y): built by
-BiLaurentPoly.sum_of_products, which packs each g(y) into one int
-(Kronecker substitution) and sums one packed row per x-exponent, or, for
-the Molien flag series, from packed rows in weyl.py.  They have no ring
+Bivariate polynomials are sums of products f(x) * g(y), and every one the
+package builds is summed as packed rows: each g(y) is one int (Kronecker
+substitution, a digit per y-exponent on a lattice) and one row is summed
+per x-exponent.  springer.py packs the fake degrees of its Springer-fiber
+and cone series, and _packed_rows decodes those rows into a BiLaurentPoly
+with a digit-sum tripwire per row; weyl.py sums and decodes the rows of
+the Molien flag series, each a class average, itself.  They have no ring
 arithmetic, only shifts; the value at (1, 1) is the sum of the
 coefficients.
 
 One decoder, _signed_digits, serves every Kronecker-packed int: the rows
-of sum_of_products, the t -> 2**bits entries of the Jing column in
+of _packed_rows, the t -> 2**bits entries of the Jing column in
 kostka.py, and weyl.py's class characters, each an exact quotient at
 q = 2**bits, and Molien class sums (each fake degree and each row of the
 flag series).  It decodes in C: an XOR with the digit
@@ -46,7 +49,6 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from math import gcd
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
@@ -111,6 +113,29 @@ def _signed_digits(value: int, width: int, count: int) -> list[int]:
     if sys.byteorder == "big":  # the top digit's bytes came first
         digits.reverse()
     return digits
+
+
+def _packed_rows(
+    rows: Mapping[int, int], sums: Mapping[int, int], width: int, ylo: int, step: int, count: int
+) -> "BiLaurentPoly":
+    """sum over xe of x**xe * sum_k d_k y**(ylo + step * k), where d_k
+    are the count digits of width bytes of rows[xe] (_signed_digits).
+
+    The caller sizes width from a bound on the coefficients it packs, so no
+    digit can wrap.  As a tripwire each row must lie in its digit range and
+    its digits must sum to sums[xe], the row's value at y = 1: a wrapped
+    digit carries into its neighbour, which moves the digit sum by a
+    multiple of 2**(8 * width) - 1, and raises AssertionError.  (Carries of
+    both signs could cancel in the sum; carries into nonnegative
+    coefficients, as in every series of this package, cannot.)"""
+    ys = range(ylo, ylo + step * count, step)
+    out: dict[tuple[int, int], int] = {}
+    for xe, row in rows.items():
+        digits = _signed_digits(row, width, count)
+        if sum(digits) != sums[xe]:
+            raise AssertionError(f"packed row of x^{xe} wrapped a digit")
+        out.update(compress(zip(zip(repeat(xe), ys), digits), digits))
+    return BiLaurentPoly._from_clean(out)
 
 
 def render(
@@ -311,7 +336,7 @@ class BiLaurentPoly(_TermMap):
 
     Every bigraded series in the package is a sum of products of a
     polynomial in x and a polynomial in y, so one is built from a term map
-    or by sum_of_products, and there is no ring arithmetic."""
+    or from packed rows (_packed_rows), and there is no ring arithmetic."""
 
     __slots__ = ()
     _ONE = (0, 0)
@@ -325,58 +350,6 @@ class BiLaurentPoly(_TermMap):
         poly = cls.__new__(cls)
         poly.terms = terms
         return poly
-
-    @classmethod
-    def sum_of_products(
-        cls, triples: Iterable[tuple[int, LaurentPoly, LaurentPoly]]
-    ) -> "BiLaurentPoly":
-        """sum of c * f(x) * g(y) over (c, f, g) triples, by Kronecker packing.
-
-        Every y-exponent of every g lies on the lattice ylo + step * k.  Each
-        g becomes one int with a digit of 8 * width bits per lattice point,
-        each x-exponent accumulates the row sum of c * f[xe] * G, and every
-        row is decoded once, into signed digits, by _signed_digits.
-
-        No digit can wrap: an output coefficient is at most
-        sum |c| * max|f| * max|g| in absolute value, and a digit holds one
-        sign bit more than that bound (_digit_bytes).  As a tripwire each row
-        must lie in its digit range and its digits must sum to
-        sum c * f[xe] * g(1): a wrapped digit carries into its neighbour,
-        which moves the digit sum by a multiple of 2**(8 * width) - 1, and
-        raises AssertionError.  (Carries of both signs could cancel in the
-        sum; carries into nonnegative coefficients, as in every series of
-        this package, cannot.)"""
-        live = [(c, f.terms, g.terms) for c, f, g in triples if c and f.terms and g.terms]
-        if not live:
-            return cls._from_clean({})
-        ys = set().union(*(g for _, _, g in live))
-        ylo = min(ys)
-        step = gcd(*(e - ylo for e in ys)) or 1
-        length = (max(ys) - ylo) // step + 1
-        width = _digit_bytes(
-            sum(
-                abs(c) * max(map(abs, f.values())) * max(map(abs, g.values()))
-                for c, f, g in live
-            )
-        )
-        bits = 8 * width
-        rows: dict[int, int] = {}
-        sums: dict[int, int] = {}
-        for c, f, g in live:
-            packed = sum(gc << bits * ((ye - ylo) // step) for ye, gc in g.items())
-            g1 = sum(g.values())
-            for xe, fc in f.items():
-                k = c * fc
-                rows[xe] = rows.get(xe, 0) + k * packed
-                sums[xe] = sums.get(xe, 0) + k * g1
-        ys = range(ylo, ylo + step * length, step)
-        out: dict[tuple[int, int], int] = {}
-        for xe, row in rows.items():
-            digits = _signed_digits(row, width, length)
-            if sum(digits) != sums[xe]:
-                raise AssertionError(f"packed row of x^{xe} wrapped a digit")
-            out.update(compress(zip(zip(repeat(xe), ys), digits), digits))
-        return cls._from_clean(out)
 
     def shift(self, dx: int, dy: int) -> "BiLaurentPoly":
         """Multiply by x**dx * y**dy."""

@@ -19,11 +19,19 @@ from __future__ import annotations
 
 import warnings
 from functools import lru_cache
-from typing import NamedTuple
+from math import comb
+from typing import Iterable, NamedTuple
 
 from .kostka import _kostka_column, kostka_foulkes, kostka_from_fake_degree
-from .laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries, divide_one_minus
-from .partitions import Partition, _check_partition, partitions_of
+from .laurent import (
+    BiLaurentPoly,
+    LaurentPoly,
+    TruncatedSeries,
+    _digit_bytes,
+    _packed_rows,
+    divide_one_minus,
+)
+from .partitions import Partition, Shape, _check_partition, partitions_of
 
 
 class BigradedSeries:
@@ -71,9 +79,53 @@ def _kostka_g_parts(lam_parts: tuple[int, ...]) -> LaurentPoly:
     return kostka_from_fake_degree(Partition(lam_parts))
 
 
+@lru_cache(maxsize=None)
+def _fake_degree_bounds(nu: Shape) -> tuple[int, int]:
+    """(FD_nu(1), max |FD_nu|): f^nu and the largest coefficient of the
+    fake degree, which has the coefficients of K[nu] = _kostka_g_parts(nu)."""
+    coeffs = _kostka_g_parts(nu).terms.values()
+    return sum(coeffs), max(map(abs, coeffs))
+
+
+@lru_cache(maxsize=None)
+def _fake_degree_packed(nu: Shape, width: int) -> int:
+    """FD_nu(2**(8 * width)): the fake degree FD_nu(q) = q**N K[nu](1/q),
+    N = n(n - 1)/2, packed with its q**k coefficient as digit k of width
+    bytes."""
+    top, bits = comb(sum(nu), 2), 8 * width
+    return sum(c << bits * (top - e) for e, c in _kostka_g_parts(nu).terms.items())
+
+
+def _fiber_series(n: int, low: int, column: Iterable[tuple[Shape, LaurentPoly]]) -> BigradedSeries:
+    """y**(-2 low) * sum of K(x**2) * FD_nu(y**2) over the (nu, K) of
+    column, nu partitions of n: the series of a Springer fiber, with
+    K = K[nu, phi] and low = n(phi).
+
+    Every y-factor is a fake degree of degree at most N = n(n - 1)/2, so
+    the y-exponents lie on the fixed lattice -2 low + 2k, k = 0..N, and
+    each x-exponent sums one packed row of memoised FD_nu(2**(8 * width))
+    (_fake_degree_packed).  A coefficient is at most
+    sum_nu max|K| * max|FD_nu| in absolute value, and a digit holds one
+    sign bit more than that bound (_digit_bytes).  _packed_rows decodes
+    the rows, and checks each against its value at y = 1,
+    sum_nu K * FD_nu(1)."""
+    column = [(nu, k.terms) for nu, k in column]
+    width = _digit_bytes(
+        sum(max(map(abs, k.values())) * _fake_degree_bounds(nu)[1] for nu, k in column)
+    )
+    rows: dict[int, int] = {}
+    sums: dict[int, int] = {}
+    for nu, k in column:
+        packed, at_one = _fake_degree_packed(nu, width), _fake_degree_bounds(nu)[0]
+        for e, c in k.items():
+            rows[2 * e] = rows.get(2 * e, 0) + c * packed
+            sums[2 * e] = sums.get(2 * e, 0) + c * at_one
+    return BigradedSeries(_packed_rows(rows, sums, width, -2 * low, 2, comb(n, 2) + 1))
+
+
 def _reflected(k: LaurentPoly, d: int, var: str) -> LaurentPoly:
-    """var**d * k(var**-2), in one term map: hp0 of a slice, IH of an orbit
-    closure or of a slice of one, and the y factor of a Springer fiber."""
+    """var**d * k(var**-2), in one term map: hp0 of a slice and IH of an
+    orbit closure or of a slice of one."""
     return LaurentPoly._from_clean({d - 2 * e: c for e, c in k.terms.items()}, var)
 
 
@@ -92,17 +144,16 @@ def kostka_g(lam: Partition) -> LaurentPoly:
 
 def pn_series(n: int) -> BigradedSeries:
     """Bigraded series of the nilpotent cone of sl_n:
-    sum over partitions lam of n of K[lam](x**2) * K[lam](y**-2)."""
+    sum over partitions lam of n of K[lam](x**2) * K[lam](y**-2).
+
+    K[lam](y**-2) = y**(-2N) FD_lam(y**2), N = n(n - 1)/2, so this is the
+    Springer-fiber sum of phi = (1^n), summed by _fiber_series over the
+    kostka_g(lam), whose memo hp0 and IH read too."""
     if type(n) is not int:  # bool is not a size
         raise TypeError(f"pn_series needs an int, not {type(n).__name__}")
     if n < 1:
         raise ValueError("the nilpotent-cone series needs n >= 1")
-    return BigradedSeries(
-        BiLaurentPoly.sum_of_products(
-            (1, k.substitute_power(2), k.substitute_power(-2))
-            for k in map(kostka_g, partitions_of(n))
-        )
-    )
+    return _fiber_series(n, comb(n, 2), ((lam.parts, kostka_g(lam)) for lam in partitions_of(n)))
 
 
 def hp0_slice_series(phi: Partition) -> LaurentPoly:
@@ -124,13 +175,21 @@ def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
         hp0_slice_series(phi) * prod_i (1 - y**(2 d_i))**-1,
 
     with d_i = 2, ..., n the degrees for sl_n.  The filtered quantization
-    has the same series.  Every exponent is even (dim O_phi and 2 d_i are),
-    so the division runs in u = y**2, by 1 - u**d_i, on the even
-    coefficients."""
+    has the same series.  It is taken from its closed form in u = y**2,
+
+        1 / prod_{h in hooks(phi), less one h = 1} (1 - u**h).
+
+    Derivation: hp0_slice_series(phi) is y**(-2 n(phi)) FD_phi(y**2), and
+    the q-hook formula (Macdonald, Symmetric Functions, I.5) makes that
+    prod_{k=1..n} (1 - u**k) / prod_{h in hooks(phi)} (1 - u**h).  The
+    degrees d = 2..n cancel every numerator factor but 1 - u, which cancels
+    the hook of one corner cell.  So the series 1, truncated, has its even
+    coefficients divided by 1 - u**h, the largest hook first."""
     _check_partition(phi, "hp0_walg_full_series")
-    series = TruncatedSeries.from_poly(hp0_slice_series(phi), truncation)
+    series = TruncatedSeries.from_poly(LaurentPoly.one("y"), truncation)
+    hooks = sorted(phi.hooks(), reverse=True)[:-1]  # the last is a corner's 1
     coeffs = series.coefficients
-    coeffs[::2] = divide_one_minus(coeffs[::2], range(2, phi.size + 1))
+    coeffs[::2] = divide_one_minus(coeffs[::2], hooks)
     return series
 
 
@@ -168,16 +227,15 @@ def springer_fiber_series(phi: Partition) -> BigradedSeries:
         y**dim(O_phi) * sum over nu >= phi of K[nu,phi](x**2) * K[nu](y**-2).
 
     At phi = (1^n) this is the whole nilpotent cone, at phi = (n) a point.
-    The nu are the keys of the memoised column of phi, which holds exactly
-    the nonzero K[nu,phi], and y**dim(O_phi) goes into each y factor."""
+    With dim(O_phi) = 2N - 2 n(phi) and K[nu](y**-2) = y**(-2N) FD_nu(y**2),
+    N = n(n - 1)/2, it is
+
+        y**(-2 n(phi)) * sum over nu >= phi of K[nu,phi](x**2) * FD_nu(y**2),
+
+    summed by _fiber_series over the memoised column of phi, which holds
+    exactly the nonzero K[nu,phi]."""
     _check_partition(phi, "springer_fiber_series")
-    d = orbit_dim(phi)
-    return BigradedSeries(
-        BiLaurentPoly.sum_of_products(
-            (1, k.substitute_power(2), _reflected(_kostka_g_parts(nu), d, "y"))
-            for nu, k in _kostka_column(phi.parts).items()
-        )
-    )
+    return _fiber_series(phi.size, phi.n_stat(), _kostka_column(phi.parts).items())
 
 
 def slice_series_typeA_printed(mu: Partition) -> BigradedSeries:

@@ -23,7 +23,7 @@ from .kostka import (
     kostka_foulkes_charge,
     kostka_from_fake_degree,
 )
-from .laurent import LaurentPoly, TruncatedSeries
+from .laurent import LaurentPoly, TruncatedSeries, q_quotient
 from .partitions import Partition, partitions_of
 from .springer import (
     hp0_slice_series,
@@ -191,10 +191,34 @@ def suite_proudfoot(max_n: int = 7) -> list[CheckResult]:
     ]
 
 
+def _flag_count(phi: tuple[int, ...], memo: dict) -> LaurentPoly:
+    """F_phi(q), the complete flags over F_q stable under a nilpotent of
+    Jordan type phi, by the flag's first line: F_() = 1 and
+    F_phi = sum_i q**r_i [m_i]_q F_phi-, over the row lengths i of phi,
+    with m_i rows of length i, r_i rows longer, and phi- the partition
+    with one row of length i shortened by one."""
+    if phi not in memo:
+        total = LaurentPoly.zero("x") if phi else LaurentPoly.one("x")
+        for j, i in enumerate(phi):
+            if j + 1 < len(phi) and phi[j + 1] == i:
+                continue  # shorten the last row of length i
+            m = phi.count(i)
+            shorter = phi[:j] + ((i - 1,) if i > 1 else ()) + phi[j + 1 :]
+            q_int = LaurentPoly(dict.fromkeys(range(j + 1 - m, j + 1), 1), "x")
+            total = total + q_int * _flag_count(shorter, memo)
+        memo[phi] = total
+    return memo[phi]
+
+
 def suite_fibers(max_n: int = 6) -> list[CheckResult]:
     """Slice series degenerations: the zero orbit recovers the full cone,
-    the regular orbit a point; dimensions match brute-force tableau counts."""
+    the regular orbit a point; dimensions match brute-force tableau counts.
+    Two graded closed forms, neither read through a Kostka route, pin each
+    side of every S_phi(x, y): S_phi(x, 1) = x**(2 n(phi)) F_phi(x**-2), the
+    Springer fiber's point count (_flag_count), and S_phi(1, y) =
+    y**(-2 n(phi)) [n; phi]_(y**2), the q-multinomial (q_quotient)."""
     failures = []
+    memo: dict = {}
     for n in range(1, max_n + 1):
         cone = pn_series_molien(weyl_type("A", n - 1)) if n >= 2 else 1
         if springer_fiber_series(Partition((1,) * n)).poly != cone:
@@ -202,22 +226,40 @@ def suite_fibers(max_n: int = 6) -> list[CheckResult]:
         if springer_fiber_series(Partition((n,))).poly.terms != {(0, 0): 1}:
             failures.append(f"regular-orbit n={n}")
         for phi in partitions_of(n):
-            total = sum(springer_fiber_series(phi).poly.terms.values())
+            terms = springer_fiber_series(phi).poly.terms
+            total = sum(terms.values())
             oracle = sum(
                 len(ssyt_enumerate(nu, phi)) * nu.num_standard_tableaux()
                 for nu in partitions_of(n)
             )
             if total != oracle:
                 failures.append(f"dimension phi={phi}")
+            at_y1: dict[int, int] = {}
+            at_x1: dict[int, int] = {}
+            for (xe, ye), c in terms.items():
+                at_y1[xe] = at_y1.get(xe, 0) + c
+                at_x1[ye] = at_x1.get(ye, 0) + c
+            low = phi.n_stat()
+            flags = _flag_count(phi.parts, memo).substitute_power(-2).shift(2 * low)
+            if LaurentPoly(at_y1, "x") != flags:
+                failures.append(f"x side phi={phi}")
+            blocks = [k for p in phi for k in range(1, p + 1)]
+            multinomial = q_quotient(range(1, n + 1), blocks, "y").substitute_power(2)
+            if LaurentPoly(at_x1, "y") != multinomial.shift(-2 * low):
+                failures.append(f"y side phi={phi}")
     return [
         _single("fibers: slice series degenerations and dimensions", f"n <= {max_n}", failures)
     ]
 
 
 def suite_walg(max_n: int = 8) -> list[CheckResult]:
-    """The full W-algebra series, multiplied back by prod_i (1 - y**(2 d_i))
-    with LaurentPoly.__mul__ and truncated by from_poly, is the truncated
-    slice series: a route that shares no code with divide_one_minus."""
+    """The full W-algebra series, taken from its hook closed form
+    1 / prod (1 - y**(2h)) over the hooks h of phi less one h = 1, then
+    multiplied back by prod_i (1 - y**(2 d_i)) with LaurentPoly.__mul__ and
+    truncated by from_poly, is the truncated q-hook slice series
+    hp0_slice_series.  The two routes share only Partition.hooks() and the
+    divide_one_minus kernel, whose wrong stride trips the q-hook's exact
+    division; the multiplication back shares no code with either."""
     failures = []
     for n in range(1, max_n + 1):
         order = 2 * n * (n - 1) + 8  # 4N + 8, N the number of positive roots

@@ -4,10 +4,11 @@ Outside type A the Molien series has no second route yet, and its other
 tests see only the (1,1)-value, the exponent window and y = 1.  A
 builder that paired one class's x-factor with another class's y-factor
 can keep all three, so these digests are what catch it.  They were recorded
-before the series builders were rewritten around sum_of_products; the
-digests of A2-A7, B6-B8, C7 and D3, D6-D8 and A9 were recorded before the
-class sums moved onto packed rows of the graded characters, whose flag
-rows take 8-byte digits from A9, B7 and D8 on.
+before the series builders were rewritten around packed sums of products,
+which now run over memoised packed fake degrees; the digests of A2-A7,
+B6-B8, C7 and D3, D6-D8 and A9 were recorded before the class sums moved
+onto packed rows of the graded characters, whose flag rows take 8-byte
+digits from A9, B7 and D8 on.
 
 The q-hook fake degrees are pinned per n, one digest over every lam of n,
 as they were before the q-hook moved onto the dense quotient q_quotient.

@@ -9,6 +9,13 @@ from nilcone.springer import _kostka_g_parts, kostka_g
 from nilcone.verify import SUITES, run_suite
 
 
+def clear_fake_degree_memos():
+    """Empty every memo that holds a (1^n) column entry or data packed from
+    it, so that a patched route is not hidden."""
+    for memo in (_kostka_g_parts, springer._fake_degree_bounds, springer._fake_degree_packed):
+        memo.cache_clear()
+
+
 class TestSuites:
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_each_suite_passes_small(self, name):
@@ -41,11 +48,11 @@ class TestSuites:
         monkeypatch.setattr(verify, "syt_major_index_genfun", wrong_fd)
         monkeypatch.setattr(verify, "sn_character_values", lambda lam: lam)
         monkeypatch.setattr(verify, "fake_degree_molien", lambda wt, lam: wrong_fd(lam))
-        _kostka_g_parts.cache_clear()  # a memoised column would hide the patch
+        clear_fake_degree_memos()  # a memoised column would hide the patch
         try:
             report = run_suite("fake-degrees", max_n=4)
         finally:
-            _kostka_g_parts.cache_clear()
+            clear_fake_degree_memos()
         assert not report.passed
         assert report.checks[0].counterexample == "lam=(2,1)"
 
@@ -81,14 +88,46 @@ class TestSuites:
             lam = Partition(parts)
             assert laurent._cancel_common(range(1, lam.size + 1), lam.hooks())[1]
         self._patch_wrong_stride(monkeypatch)
-        _kostka_g_parts.cache_clear()
+        clear_fake_degree_memos()
         try:
             with pytest.raises(ExactDivisionError):
                 kostka.fake_degree_qhook(Partition((3, 1)))
             with pytest.raises(ExactDivisionError):
                 kostka_g(Partition((2, 2)))
         finally:
-            _kostka_g_parts.cache_clear()
+            clear_fake_degree_memos()
+
+    def test_fibers_suite_catches_a_shifted_column_entry(self, monkeypatch):
+        """K[(3),(2,1)] times t in the Springer series' column keeps every
+        count and degeneration; the x-side closed form catches it."""
+        right = springer._kostka_column
+
+        def shifted(parts):
+            column = dict(right(parts))
+            if parts == (2, 1):
+                column[(3,)] = column[(3,)].shift(1)
+            return column
+
+        monkeypatch.setattr(springer, "_kostka_column", shifted)
+        report = run_suite("fibers", max_n=4)
+        assert not report.passed
+        assert report.checks[0].counterexample == "x side phi=(2,1)"
+
+    def test_fibers_suite_catches_a_shifted_fake_degree(self, monkeypatch):
+        """The packed fake degree of (2,1) moved up one power of y**2 keeps
+        every count; the y-side closed form catches it for each phi whose
+        column holds (2,1), and the zero-orbit check for (1,1,1)."""
+        right = springer._fake_degree_packed
+
+        def shifted(nu, width):
+            return right(nu, width) << 8 * width if nu == (2, 1) else right(nu, width)
+
+        monkeypatch.setattr(springer, "_fake_degree_packed", shifted)
+        report = run_suite("fibers", max_n=3)
+        assert not report.passed
+        assert report.checks[0].counterexample == (
+            "zero-orbit n=3; y side phi=(2,1); y side phi=(1,1,1)"
+        )
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
