@@ -35,8 +35,7 @@ from .partitions import Partition
 # Each command imports the modules it runs when it runs.  So that the parser
 # needs neither weyl nor verify, its choices copy their tables (tested equal).
 _FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6")
-_SUITES = ("counts", "fake-degrees", "cone-series", "proudfoot", "fibers", "walg",
-           "weights", "socle", "tables")
+_SUITES = ("counts", "fake-degrees", "cone-series", "proudfoot", "fibers", "walg")
 
 
 def __getattr__(name: str):

@@ -26,20 +26,23 @@ affecting any sum.
 
 weyl_type validates a degree table up to order 1200 by counting, with no
 element list: enumeration_counts multiplies orbit sizes of fundamental
-weights and halves the root closure.  Every group evaluates its graded
-characters f_c at q = B = 2**(8 * width) (Kronecker substitution): F_c =
-f_c(B) is one exact integer division of prod (1 - B**d) prod (1 - B**b)
-by prod (1 - B**a), built from shifts and subtractions, and is decoded
-once, by laurent._signed_digits, into the coefficients of f_c.  The width
+weights and halves the root closure.  The counts verify suite counts the
+larger tables up to E6.  Every group evaluates its graded characters f_c
+at q = B = 2**(8 * width) (Kronecker substitution): F_c = f_c(B) is one
+exact integer division of prod (1 - B**d) prod (1 - B**b) by
+prod (1 - B**a), built from shifts and subtractions, and is decoded once,
+by laurent._signed_digits, into the coefficients of f_c.  The width
 (laurent._digit_bytes) holds the bounds that make that division exact in
-q (see _class_characters) and |W|**2 / max d, which bounds the digits of
-the flag series.  A class sum is then one big-int sum of the F_c, decoded
-by _signed_digits: sum_c size_c chi(c) F_c for a fake degree, and
-sum_c (size_c f_c[i]) F_c for row i of the flag series, which is computed
-once per group.  Only its rows i <= N/2 are summed, and row N - i is row i
-reversed.  That is exact: each f_c is a quotient of factors (1 - q**k) of
-degree N (checked), so q**N f_c(1/q) = +-f_c(q), and class data that
-passes that check, right or wrong, gives a symmetric sum.
+q (see _class_characters), and nothing more.  A class sum is then one
+big-int sum of the F_c, decoded by _signed_digits: sum_c size_c chi(c) F_c
+for a fake degree, and sum_c (size_c f_c[i]) F_c for row i of the flag
+series, which is computed once per group.  Each sum bounds its own digits,
+and one that needs wider digits than the group's packs its classes anew
+(_widened): the flag series of B7 does, once per process.  Only the flag
+series' rows i <= N/2 are summed, and row N - i is row i reversed.  That
+is exact: each f_c is a quotient of factors (1 - q**k) of degree N
+(checked), so q**N f_c(1/q) = +-f_c(q), and class data that passes that
+check, right or wrong, gives a symmetric sum.
 """
 
 from __future__ import annotations
@@ -349,13 +352,11 @@ def _class_characters(family: str, rank: int) -> tuple[int, tuple, tuple, tuple,
     wt = weyl_type(family, rank)
     npos, order = wt.num_positive_roots, wt.order
     rows = list(_class_rows(family, rank))
-    # A digit holds |W| 2**len(a) and 2**(rank + len(b)) (the division
-    # below), and |W|**2 / max d: for true class data the flag series has
-    # digits |W| M[i][j] <= |W| [q**i] prod_d (1 - q**d) / (1 - q), whose
-    # coefficients are at most |W| / max d.  Both class sums still check
-    # their own bound (_widened), so the width can only cost speed.
+    # A digit holds |W| 2**len(a) and 2**(rank + len(b)), the bounds of the
+    # division below.  The class sums check their own bounds and widen when
+    # they need more (_widened).
     bound = max(max(order << len(a), 1 << (rank + len(b))) for _, _, a, b in rows)
-    width = _digit_bytes(max(bound, order * order // max(wt.degrees)))
+    width = _digit_bytes(bound)
     bits = 8 * width
     degree_product = 1
     for d in wt.degrees:

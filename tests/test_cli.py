@@ -261,7 +261,7 @@ class TestVerifyCommand:
 
     def test_json_report(self, capsys):
         code, out, _ = invoke(
-            capsys, "verify", "--suite", "tables", "--format", "json"
+            capsys, "verify", "--suite", "counts", "--max-n", "3", "--format", "json"
         )
         assert code == 0
         payload = json.loads(out)

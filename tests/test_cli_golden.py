@@ -55,7 +55,7 @@ QUERIES = (
     ("springer-fiber", "--phi", "2,1,1"),
     ("proudfoot", "--lambda", "3,1"),
     ("verify", "--suite", "proudfoot", "--max-n", "4"),
-    ("verify", "--suite", "tables", "--max-n", "3"),
+    ("verify", "--suite", "counts", "--max-n", "3"),
     ("verify", "--max-n", "-1"),
     ("verify", "--suite", "bogus"),
     ("frobnicate",),

@@ -3,17 +3,11 @@ from math import comb, factorial
 import pytest
 
 from nilcone import kostka, springer, tableaux, weyl
-from nilcone.kostka import (
-    _kostka_column,
-    _kostka_foulkes_charge_parts,
-    kostka_foulkes,
-    kostka_foulkes_charge,
-)
+from nilcone.kostka import kostka_foulkes, kostka_foulkes_charge
 from nilcone.laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries, divide_one_minus
 from nilcone.partitions import Partition, partitions_of
 from nilcone.springer import (
     BigradedSeries,
-    _kostka_g_parts,
     hp0_slice_series,
     hp0_walg_full_series,
     ih_orbit_closure,
@@ -33,13 +27,6 @@ P = Partition
 
 def ones(n):
     return P((1,) * n)
-
-
-def clear_fake_degree_memos():
-    """Empty every memo that holds a (1^n) column entry or data packed from
-    it, so that a patched route is not hidden."""
-    for memo in (_kostka_g_parts, springer._fake_degree_bounds, springer._fake_degree_packed):
-        memo.cache_clear()
 
 
 class TestOrbitDim:
@@ -75,7 +62,7 @@ class TestKostkaG:
     def test_empty_partition(self):
         assert kostka_g(P(())) == 1
 
-    def test_consumers_take_the_closed_form(self, monkeypatch):
+    def test_consumers_take_the_closed_form(self, monkeypatch, clear_memos):
         """With the tableau search disabled, every consumer of the (1^n)
         column still answers, and so does kostka_foulkes, so none of them
         goes through charge."""
@@ -83,9 +70,6 @@ class TestKostkaG:
         def no_tableaux(*args):
             raise AssertionError("tableau enumeration reached")
 
-        clear_fake_degree_memos()
-        _kostka_foulkes_charge_parts.cache_clear()
-        _kostka_column.cache_clear()
         monkeypatch.setattr(kostka, "ssyt_enumerate", no_tableaux)
         with pytest.raises(AssertionError, match="tableau enumeration"):
             kostka_foulkes_charge(P((3, 2, 1)), ones(6))

@@ -2,18 +2,20 @@ import time
 
 import pytest
 
-from nilcone import kostka, laurent, springer, verify
+from nilcone import kostka, laurent, verify
 from nilcone.laurent import ExactDivisionError
 from nilcone.partitions import Partition
-from nilcone.springer import _kostka_g_parts, kostka_g
+from nilcone.springer import kostka_g
 from nilcone.verify import SUITES, run_suite
 
-
-def clear_fake_degree_memos():
-    """Empty every memo that holds a (1^n) column entry or data packed from
-    it, so that a patched route is not hidden."""
-    for memo in (_kostka_g_parts, springer._fake_degree_bounds, springer._fake_degree_packed):
-        memo.cache_clear()
+# the planted defects of the mutation catalogue
+from test_mutations import (
+    a2_class_size,
+    shifted_column_entry,
+    shifted_packed_fake_degree,
+    wrong_qhook,
+    wrong_stride,
+)
 
 
 class TestSuites:
@@ -27,46 +29,35 @@ class TestSuites:
         report = run_suite("all", max_n=3)
         assert report.passed
         names = {c.name.split(":")[0] for c in report.checks}
-        assert names == {name.split(":")[0] for name in
-                         ("counts", "fake-degrees", "cone-series",
-                          "proudfoot", "fibers", "walg", "weights", "socle", "tables")}
+        assert names == set(SUITES) == {
+            "counts", "fake-degrees", "cone-series", "proudfoot", "fibers", "walg"
+        }
 
-    def test_fake_degrees_suite_catches_a_wrong_qhook(self, monkeypatch):
+    def test_fake_degrees_suite_catches_a_wrong_qhook(self, monkeypatch, clear_memos):
         """One wrong q-hook value fails the suite even when the major-index
         and Molien routes are made to agree with it: the charge route is
         left to catch it, so it must not share the q-hook's code.  The
         wrong value is planted in the one coefficient helper that both
-        fake_degree_qhook and kostka_from_fake_degree read."""
-        right = kostka._qhook_coefficients
-
-        def wrong(lam, caller):
-            coeffs = right(lam, caller)
-            return [coeffs[0] + 1, *coeffs[1:]] if lam == Partition((2, 1)) else coeffs
-
+        fake_degree_qhook and kostka_from_fake_degree read, and the memos
+        are emptied so that a memoised column does not hide it."""
         wrong_fd = kostka.fake_degree_qhook
-        monkeypatch.setattr(kostka, "_qhook_coefficients", wrong)
+        wrong_qhook(monkeypatch)
         monkeypatch.setattr(verify, "syt_major_index_genfun", wrong_fd)
         monkeypatch.setattr(verify, "sn_character_values", lambda lam: lam)
         monkeypatch.setattr(verify, "fake_degree_molien", lambda wt, lam: wrong_fd(lam))
-        clear_fake_degree_memos()  # a memoised column would hide the patch
-        try:
-            report = run_suite("fake-degrees", max_n=4)
-        finally:
-            clear_fake_degree_memos()
+        report = run_suite("fake-degrees", max_n=4)
         assert not report.passed
         assert report.checks[0].counterexample == "lam=(2,1)"
 
-    @staticmethod
-    def _patch_wrong_stride(monkeypatch):
-        """Divide by 1 - y**(e + 1) in place of 1 - y**e, in both modules
-        that call the kernel: springer (walg) and laurent (q_quotient)."""
-        right = laurent.divide_one_minus
-
-        def wrong(coeffs, exponents):
-            return right(coeffs, [e + 1 for e in exponents])
-
-        monkeypatch.setattr(springer, "divide_one_minus", wrong)
-        monkeypatch.setattr(laurent, "divide_one_minus", wrong)
+    def test_fake_degrees_suite_reports_a_broken_class_average(self, monkeypatch, clear_memos):
+        """An A2 class size moved by one leaves no class average integral.
+        fake_degree_molien raises ValueError for that, but the suite fed
+        it its own S_3 characters, so the fault is internal: a FAIL with
+        the shapes (exit 2), not a usage error (exit 1)."""
+        a2_class_size(monkeypatch)
+        report = run_suite("fake-degrees", max_n=3)
+        assert not report.passed
+        assert report.checks[0].counterexample == "lam=(3); lam=(2,1); lam=(1,1,1)"
 
     def test_walg_suite_catches_a_wrong_stride(self, monkeypatch):
         """A wrong stride fails the walg suite, which multiplies back
@@ -75,40 +66,28 @@ class TestSuites:
         memoises them (_kostka_g_parts, weyl_type) before the patch: the
         suite must reach its comparison, not the exactness tripwire."""
         assert run_suite("walg", max_n=3).passed
-        self._patch_wrong_stride(monkeypatch)
+        wrong_stride(monkeypatch)
         report = run_suite("walg", max_n=3)
         assert not report.passed
         assert report.checks[0].counterexample.startswith("phi=(2)")
 
-    def test_wrong_stride_trips_the_qhook_division(self, monkeypatch):
+    def test_wrong_stride_trips_the_qhook_division(self, monkeypatch, clear_memos):
         """The shared exponents cancel before the division, so the shapes
         must keep a denominator that the wrong stride cannot divide: (3,1)
         keeps (1 - q**3) / (1 - q), (2,2) keeps (1 - q**4) / (1 - q**2)."""
         for parts in ((3, 1), (2, 2)):
             lam = Partition(parts)
             assert laurent._cancel_common(range(1, lam.size + 1), lam.hooks())[1]
-        self._patch_wrong_stride(monkeypatch)
-        clear_fake_degree_memos()
-        try:
-            with pytest.raises(ExactDivisionError):
-                kostka.fake_degree_qhook(Partition((3, 1)))
-            with pytest.raises(ExactDivisionError):
-                kostka_g(Partition((2, 2)))
-        finally:
-            clear_fake_degree_memos()
+        wrong_stride(monkeypatch)
+        with pytest.raises(ExactDivisionError):
+            kostka.fake_degree_qhook(Partition((3, 1)))
+        with pytest.raises(ExactDivisionError):
+            kostka_g(Partition((2, 2)))
 
     def test_fibers_suite_catches_a_shifted_column_entry(self, monkeypatch):
         """K[(3),(2,1)] times t in the Springer series' column keeps every
         count and degeneration; the x-side closed form catches it."""
-        right = springer._kostka_column
-
-        def shifted(parts):
-            column = dict(right(parts))
-            if parts == (2, 1):
-                column[(3,)] = column[(3,)].shift(1)
-            return column
-
-        monkeypatch.setattr(springer, "_kostka_column", shifted)
+        shifted_column_entry(monkeypatch)
         report = run_suite("fibers", max_n=4)
         assert not report.passed
         assert report.checks[0].counterexample == "x side phi=(2,1)"
@@ -117,12 +96,7 @@ class TestSuites:
         """The packed fake degree of (2,1) moved up one power of y**2 keeps
         every count; the y-side closed form catches it for each phi whose
         column holds (2,1), and the zero-orbit check for (1,1,1)."""
-        right = springer._fake_degree_packed
-
-        def shifted(nu, width):
-            return right(nu, width) << 8 * width if nu == (2, 1) else right(nu, width)
-
-        monkeypatch.setattr(springer, "_fake_degree_packed", shifted)
+        shifted_packed_fake_degree(monkeypatch)
         report = run_suite("fibers", max_n=3)
         assert not report.passed
         assert report.checks[0].counterexample == (
