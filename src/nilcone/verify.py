@@ -116,7 +116,8 @@ def suite_counts(max_n: int = 8) -> list[CheckResult]:
     positive), the Kostka table of each n passes its invariants, and the
     degree tables agree with enumeration_counts, taken from the Cartan
     matrix: element count = prod d_i, reflection count = sum (d_i - 1).
-    Lone catches: a wrong B3 class size, a wrong D5 degree table."""
+    Lone catches: a wrong B3 class size, a wrong D5 degree table, a broken
+    F4 orbit walk."""
     failures, sign_failures, table_failures = [], [], []
     for n in range(1, max_n + 1):
         poly = pn_series(n).poly

@@ -17,16 +17,17 @@ true conjugacy classes, but det(1 - t w) and the class sums used here are
 constant on each set, which is all that any formula in this package
 consumes).  The exceptional groups are enumerated as permutations of their
 roots, each element a bytes string of root indices composed by
-bytes.translate (so at most 256 roots; E6 has 72), and split into true
-conjugacy classes; w has finite order, so det(1 - t w) is a product of
-factors (1 - t**k)**e_k, and the e_k come from the traces of w**j for j up
-to ord(w).  Only the returned class list groups the true classes by
+bytes.translate (so at most 256 roots; E6 has 72), built as distinct coset
+products over descending orbit walks, and split into true conjugacy
+classes; w has finite order, so det(1 - t w) is a product of factors
+(1 - t**k)**e_k, and the e_k come from the traces of w**j for j up to
+ord(w).  Only the returned class list groups the true classes by
 (a, b), which may merge some (e.g. both reflection classes of G2) without
 affecting any sum.
 
 weyl_type validates a degree table up to order 1200 by counting, with no
-element list: enumeration_counts multiplies orbit sizes of fundamental
-weights and halves the root closure.  The counts verify suite counts the
+element list: enumeration_counts multiplies the sizes of descending orbit
+walks and halves the root closure.  The counts verify suite counts the
 larger tables up to E6.  Every group evaluates its graded characters f_c
 at q = B = 2**(8 * width) (Kronecker substitution): F_c = f_c(B) is one
 exact integer division of prod (1 - B**d) prod (1 - B**b) by
@@ -169,21 +170,42 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return c
 
 
-def _root_system(cartan: list[list[int]]) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """(roots, gens): the roots, in the simple-root basis, are the closure
+@lru_cache(maxsize=None)
+def _root_system(family: str, rank: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple, ...]]:
+    """(roots, gens), once per type (B_n and C_n apart), as tuples that no
+    caller can alter: the roots, in the simple-root basis, are the closure
     of the simple roots under the simple reflections, found breadth first,
     and gens[j][k] is the index of s_j roots[k]."""
-    rank = len(cartan)
+    cartan = _cartan_matrix(family, rank)
+    # s_j changes coordinate j only, by the nonzero entries of Cartan column j
+    columns = [[(i, row[j]) for i, row in enumerate(cartan) if row[j]] for j in range(rank)]
     roots = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
     index = {r: k for k, r in enumerate(roots)}
     gens: list[list[int]] = [[] for _ in range(rank)]
     for v in roots:  # the list grows while it is read
         for j, images in enumerate(gens):
-            w = v[:j] + (v[j] - sum(v[i] * cartan[i][j] for i in range(rank)),) + v[j + 1 :]
+            w = v[:j] + (v[j] - sum(v[i] * c for i, c in columns[j]),) + v[j + 1 :]
             images.append(index.setdefault(w, len(roots)))
             if images[-1] == len(roots):
                 roots.append(w)
-    return roots, gens
+    return tuple(roots), tuple(map(tuple, gens))
+
+
+def _descending_walk(family: str, rank: int, k: int) -> list[tuple[int, int]]:
+    """The W_J-orbit of the weight w_k, J = {0..k}, one step (parent, j) per
+    point after w_k: point i + 1 is s_j (point parent), on weight coordinates
+    lam - lam_j * (row j of the Cartan matrix).  It steps down only, where
+    lam_j > 0; every point lies on such a path from the dominant w_k."""
+    cartan = _cartan_matrix(family, rank)
+    orbit = [tuple(int(i == k) for i in range(rank))]
+    seen, steps = {orbit[0]}, []
+    for parent, lam in enumerate(orbit):  # the list grows while it is read
+        for j in (j for j in range(k + 1) if lam[j] > 0):
+            if (mu := tuple(a - lam[j] * c for a, c in zip(lam, cartan[j]))) not in seen:
+                seen.add(mu)
+                orbit.append(mu)
+                steps.append((parent, j))
+    return steps
 
 
 @lru_cache(maxsize=None)
@@ -195,21 +217,32 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[tuple, tuple, int]
     element is a bytes string (w[k] the index of w applied to roots[k]), of
     at most 256 roots, and composition is bytes.translate, done in C:
     w.translate(s + pad) is s w and s.translate(w + pad) is w s, with pad
-    filling the table to 256 bytes.  W is enumerated breadth first by left
-    multiplication, and the classes are its closures under w -> s_j w s_j;
-    only each class representative's powers are traced."""
-    roots, gens = _root_system(_cartan_matrix(family, rank))
+    filling the table to 256 bytes.  W is built as coset products
+    W_(0..k) = X_k W_(0..k-1) (see enumeration_counts), where X_k holds
+    x = s_j x_parent for each step of _descending_walk, one translate per
+    element x u; the products must be distinct and number prod d_i.  The
+    classes are the closures under w -> s_j w s_j; only each class
+    representative's powers are traced."""
+    roots, gens = _root_system(family, rank)
+    name = family if family in EXCEPTIONAL_DEGREES else f"{family}{rank}"  # as WeylType prints it
     if len(roots) > 256:
-        raise ValueError(f"{family}{rank} has {len(roots)} roots; enumeration takes at most 256")
+        raise ValueError(f"{name} has {len(roots)} roots; enumeration takes at most 256")
     pad = bytes(range(len(roots), 256))
     reflections = [(bytes(g), bytes(g) + pad) for g in gens]
     identity = bytes(range(len(roots)))
-    elements, unclassed = [identity], {identity}
-    for w in elements:  # the list grows while it is read
-        for _, left in reflections:
-            if (v := w.translate(left)) not in unclassed:
-                unclassed.add(v)
-                elements.append(v)
+    elements = [identity]
+    for k in range(rank):
+        reps = [identity]  # X_k
+        for parent, j in _descending_walk(family, rank, k):
+            reps.append(reps[parent].translate(reflections[j][1]))
+        elements = [u.translate(x + pad) for x in reps for u in elements]  # x u
+    unclassed, degrees = set(elements), _degrees(family, rank)
+    counts = len(elements), len(unclassed), len(roots)
+    if counts != (prod(degrees), prod(degrees), 2 * sum(d - 1 for d in degrees)):
+        raise AssertionError(
+            f"{name}: enumeration found {len(elements)} elements "
+            f"({len(unclassed)} distinct) and {len(roots)} roots, against the degrees {degrees}"
+        )
     classes = []
     for rep in elements:
         if rep not in unclassed:
@@ -229,12 +262,6 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[tuple, tuple, int]
                 break
             power = power.translate(step)  # power w
         classes.append((*_cyclotomic_exponents(traces, rank), len(orbit)))
-    degrees = _degrees(family, rank)
-    if len(elements) != prod(degrees) or len(roots) != 2 * sum(d - 1 for d in degrees):
-        raise AssertionError(
-            f"{family}{rank}: enumeration found {len(elements)} elements and "
-            f"{len(roots)} roots, against the degrees {degrees}"
-        )
     return tuple(classes)
 
 
@@ -264,7 +291,8 @@ def enumeration_counts(wt: WeylType) -> tuple[int, int]:
     with no element list.  For J = {0..k} the stabilizer in W_J of the
     fundamental weight w_k is W_(J - k) (Humphreys, Reflection Groups and
     Coxeter Groups, 1.12), so |W| is the product over k of the orbit sizes
-    |W_J w_k|; the reflections are the positive roots, half the root closure.
+    |W_J w_k|, each 1 + the steps of _descending_walk; the reflections are
+    the positive roots, half the root closure.
 
     Validates the degree table: the counts must equal prod(d_i) and
     sum(d_i - 1).  Groups larger than E6 are refused."""
@@ -273,17 +301,8 @@ def enumeration_counts(wt: WeylType) -> tuple[int, int]:
         raise ValueError(
             f"counting {wt} ({wt.order} elements) is refused above the {_ENUMERATED_ORDER} of E6"
         )
-    cartan = _cartan_matrix(wt.family, wt.rank)
-    order = 1
-    for k in range(wt.rank):
-        # on weight coordinates s_j lam = lam - lam_j * (row j of the Cartan matrix)
-        orbit = [tuple(int(i == k) for i in range(wt.rank))]
-        for lam in orbit:  # the list grows while it is read; it stays short (27 in E6)
-            for j in range(k + 1):
-                if (mu := tuple(a - lam[j] * c for a, c in zip(lam, cartan[j]))) not in orbit:
-                    orbit.append(mu)
-        order *= len(orbit)
-    return order, len(_root_system(cartan)[0]) // 2
+    order = prod(1 + len(_descending_walk(wt.family, wt.rank, k)) for k in range(wt.rank))
+    return order, len(_root_system(wt.family, wt.rank)[0]) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +449,21 @@ def _group(wt: WeylType) -> tuple[str, int]:
 def _mn_beads(beads: int, mu_parts: tuple[int, ...]) -> int:
     """chi^lam(mu) on the bead mask of lam: bit p is set for each
     beta-number lam_i + l - 1 - i.  Removing a k-border strip moves a set
-    bead b to a clear b - k, with sign (-1)**(beads strictly between); the
-    trailing set bits, zero parts, are shifted off."""
+    bead p + k to a clear p, with sign (-1)**(beads strictly between); the
+    movable p are the set bits of beads >> k & ~beads, and only they are
+    visited.  The trailing set bits, zero parts, are shifted off."""
     if not mu_parts:
         return 1
     k, rest = mu_parts[0], mu_parts[1:]
     total = 0
     between = (1 << (k - 1)) - 1
-    for b in range(k, beads.bit_length()):
-        if beads >> b & 1 and not beads >> (b - k) & 1:
-            moved = beads ^ (1 << b) ^ (1 << (b - k))
-            value = _mn_beads(moved >> (moved ^ (moved + 1)).bit_length() - 1, rest)
-            total += -value if (beads >> (b - k + 1) & between).bit_count() & 1 else value
+    movable = beads >> k & ~beads
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        moved = beads ^ low ^ low << k
+        value = _mn_beads(moved >> (moved ^ (moved + 1)).bit_length() - 1, rest)
+        total += -value if (beads >> low.bit_length() & between).bit_count() & 1 else value
     return total
 
 

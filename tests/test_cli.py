@@ -11,6 +11,9 @@ from nilcone.cli import UsageError, parse_partition, run
 from nilcone.laurent import BiLaurentPoly, ExactDivisionError, LaurentPoly
 from nilcone.verify import CheckResult
 
+# a planted defect of the mutation catalogue
+from test_mutations import a2_class_size
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -251,6 +254,18 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith("error: internal invariant failed: AssertionError: column (2,1): ")
         assert err.count("\n") == 1
+
+    def test_molien_rejecting_the_own_character_exits_three(self, capsys, clear_memos):
+        # the package's own chi^lam failing the class average is a fault, not a bad input
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            a2_class_size(monkeypatch)
+            code, out, err = invoke(capsys, "fake-degree", "--lambda", "2,1", "--algorithm", "molien")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: internal invariant failed: AssertionError: Molien average of chi^(2,1): "
+            "class average is not integral: input is not a character\n"
+        )
 
 
 class TestVerifyCommand:

@@ -1,3 +1,5 @@
+import hashlib
+import re
 from collections import Counter
 from dataclasses import replace
 from math import factorial, prod
@@ -14,6 +16,7 @@ from nilcone.weyl import (
     _conjugacy_classes,
     _cyclotomic_exponents,
     _flag_series,
+    _root_system,
     _weyl_type,
     enumeration_counts,
     fake_degree_molien,
@@ -138,14 +141,9 @@ class TestWeylType:
             weyl_type(family, rank)
 
 
+# a patched table or Cartan matrix must leave no memo behind, the root system included
+@pytest.mark.usefixtures("clear_memos")
 class TestDegreeTableTripwire:
-    @pytest.fixture(autouse=True)
-    def fresh_caches(self):
-        _weyl_type.cache_clear()
-        yield
-        for cached in (_weyl_type, _conjugacy_classes, _class_characters, _flag_series):
-            cached.cache_clear()
-
     # B3 with a simple last bond is A3 (24 elements), G2 with a double bond
     # is B2 (8), and F4 with a simple middle bond is A4 (120)
     @pytest.mark.parametrize(
@@ -174,10 +172,11 @@ class TestDegreeTableTripwire:
 
 
 class TestEnumeration:
+    # every supported type that enumeration_counts takes, up to E6
     @pytest.mark.parametrize(
         "family,rank",
-        [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
-         ("C", 3), ("D", 2), ("D", 3), ("D", 4), ("G2", 2), ("F4", 4)],
+        [*((f, r) for f, low, top in (("A", 1, 7), ("B", 2, 6), ("C", 2, 6), ("D", 2, 6))
+           for r in range(low, top + 1)), ("G2", 2), ("F4", 4), ("E6", 6)],
     )
     def test_counts_match_degree_tables(self, family, rank):
         wt = weyl_type(family, rank)
@@ -203,6 +202,49 @@ class TestEnumeration:
 
     def test_e6_counts(self):
         assert enumeration_counts(weyl_type("E6", 6)) == (51840, 36)
+
+    def test_root_data_is_read_only(self):
+        roots, gens = _root_system("F4", 4)
+        with pytest.raises(TypeError):
+            roots[0] = roots[1]
+        with pytest.raises(TypeError):
+            gens[0][0] = 1
+        assert len(roots) == 48 and _root_system("F4", 4) is _root_system("F4", 4)
+
+    def test_b_and_c_close_their_own_roots(self):
+        # a2 is short in B2 and long in C2: a1 + 2 a2 is a root of B2, 2 a1 + a2 of C2
+        assert (1, 2) in _root_system("B", 2)[0] and (1, 2) not in _root_system("C", 2)[0]
+        assert (2, 1) in _root_system("C", 2)[0] and (2, 1) not in _root_system("B", 2)[0]
+
+    # sha1 of the sorted (a, b, size) triples, as found by a breadth-first walk of all of W
+    @pytest.mark.parametrize(
+        "family,rank,digest",
+        [("G2", 2, "6f5c9769b4b152118b62c4a936d71650b321f08a"),
+         ("F4", 4, "f192e869c11e6475d19112b003fe0eea58579459"),
+         ("E6", 6, "b6429d1dca32571f9741645163976bc4fef1f768")],
+    )
+    def test_exceptional_classes_pinned(self, family, rank, digest):
+        rows = sorted(_conjugacy_classes(family, rank))
+        assert hashlib.sha1(repr(rows).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "mangle,found",
+        # the last coset representative of W_(0..3) / W_(0..2) (24 of them) a copy of the one
+        # before it, or missing: |W_(0..2)| = 48 elements repeated, or not there
+        [(lambda steps: [*steps[:-1], steps[-2]], "1152 elements (1104 distinct)"),
+         (lambda steps: steps[:-1], "1104 elements (1104 distinct)")],
+        ids=["repeated representative", "dropped step"],
+    )
+    def test_a_broken_coset_walk_trips(self, monkeypatch, clear_memos, mangle, found):
+        right = weyl._descending_walk
+
+        def wrong(family, rank, k):
+            steps = right(family, rank, k)
+            return mangle(steps) if (family, k) == ("F4", 3) else steps
+
+        monkeypatch.setattr(weyl, "_descending_walk", wrong)
+        with pytest.raises(AssertionError, match=rf"^F4: enumeration found {re.escape(found)} "):
+            _conjugacy_classes("F4", 4)
 
     def test_groups_larger_than_e6_refused(self):
         with pytest.raises(ValueError, match="362880 elements"):
