@@ -12,12 +12,15 @@ and coefficients are ints, not bools: the public constructors refuse
 anything else by name, and the package builds its own values unchecked.
 
 Products of cyclotomic-type factors, prod_a (1 - var**a) / prod_b
-(1 - var**b), are built by q_quotient: the exponents both sides share
-cancel first, then one dense coefficient list takes a slice subtraction
-per numerator factor and the strided prefix sums of divide_one_minus, with
-no dict polynomial until the end.  The q-hook fake degrees and the labels
-of the exceptional Weyl-group classes take it; weyl.py divides its class
-characters as integers instead.
+(1 - var**b), are divided once, as integers at var = B = 2**bits
+(Kronecker substitution): _at_base builds each product by shifts and
+subtractions, and _signed_digits decodes the quotient.  _at_base is a
+shared kernel: q_quotient_coefficients (the q-hook fake degrees, the
+q-multinomial of the fibers suite and the labels of the exceptional
+Weyl-group classes) and weyl._class_characters both divide through it,
+and q_quotient_coefficients holds the argument that makes an exact
+division at B exact in var.  divide_one_minus, the strided prefix sums,
+divides a truncated series, for the W-algebra series.
 
 Bivariate polynomials are sums of products f(x) * g(y), and every one the
 package builds is summed as packed rows: each g(y) is one int (Kronecker
@@ -31,8 +34,8 @@ coefficients.
 
 One decoder, _signed_digits, serves every Kronecker-packed int: the rows
 of _packed_rows, the t -> 2**bits entries of the Jing column in
-kostka.py, and weyl.py's class characters, each an exact quotient at
-q = 2**bits, and Molien class sums (each fake degree and each row of the
+kostka.py, every q-quotient (q_quotient_coefficients and weyl.py's class
+characters), and Molien class sums (each fake degree and each row of the
 flag series).  It decodes in C: an XOR with the digit
 offset leaves two's-complement digits, which memoryview.cast reads from
 the value's bytes in native byte order at 1, 2, 4 or 8 bytes a digit
@@ -49,7 +52,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from operator import sub
+from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
 Monomials = tuple[tuple[str, ...], list[tuple[tuple[int, ...], int]]]
@@ -446,19 +449,12 @@ def divide_one_minus(coeffs: Iterable[int], exponents: Iterable[int]) -> list[in
     return coeffs
 
 
-def _cancel_common(numerator: Iterable[int], denominator: Iterable[int]) -> tuple[list, list]:
-    """The two exponent multisets less the exponents they share, since
-    (1 - var**e) / (1 - var**e) = 1: one merge of the sorted lists."""
-    num, den = sorted(numerator), sorted(denominator)
-    kept_num, kept_den = [], []
-    while num and den:
-        if num[-1] > den[-1]:
-            kept_num.append(num.pop())
-        elif num[-1] < den[-1]:
-            kept_den.append(den.pop())
-        else:
-            del num[-1], den[-1]
-    return num + kept_num, den + kept_den
+def _at_base(exponents: Iterable[int], bits: int) -> int:
+    """prod_e (1 - B**e) at B = 2**bits, one shift and subtraction per factor."""
+    value = 1
+    for e in exponents:
+        value -= value << bits * e
+    return value
 
 
 def q_quotient_coefficients(
@@ -468,31 +464,47 @@ def q_quotient_coefficients(
     multisets, as the coefficient list of a polynomial (constant term
     first); ExactDivisionError unless the quotient is one.
 
-    The exponents both multisets hold cancel first (_cancel_common).  What
-    is left of the numerator is expanded on one dense coefficient list, one
-    slice subtraction per factor, and divided as a power series to its own
-    degree by divide_one_minus."""
+    One integer division at var = B = 2**(8 * width): S, the quotient of
+    the two _at_base products, decoded once into degree + 1 digits by
+    _signed_digits.  A remainder at B, or a negative degree, means that no
+    quotient exists.  S is the quotient in var when max|S| 2**len(b) fits a
+    digit: then S * prod (1 - var**b), with coefficients at most that, and
+    prod (1 - var**a), with coefficients at most 2**len(a), have every
+    coefficient below B/2 and agree at B, so they have the same base-B
+    digits and are equal.
+
+    The first width holds 2**len(a) and Q(1) 2**len(b), where Q(1) is
+    prod a // prod b when the two multisets have equal length (the
+    quotient's value at 1, f^lam for a q-hook, so the largest coefficient
+    of a quotient with none negative) and 1 otherwise.  A width that fails
+    is doubled until it holds top 2**len(b), top = 2**len(a)
+    C(degree + len(b), len(b)): the coefficients of 1 / (1 - var)**len(b)
+    bound those of 1 / prod (1 - var**b) termwise, so no quotient has a
+    coefficient above top, and one would pass there."""
     numerator, denominator = list(numerator), list(denominator)
     _check_exponents(numerator + denominator)
-    num, den = _cancel_common(numerator, denominator)
-    top = sum(num)
-    coeffs = [1] + [0] * top
-    t = 0
-    for a in num:  # times (1 - var**a): c[k] -= c[k - a], old values
-        t += a
-        coeffs[a : t + 1] = map(sub, coeffs[a : t + 1], coeffs[: t + 1 - a])
-    series = divide_one_minus(coeffs, den)
-    # S = N/D mod var**(deg N + 1).  If S has degree at most deg N - deg D,
-    # then S * D has degree at most deg N and agrees with N mod
-    # var**(deg N + 1), so S * D = N exactly; if D divides N, the quotient
-    # is S and has that degree.  So a nonzero tail means D does not divide N.
-    degree = top - sum(den)
-    if degree < 0 or any(series[degree + 1 :]):
-        raise ExactDivisionError(
-            f"prod (1 - {var}^b), b in {denominator}, does not divide"
-            f" prod (1 - {var}^a), a in {numerator}"
-        )
-    return series[: degree + 1]
+    degree = sum(numerator) - sum(denominator)
+    at_one = prod(numerator) // prod(denominator) if len(numerator) == len(denominator) else 1
+    width = _digit_bytes(max(at_one << len(denominator), 1 << len(numerator)))
+    while degree >= 0:
+        bits = 8 * width
+        quotient, remainder = divmod(_at_base(numerator, bits), _at_base(denominator, bits))
+        if remainder:
+            break
+        try:
+            digits = _signed_digits(quotient, width, degree + 1)
+        except AssertionError:  # the quotient at B overflows degree + 1 digits
+            digits = []
+        if digits and _digit_bytes(max(map(abs, digits)) << len(denominator)) <= width:
+            return digits
+        top = comb(degree + len(denominator), len(denominator)) << len(numerator)
+        if width >= _digit_bytes(top << len(denominator)):
+            break
+        width *= 2
+    raise ExactDivisionError(
+        f"prod (1 - {var}^b), b in {denominator}, does not divide"
+        f" prod (1 - {var}^a), a in {numerator}"
+    )
 
 
 def q_quotient(numerator: Iterable[int], denominator: Iterable[int], var: str = "q") -> LaurentPoly:

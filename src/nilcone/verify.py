@@ -290,10 +290,10 @@ def suite_walg(max_n: int = 8) -> list[CheckResult]:
     1 / prod (1 - y**(2h)) over the hooks h of phi less one h = 1, then
     multiplied back by prod_i (1 - y**(2 d_i)) with LaurentPoly.__mul__ and
     truncated by from_poly, is the truncated q-hook slice series
-    hp0_slice_series.  The two routes share only Partition.hooks() and the
-    divide_one_minus kernel, whose wrong stride trips the q-hook's exact
-    division; the multiplication back shares no code with either.  Lone
-    catch: a wrong stride in walg's own division."""
+    hp0_slice_series.  The two routes share only Partition.hooks(); the
+    q-hook divides at q = 2**bits (laurent._at_base), walg by the prefix
+    sums of divide_one_minus, and the multiplication back shares no code
+    with either.  Lone catch: a wrong stride in walg's own division."""
     failures = []
     for n in range(1, max_n + 1):
         order = 2 * n * (n - 1) + 8  # 4N + 8, N the number of positive roots

@@ -29,12 +29,15 @@ weyl_type validates a degree table up to order 1200 by counting, with no
 element list: enumeration_counts multiplies the sizes of descending orbit
 walks and halves the root closure.  The counts verify suite counts the
 larger tables up to E6.  Every group evaluates its graded characters f_c
-at q = B = 2**(8 * width) (Kronecker substitution): F_c = f_c(B) is one
-exact integer division of prod (1 - B**d) prod (1 - B**b) by
-prod (1 - B**a), built from shifts and subtractions, and is decoded once,
-by laurent._signed_digits, into the coefficients of f_c.  The width
-(laurent._digit_bytes) holds the bounds that make that division exact in
-q (see _class_characters), and nothing more.  A class sum is then one
+at q = B = 2**(8 * width) (Kronecker substitution), as
+laurent.q_quotient_coefficients divides every q-quotient: F_c = f_c(B) is
+one exact integer division of prod (1 - B**d) prod (1 - B**b) by
+prod (1 - B**a), each product a laurent._at_base, and is decoded once, by
+laurent._signed_digits, into the coefficients of f_c.  The width
+(laurent._digit_bytes) holds the bounds under which that argument makes
+the division exact in q (see _class_characters), and nothing more; unlike
+q_quotient_coefficients, a group keeps one width for all its classes, so
+that the F_c can be summed.  A class sum is then one
 big-int sum of the F_c, decoded by _signed_digits: sum_c size_c chi(c) F_c
 for a fake degree, and sum_c (size_c f_c[i]) F_c for row i of the flag
 series, which is computed once per group.  Each sum bounds its own digits,
@@ -55,8 +58,7 @@ from math import factorial, prod
 from operator import lshift, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .laurent import BiLaurentPoly, LaurentPoly, _digit_bytes, _signed_digits
-from .laurent import q_quotient
+from .laurent import BiLaurentPoly, LaurentPoly, _at_base, _digit_bytes, _signed_digits, q_quotient
 from .partitions import Partition, _check_partition, partitions_of
 
 # Fundamental degrees of the exceptional types; the rank is their number.
@@ -377,23 +379,13 @@ def _class_characters(family: str, rank: int) -> tuple[int, tuple, tuple, tuple,
     bound = max(max(order << len(a), 1 << (rank + len(b))) for _, _, a, b in rows)
     width = _digit_bytes(bound)
     bits = 8 * width
-    degree_product = 1
-    for d in wt.degrees:
-        degree_product -= degree_product << bits * d
     characters, packs, heights = [], [], []
     for label, size, a, b in rows:
-        numerator, denominator = degree_product, 1
-        for e in b:
-            numerator -= numerator << bits * e
-        for e in a:
-            denominator -= denominator << bits * e
-        packed, remainder = divmod(numerator, denominator)
-        # Exact at B is exact in q: f_c * prod (1 - q**a) has coefficients
-        # at most |W| 2**len(a) (checked below: |f_c[i]| <= |W|, as a trace
-        # is at most the dimension), and prod (1 - q**d) prod (1 - q**b) at
-        # most 2**(rank + len(b)).  Both stay below B/2, so the two
-        # polynomials, which agree at B, have the same base-B digits and
-        # are equal.
+        packed, remainder = divmod(_at_base((*wt.degrees, *b), bits), _at_base(a, bits))
+        # Exact at B is exact in q by the argument of
+        # laurent.q_quotient_coefficients: |f_c[i]| <= |W| (checked below,
+        # as a trace is at most the dimension) and the width holds the two
+        # bounds above.
         if remainder:
             raise AssertionError(f"det(1 - q w) of class {label} does not divide prod (1 - q^d)")
         try:

@@ -238,10 +238,11 @@ class TestOtherCommands:
         assert out == ""
         assert err == f"error: internal invariant failed: {type(error).__name__}: {error}\n"
 
-    def test_broken_kostka_column_exits_three(self, capsys, monkeypatch):
+    def test_broken_kostka_column_exits_three(self, capsys, monkeypatch, clear_memos):
         import nilcone.kostka as kostka
 
         original = kostka._kostka_column
+        original((1,))  # memoised right, so that only what column (2,1) reads is negated
 
         def negated_inner(parts):
             if parts == (2, 1):

@@ -11,7 +11,6 @@ from nilcone.laurent import (
     ExactDivisionError,
     LaurentPoly,
     TruncatedSeries,
-    _cancel_common,
     divide_one_minus,
     q_quotient,
     q_quotient_coefficients,
@@ -635,14 +634,12 @@ class TestQQuotient:
             assert q_quotient_coefficients(numerator, denominator) == expected
 
     def test_shared_exponents_cancel(self):
-        assert _cancel_common([2, 3], [3, 2]) == ([], [])
         assert q_quotient_coefficients([2, 3], [3, 2]) == [1]
-        assert _cancel_common([2, 2, 4, 1], [2, 1, 2, 2]) == ([4], [2])
         assert q_quotient_coefficients([2, 2, 4], [2, 2, 2]) == [1, 0, 1]  # 1 + q**2
 
     def test_exponent_types_are_checked_before_sorting(self):
-        """A str or None among ints would fail the merge's sort with a
-        comparison error; the worded check must come first."""
+        """A str or None among ints would fail the degree's sum with an
+        unworded error; the worded check must come first."""
         with pytest.raises(TypeError, match="^factor exponents must be ints, not str$"):
             q_quotient_coefficients([3, "2"], [1])
         with pytest.raises(TypeError, match="^factor exponents must be ints, not NoneType$"):
@@ -687,11 +684,31 @@ class TestQQuotient:
     def test_generators_are_read_once(self):
         assert q_quotient((a for a in (2, 3)), (b for b in (1,))) == L({0: 1, 1: 1, 3: -1, 4: -1})
 
+    def test_a_quotient_wider_than_the_first_digit(self):
+        """(1 - q**8)**5 / (1 - q)**4 has a coefficient 280, past the first
+        one-byte digit: at B = 2**8 the division is exact and decodes, but
+        into wrapped digits, which the bound check must send to a wider B."""
+        coefficients = q_quotient_coefficients([8] * 5, [1] * 4)
+        assert coefficients == uncancelled_coefficients([8] * 5, [1] * 4)
+        assert max(coefficients) == 280
+
+    def test_a_divisor_short_of_a_factor_raises(self, monkeypatch):
+        """_at_base without the divisor's factor (1 - q): (1 - q**2)(1 - q**3)
+        still divides at every B, but its quotient has one degree too many,
+        so no width passes the digit check, and the doubling stops at the
+        width that would hold any quotient."""
+        right = laurent._at_base
+        monkeypatch.setattr(
+            laurent, "_at_base", lambda e, bits: right([] if e == [1] else e, bits)
+        )
+        with pytest.raises(ExactDivisionError):
+            q_quotient_coefficients([2, 3], [1])
+
     def test_bad_exponents_rejected_before_any_work(self, monkeypatch):
         def untouched(*args):
             raise AssertionError("division reached")
 
-        monkeypatch.setattr(laurent, "divide_one_minus", untouched)
+        monkeypatch.setattr(laurent, "_at_base", untouched)
         for bad, error in ((0, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError)):
             with pytest.raises(error):
                 q_quotient([10**6, bad], [1])

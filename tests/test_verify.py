@@ -2,15 +2,15 @@ import time
 
 import pytest
 
-from nilcone import kostka, laurent, verify
+from nilcone import kostka, verify, weyl
 from nilcone.laurent import ExactDivisionError
 from nilcone.partitions import Partition
-from nilcone.springer import kostka_g
 from nilcone.verify import SUITES, run_suite
 
 # the planted defects of the mutation catalogue
 from test_mutations import (
     a2_class_size,
+    dropped_factor,
     shifted_column_entry,
     shifted_packed_fake_degree,
     wrong_qhook,
@@ -59,30 +59,24 @@ class TestSuites:
         assert not report.passed
         assert report.checks[0].counterexample == "lam=(3); lam=(2,1); lam=(1,1,1)"
 
-    def test_walg_suite_catches_a_wrong_stride(self, monkeypatch):
+    def test_walg_suite_catches_a_wrong_stride(self, monkeypatch, clear_memos):
         """A wrong stride fails the walg suite, which multiplies back
-        through LaurentPoly.__mul__.  The q-hook fake degrees and the
-        Weyl-type checks divide through the same kernel, so a first run
-        memoises them (_kostka_g_parts, weyl_type) before the patch: the
-        suite must reach its comparison, not the exactness tripwire."""
-        assert run_suite("walg", max_n=3).passed
+        through LaurentPoly.__mul__.  walg is the one caller of the kernel,
+        so no other route of the suite trips first, memoised or not."""
         wrong_stride(monkeypatch)
         report = run_suite("walg", max_n=3)
         assert not report.passed
         assert report.checks[0].counterexample.startswith("phi=(2)")
 
-    def test_wrong_stride_trips_the_qhook_division(self, monkeypatch, clear_memos):
-        """The shared exponents cancel before the division, so the shapes
-        must keep a denominator that the wrong stride cannot divide: (3,1)
-        keeps (1 - q**3) / (1 - q), (2,2) keeps (1 - q**4) / (1 - q**2)."""
-        for parts in ((3, 1), (2, 2)):
-            lam = Partition(parts)
-            assert laurent._cancel_common(range(1, lam.size + 1), lam.hooks())[1]
-        wrong_stride(monkeypatch)
+    def test_dropped_factor_trips_both_divisions(self, monkeypatch, clear_memos):
+        """The shared kernel _at_base without the last factor of each product
+        trips the exactness checks of both of its callers: the q-hook's
+        q_quotient_coefficients and the class characters of weyl.py."""
+        dropped_factor(monkeypatch)
         with pytest.raises(ExactDivisionError):
             kostka.fake_degree_qhook(Partition((3, 1)))
-        with pytest.raises(ExactDivisionError):
-            kostka_g(Partition((2, 2)))
+        with pytest.raises(AssertionError):
+            weyl._class_characters("A", 3)
 
     def test_fibers_suite_catches_a_shifted_column_entry(self, monkeypatch):
         """K[(3),(2,1)] times t in the Springer series' column keeps every
