@@ -7,28 +7,27 @@ Q'_mu = sum_lam K[lam,mu](t) s_lam, built by Jing's Hall-Littlewood
 vertex operator (Garsia's raising-operator formula in operator form):
 Q'_() = 1 and, for mu = (m, mubar),
 
-    Q'_mu = sum_{i,j >= 0} (-1)**i t**j h_(m+i+j) e_i^perp h_j^perp Q'_mubar.
+    Q'_mu = sum_{j >= 0} t**j B_(m+j) h_j^perp Q'_mubar,
 
-In the Schur basis that is three Pieri moves per term of Q'_mubar: remove
-a horizontal j-strip, remove a vertical i-strip, add a horizontal
-(m+i+j)-strip.  The polynomials travel packed into ints, one digit of
-_digit_bytes(n!) bytes per power of t, and each finished entry is decoded
-in C by laurent._signed_digits, the decoder that the packed rows of the
-Springer-fiber series and the Molien class sums share.  One column is
-memoised per mu; a column
-that breaks dominance, K[mu,mu] = 1, positivity or the column sum
-sum_lam f^lam K[lam,mu](1) = n!/prod mu_i! raises AssertionError, and so
-does a coefficient that overflowed its digit.
+with Bernstein's operator B_s = sum_i (-1)**i h_(s+i) e_i^perp (Jing 1991;
+Macdonald, Symmetric Functions, I.3 and I.5 Ex. 29).  Per Schur term
+s_lam of Q'_mubar that is one strip removal, lam/kappa, and one
+straightening, B_s s_kappa = +-s_nu or 0 (_straighten).  The polynomials
+travel packed into ints, one digit of _digit_bytes(n!) bytes per power of
+t, and each finished entry is decoded in C by laurent._signed_digits, the
+decoder of the packed Springer-fiber rows and Molien class sums.  One
+column is memoised per mu; one that breaks dominance, K[mu,mu] = 1,
+positivity or the column sum sum_lam f^lam K[lam,mu](1) = n!/prod mu_i!
+raises AssertionError, and so does a coefficient that overflowed its digit.
 
 Which route verifies: kostka_foulkes_charge sums t**charge over the
 semistandard tableaux of shape lam and content mu; the verify suites and
 the tests compare it with the column on every pair.  The tableaux are
-chains of horizontal strips (tableaux.ssyt_enumerate) grown with the same
-_add_horizontal as the column's last Pieri move, so the tableau tests
-check that enumeration without it: every filling semistandard and
-distinct, and sum_lam f^lam |SSYT(lam,mu)| = n!/prod mu_i!.  The series
-consumers of the (1^n) column take the q-hook closed form
-(kostka_from_fake_degree).
+chains of horizontal strips (tableaux.ssyt_enumerate) grown by
+_add_horizontal, which the column does not read; the tableau tests check
+them: every filling semistandard and distinct, and sum_lam f^lam
+|SSYT(lam,mu)| = n!/prod mu_i!.  The series consumers of the (1^n) column
+take the q-hook closed form (kostka_from_fake_degree).
 
 Charge convention (pinned; recorded in CONVENTION_TAG, which the JSON
 output of the command line prints): on a standard word the index of
@@ -43,16 +42,17 @@ The opposite (cocharge) convention is deliberately not offered.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, groupby, product
+from itertools import accumulate, product
 from math import comb, factorial, prod
 from operator import lt
 from typing import Sequence
 
 from .laurent import LaurentPoly, _digit_bytes, _signed_digits, q_quotient_coefficients
-from .partitions import Partition, Shape, _add_horizontal, _check_partition, _trim, partitions_of
+from .partitions import Partition, Shape, _check_partition, _trim, partitions_of
 from .tableaux import ssyt_enumerate
 
 CONVENTION_TAG = "charge-c1=0-right-increment"
+_new = object.__new__
 
 
 def _validate_partition_content(word: Sequence[int]) -> int:
@@ -136,9 +136,7 @@ def kostka_foulkes_charge(lam: Partition, mu: Partition) -> LaurentPoly:
     for arg in (lam, mu):
         _check_partition(arg, "kostka_foulkes_charge")
     if lam.size != mu.size:
-        raise ValueError(
-            f"Kostka polynomial needs equal sizes: |{lam}| != |{mu}|"
-        )
+        raise ValueError(f"Kostka polynomial needs equal sizes: |{lam}| != |{mu}|")
     return _kostka_foulkes_charge_parts(lam.parts, mu.parts)
 
 
@@ -155,17 +153,20 @@ def _remove_horizontal(shape: Shape) -> tuple[tuple[int, Shape], ...]:
 
 
 @lru_cache(maxsize=None)
-def _remove_vertical(shape: Shape) -> tuple[tuple[int, Shape], ...]:
-    """(i, rho) for every rho with shape/rho a vertical i-strip: in each
-    block of equal rows, the bottom b rows lose one cell."""
-    blocks = [(p, len(list(rows))) for p, rows in groupby(shape)]
-    out = []
-    for cuts in product(*(range(r + 1) for _, r in blocks)):
-        rho: list[int] = []
-        for (p, r), b in zip(blocks, cuts):
-            rho += [p] * (r - b) + [p - 1] * b
-        out.append((sum(cuts), _trim(rho)))
-    return tuple(out)
+def _straighten(s: int, kappa: Shape) -> tuple[int, Shape]:
+    """(sign, nu) with B_s s_kappa = s_(s,kappa) = sign * s_nu, sign 0 for
+    zero: the Jacobi-Trudi determinant of (s, kappa) straightened by moving
+    its first entry p = s past each part k with p < k - 1.  The row swap
+    (p, k) -> (k - 1, p + 1) flips the sign; p = k - 1 makes two equal rows."""
+    sign, head = 1, []
+    for r, k in enumerate(kappa):
+        if s >= k:
+            return sign, (*head, s, *kappa[r:])
+        if s == k - 1:
+            return 0, ()
+        head.append(k - 1)
+        s, sign = s + 1, -sign
+    return sign, _trim((*head, s))
 
 
 @lru_cache(maxsize=None)
@@ -185,16 +186,18 @@ def _standard_count(shape: Shape) -> int:
 @lru_cache(maxsize=None)
 def _kostka_column(mu_parts: Shape) -> dict[Shape, LaurentPoly]:
     """The nonzero K[lam,mu] of one column, keyed by lam.parts, by Jing's
-    operator applied to the column of mu without its first part.
+    operator on the column of mubar: each K[lam,mubar] and horizontal
+    j-strip lam/kappa add +-t**j K[lam,mubar] into nu, where
+    B_(m+j) s_kappa = +-s_nu.
 
     Each polynomial travels packed into one int, t -> 2**bits (Kronecker
-    substitution), so a Pieri move costs one big-int addition; each move
-    acts once per group of equal (shape, degree) keys.  t -> 2**bits is a
-    ring map, so the packed sums are exact whatever their digits; only the
-    finished K[lam,mu] must fit a digit.  A K[lam,mu](1) counts tableaux,
-    at most n!, so the digit is _digit_bytes(n!) bytes: 32 bits at n = 10,
-    64 bits from n = 13.  Each entry decodes in C (laurent._signed_digits)
-    into as many digits as its packed int spans.
+    substitution), so a term costs one shift and one big-int addition.
+    t -> 2**bits is a ring map, so the packed sums are exact whatever
+    their digits; only the finished K[lam,mu] must fit a digit.  A
+    K[lam,mu](1) counts tableaux, at most n!, so the digit is
+    _digit_bytes(n!) bytes: 32 bits at n = 10, 64 bits from n = 13.  Each
+    entry decodes in C (laurent._signed_digits) into as many digits as its
+    packed int spans.
 
     Tripwires, raised and not asserted so that they survive python -O:
     every entry must dominate mu and have no negative coefficient,
@@ -210,20 +213,14 @@ def _kostka_column(mu_parts: Shape) -> dict[Shape, LaurentPoly]:
     n = sum(mu_parts)
     width = _digit_bytes(factorial(n))
     bits = 8 * width
-    after_h: dict[tuple[Shape, int], int] = {}  # t**j h_j^perp
+    summed: dict[Shape, int] = {}  # t**j B_(m+j) h_j^perp
     for lam, poly in _kostka_column(mu_parts[1:]).items():
         packed = sum(c << (bits * e) for e, c in poly.terms.items())
         for j, kappa in _remove_horizontal(lam):
-            after_h[kappa, j] = after_h.get((kappa, j), 0) + (packed << (bits * j))
-    after_e: dict[tuple[Shape, int], int] = {}  # (-1)**i e_i^perp
-    for (kappa, j), packed in after_h.items():
-        for i, rho in _remove_vertical(kappa):
-            after_e[rho, i + j] = after_e.get((rho, i + j), 0) + (-packed if i % 2 else packed)
-    summed: dict[Shape, int] = {}  # h_(m+i+j)
-    for (rho, k), packed in after_e.items():
-        if packed:
-            for nu in _add_horizontal(rho, m + k):
-                summed[nu] = summed.get(nu, 0) + packed
+            sign, nu = _straighten(m + j, kappa)
+            if sign:
+                term = packed << (bits * j)
+                summed[nu] = summed.get(nu, 0) + (term if sign > 0 else -term)
     mu_sums = tuple(accumulate(mu_parts))
     column: dict[Shape, LaurentPoly] = {}
     total = 0
@@ -256,11 +253,12 @@ def _column_error(mu_parts: Shape, nu: Shape, digits: list[int], what: str) -> A
 
 def kostka_foulkes(lam: Partition, mu: Partition) -> LaurentPoly:
     """K[lam,mu](t), read from the memoised column of mu built by Jing's
-    Hall-Littlewood operator (module docstring); zero unless lam dominates
-    mu.  Equal to kostka_foulkes_charge, the tableau-and-charge oracle.
+    Hall-Littlewood operator in Bernstein's form (module docstring); zero
+    unless lam dominates mu.  Equal to kostka_foulkes_charge, the
+    tableau-and-charge oracle.
 
-    The column is read first: it holds only keys of size |mu|, so sizes
-    are compared only on a miss."""
+    The column is read first: it holds only keys of size |mu|, so the
+    stored sizes are compared only on a miss, which builds its zero in place."""
     try:
         poly = _kostka_column(mu.parts).get(lam.parts)
     except AttributeError:
@@ -273,10 +271,10 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> LaurentPoly:
     if poly is not None:
         return poly
     if lam.size != mu.size:
-        raise ValueError(
-            f"Kostka polynomial needs equal sizes: |{lam}| != |{mu}|"
-        )
-    return LaurentPoly.zero("t")
+        raise ValueError(f"Kostka polynomial needs equal sizes: |{lam}| != |{mu}|")
+    zero = _new(LaurentPoly)  # LaurentPoly.zero("t"), without its two calls
+    zero.terms, zero.var = {}, "t"
+    return zero
 
 
 def _qhook_coefficients(lam: Partition, caller: str) -> list[int]:

@@ -3,21 +3,23 @@ for nilpotent Jordan types.
 
 Partitions are kept in normal form (weakly decreasing positive parts, no
 trailing zeros); the empty partition is allowed and indexes the degenerate
-n = 0 cases throughout the package.
+n = 0 cases throughout the package.  A Partition's parts and size are
+fixed at construction, the size summed once, and cannot be assigned.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import factorial
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 Shape = tuple[int, ...]  # the parts of a partition, as memo keys
 
 
 class Partition:
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "size")
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(parts)
@@ -32,11 +34,14 @@ class Partition:
                 raise ValueError(f"partition parts must be positive: {parts}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-        self.parts = parts
+        _set_parts(self, parts)
+        _set_size(self, sum(parts))
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Partition is immutable: cannot assign {name}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Partition, (self.parts,)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -74,19 +79,11 @@ class Partition:
     def dominates(self, other: "Partition") -> bool:
         """Dominance order: every partial sum of self >= that of other.
 
-        Only defined between partitions of the same size.
-        """
+        Only defined between partitions of the same size, so the partial
+        sums up to the end of the shorter one decide."""
         if self.size != other.size:
-            raise ValueError(
-                f"dominance needs equal sizes: |{self}| != |{other}|"
-            )
-        a = b = 0
-        for i in range(max(len(self.parts), len(other.parts))):
-            a += self.parts[i] if i < len(self.parts) else 0
-            b += other.parts[i] if i < len(other.parts) else 0
-            if a < b:
-                return False
-        return True
+            raise ValueError(f"dominance needs equal sizes: |{self}| != |{other}|")
+        return not any(map(lt, accumulate(self.parts), accumulate(other.parts)))
 
     def n_stat(self) -> int:
         """The partition statistic sum_i (i-1) * parts[i] (1-indexed)."""
@@ -107,6 +104,10 @@ class Partition:
         for h in self.hooks():
             count //= h
         return count
+
+
+# __init__ writes through the slots' own setters, which bypass __setattr__
+_set_parts, _set_size = Partition.parts.__set__, Partition.size.__set__
 
 
 def _check_partition(lam: object, caller: str) -> None:

@@ -260,6 +260,38 @@ class TestKostkaFoulkes:
         assert kostka_foulkes(P((21,)), P((19, 1, 1))) == LaurentPoly({3: 1})
 
 
+def _alternant(s, kappa):
+    """Independent oracle for Bernstein's operator: s_(s,kappa) by the
+    Jacobi-Trudi alternant.  Sort (s, kappa) + delta, delta_i = len - i;
+    a repeated entry gives 0, otherwise the sign of the sorting permutation
+    and nu = sorted - delta."""
+    composition = (s, *kappa)
+    delta = range(len(composition) - 1, -1, -1)
+    shifted = [a + d for a, d in zip(composition, delta)]
+    if len(set(shifted)) < len(shifted):
+        return 0, ()
+    inversions = sum(x < y for i, x in enumerate(shifted) for y in shifted[i + 1 :])
+    nu = [a - d for a, d in zip(sorted(shifted, reverse=True), delta)]
+    return (-1) ** inversions, tuple(p for p in nu if p)
+
+
+class TestStraighten:
+    def test_against_the_alternant(self):
+        cases = [(s, kappa.parts) for s in range(13) for k in range(9) for kappa in partitions_of(k)]
+        assert len(cases) == 13 * 67
+        for s, kappa in cases:
+            assert kostka._straighten(s, kappa) == _alternant(s, kappa), (s, kappa)
+
+    def test_hand_cases(self):
+        assert kostka._straighten(1, (3,)) == (-1, (2, 2))  # one swap
+        assert kostka._straighten(1, (2,)) == (0, ())  # two equal rows
+        assert kostka._straighten(1, (4, 4)) == (1, (3, 3, 3))  # two swaps
+
+    def test_column_of_two_one(self):
+        # Q'_(2,1) = s_(2,1) + t s_(3): B_2 s_(1) + t B_3 s_()
+        assert kostka._kostka_column((2, 1)) == {(2, 1): 1, (3,): LaurentPoly({1: 1})}
+
+
 def _doctor_inner_column(monkeypatch, mu, doctor):
     """Build the column of mu (fresh) from a doctored copy of the column of
     mu without its first part."""

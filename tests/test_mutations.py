@@ -5,9 +5,7 @@ catch it at max_n = 4, by a reported FAIL or by a raised internal error
 
 Every memo of the package is emptied before each defect is planted and
 after it is lifted, so that a memoised value neither hides the defect nor
-outlives it.  A warm defect is planted after one clean run of the suite,
-whose memos it keeps, so that a suite reaches its own comparison rather
-than a tripwire in a route it memoised.
+outlives it.
 
 The matrix decides which suites stay: each one must be the only suite to
 catch at least one defect, and a check that catches nothing alone rides in
@@ -159,16 +157,21 @@ def _wrong_stride(coeffs, exponents, right=laurent.divide_one_minus):
 
 
 def walg_stride(monkeypatch):
-    """A wrong stride where springer calls the kernel: walg's hook closed
-    form, the one caller there."""
+    """A wrong stride where walg's hook closed form calls the kernel, its
+    one caller: springer reads divide_one_minus and no other module does."""
     monkeypatch.setattr(springer, "divide_one_minus", _wrong_stride)
 
 
-def wrong_stride(monkeypatch):
-    """A wrong stride in the kernel, in both modules that hold it: laurent,
-    which defines it, and springer (walg), its one caller."""
-    monkeypatch.setattr(laurent, "divide_one_minus", _wrong_stride)
-    walg_stride(monkeypatch)
+def skipped_flip(monkeypatch):
+    """Bernstein's straightening without the sign flip of its first swap:
+    B_s s_kappa comes out negated whenever s < kappa[0]."""
+    right = kostka._straighten
+
+    def wrong(s, kappa):
+        sign, nu = right(s, kappa)
+        return (-sign if kappa and s < kappa[0] else sign), nu
+
+    monkeypatch.setattr(kostka, "_straighten", wrong)
 
 
 def dropped_factor(monkeypatch):
@@ -188,7 +191,6 @@ def dropped_factor(monkeypatch):
 class Defect(NamedTuple):
     plant: Callable  # plant(monkeypatch)
     suites: set  # the suites that catch it
-    warm: bool = False
 
 
 DEFECTS = {
@@ -196,6 +198,8 @@ DEFECTS = {
         wrong_qhook, {"counts", "fake-degrees", "cone-series", "fibers", "walg"}
     ),
     "Jing column entry": Defect(shifted_column_entry, {"fibers"}),
+    # each suite builds a column cold, and its column-sum tripwire trips
+    "straightening sign": Defect(skipped_flip, {"counts", "fake-degrees", "fibers"}),
     "charge": Defect(cocharge, {"fake-degrees"}),
     "A2 class size": Defect(a2_class_size, {"fake-degrees", "cone-series", "fibers"}),
     "orbit_dim + 2": Defect(raised_orbit_dim, {"proudfoot", "walg"}),
@@ -205,7 +209,6 @@ DEFECTS = {
     "B3 class size": Defect(b3_class_size, {"counts"}),
     "D5 degree table": Defect(raised_d5_degree, {"counts"}),
     "F4 orbit walk": Defect(f4_orbit_walk, {"counts"}),
-    "divide_one_minus stride, warm": Defect(wrong_stride, {"walg"}, warm=True),
     # every suite divides a q-quotient or a class character unmemoised, and
     # the exactness check rejects the short products before any comparison
     "_at_base factor": Defect(
@@ -220,8 +223,6 @@ def caught_by(defect: Defect, suite: str, clear) -> bool:
     FAIL or raises an internal error; every memo is emptied around it."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         clear()
-        if defect.warm:
-            run_suite(suite, MAX_N)
         defect.plant(monkeypatch)
         try:
             return not run_suite(suite, MAX_N).passed

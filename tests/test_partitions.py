@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import factorial
 
 import pytest
@@ -46,6 +48,23 @@ class TestConstruction:
 
     def test_strips_trailing_zeros(self):
         assert Partition((3, 1, 0, 0)) == Partition((3, 1))
+
+    def test_size_is_the_sum_of_the_parts(self):
+        for n in range(11):
+            for lam in partitions_of(n):
+                assert lam.size == sum(lam.parts) == n
+
+    @pytest.mark.parametrize("name", ["size", "parts"])
+    def test_size_and_parts_cannot_be_assigned(self, name):
+        lam = Partition((2, 1))
+        with pytest.raises(AttributeError, match=f"cannot assign {name}$"):
+            setattr(lam, name, 4 if name == "size" else (4,))
+        assert (lam.parts, lam.size) == ((2, 1), 3)
+
+    def test_copies_keep_the_stored_size(self):
+        lam = Partition((3, 1, 1))
+        for twin in (copy.copy(lam), copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))):
+            assert (twin, twin.size) == (lam, 5)
 
     def test_empty_partition(self):
         empty = Partition(())
@@ -114,6 +133,18 @@ class TestDominance:
     def test_partial_sums(self):
         assert not Partition((2, 2)).dominates(Partition((3, 1)))
         assert Partition((3, 1)).dominates(Partition((2, 2)))
+
+    def test_every_pair_against_partial_sums(self):
+        """Oracle: the first k parts of a sum to at least those of b, for
+        every k.  The counts suite leans on dominance, and a dominates that
+        only loosened it, such as True for ((2,2),(3,1)), failed no suite."""
+        for n in range(9):
+            for a in partitions_of(n):
+                for b in partitions_of(n):
+                    expected = all(
+                        sum(a.parts[:k]) >= sum(b.parts[:k]) for k in range(1, n + 1)
+                    )
+                    assert a.dominates(b) == expected, (a, b)
 
     def test_incomparable_pair(self):
         assert not Partition((3, 1, 1, 1)).dominates(Partition((2, 2, 2)))

@@ -13,8 +13,8 @@ from test_mutations import (
     dropped_factor,
     shifted_column_entry,
     shifted_packed_fake_degree,
+    walg_stride,
     wrong_qhook,
-    wrong_stride,
 )
 
 
@@ -63,7 +63,7 @@ class TestSuites:
         """A wrong stride fails the walg suite, which multiplies back
         through LaurentPoly.__mul__.  walg is the one caller of the kernel,
         so no other route of the suite trips first, memoised or not."""
-        wrong_stride(monkeypatch)
+        walg_stride(monkeypatch)
         report = run_suite("walg", max_n=3)
         assert not report.passed
         assert report.checks[0].counterexample.startswith("phi=(2)")
