@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "laurent": ("BiLaurentPoly", "ExactDivisionError", "LaurentPoly", "TruncatedSeries"),
     "partitions": ("Partition", "partitions_of"),
-    "tableaux": ("ssyt_enumerate", "syt_enumerate", "syt_major_index_genfun"),
+    "tableaux": ("ssyt_enumerate",),
     "kostka": ("CONVENTION_TAG", "charge", "compute_kostka_table", "fake_degree_qhook",
                "kostka_foulkes", "kostka_foulkes_charge", "kostka_from_fake_degree"),
     "weyl": ("WeylType", "enumeration_counts", "fake_degree_molien", "pn_series_molien",

@@ -291,7 +291,8 @@ def fake_degree_qhook(lam: Partition) -> LaurentPoly:
         q**n_stat(lam) * prod_{k=1..n} (1-q**k) / prod_{cells} (1-q**hook).
 
     Equals the major-index generating polynomial over standard tableaux of
-    shape lam."""
+    shape lam (Stanley, EC2, Prop. 7.19.11); tests/test_kostka.py checks
+    that against its own enumeration (test_matches_major_index_route)."""
     coeffs, low = _qhook_coefficients(lam, "fake_degree_qhook"), lam.n_stat()
     return LaurentPoly._from_clean({low + k: c for k, c in enumerate(coeffs) if c}, "q")
 

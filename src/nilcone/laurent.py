@@ -70,6 +70,12 @@ def _check_exponents(exponents: list[int]) -> None:
             raise ValueError("all factor exponents must be positive")
 
 
+def _check_ints(owner: str, *values: object) -> None:
+    for v in values:
+        if type(v) is not int:  # bool is not an exponent
+            raise TypeError(f"{owner} needs an int, not {type(v).__name__}")
+
+
 # memoryview.cast formats of the signed machine ints, by width in bytes
 _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
 
@@ -318,12 +324,14 @@ class LaurentPoly(_TermMap):
         k = 0 is rejected: collapsing all exponents is not a ring
         endomorphism of the Laurent polynomial ring.
         """
+        _check_ints("LaurentPoly.substitute_power", k)
         if k == 0:
             raise ValueError("substitute_power requires a nonzero exponent")
         return LaurentPoly._from_clean({k * e: c for e, c in self.terms.items()}, self.var)
 
     def shift(self, d: int) -> "LaurentPoly":
         """Multiply by var**d (the Hilbert series of a shift by -d)."""
+        _check_ints("LaurentPoly.shift", d)
         return LaurentPoly._from_clean({e + d: c for e, c in self.terms.items()}, self.var)
 
     def monomials(self) -> Monomials:
@@ -356,6 +364,7 @@ class BiLaurentPoly(_TermMap):
 
     def shift(self, dx: int, dy: int) -> "BiLaurentPoly":
         """Multiply by x**dx * y**dy."""
+        _check_ints("BiLaurentPoly.shift", dx, dy)
         return BiLaurentPoly._from_clean({(x + dx, y + dy): c for (x, y), c in self.terms.items()})
 
     def monomials(self) -> Monomials:
@@ -402,6 +411,8 @@ class TruncatedSeries:
     def from_poly(cls, p: LaurentPoly, order: int) -> "TruncatedSeries":
         """Truncate a polynomial with nonnegative exponents to the given
         order, in its variable."""
+        if not isinstance(p, LaurentPoly):
+            raise TypeError(f"TruncatedSeries.from_poly needs a LaurentPoly, not {type(p).__name__}")
         if type(order) is not int:  # bool is not an order
             raise TypeError(f"truncation order must be an int, not {type(order).__name__}")
         if order < 0:

@@ -81,6 +81,7 @@ class Partition:
 
         Only defined between partitions of the same size, so the partial
         sums up to the end of the shorter one decide."""
+        _check_partition(other, "Partition.dominates")
         if self.size != other.size:
             raise ValueError(f"dominance needs equal sizes: |{self}| != |{other}|")
         return not any(map(lt, accumulate(self.parts), accumulate(other.parts)))

@@ -1,4 +1,4 @@
-"""Semistandard Young tableaux: enumeration and the major-index statistic.
+"""Semistandard Young tableaux, enumerated for the charge route of kostka.py.
 
 A tableau of content mu is a chain of shapes () = lam^0 < lam^1 < ... <
 lam^k = shape in which lam^i / lam^(i-1) is a horizontal mu_i-strip, the
@@ -11,7 +11,6 @@ partitions._add_horizontal order; it is stable across runs.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly
 from .partitions import Partition, _add_horizontal, _check_partition
 
 Rows = tuple[tuple[int, ...], ...]
@@ -40,24 +39,3 @@ def ssyt_enumerate(shape: Partition, content: Partition) -> list[Rows]:
                     )
         tableaux = grown
     return tableaux
-
-
-def syt_enumerate(shape: Partition) -> list[Rows]:
-    """Standard Young tableaux of the given shape (letters 1..n, each once)."""
-    _check_partition(shape, "syt_enumerate")
-    return ssyt_enumerate(shape, Partition((1,) * shape.size))
-
-
-def syt_major_index_genfun(shape: Partition) -> LaurentPoly:
-    """Generating polynomial of the major index over standard tableaux.
-
-    r counts toward maj(T) when r+1 sits in a strictly lower row than r; the
-    value of this polynomial at 1 is the number of standard tableaux.
-    """
-    _check_partition(shape, "syt_major_index_genfun")
-    terms: dict[int, int] = {}
-    for rows in syt_enumerate(shape):
-        row_of = {v: r for r, row in enumerate(rows) for v in row}
-        maj = sum(r for r in range(1, shape.size) if row_of[r + 1] > row_of[r])
-        terms[maj] = terms.get(maj, 0) + 1
-    return LaurentPoly._from_clean(terms, "q")  # counts, none zero

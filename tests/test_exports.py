@@ -5,9 +5,11 @@ import pytest
 import nilcone
 
 # The export list as it stood when the package became lazy, less
-# molien_graded_character (removed with LaurentPoly.div_exact) and the
+# molien_graded_character (removed with LaurentPoly.div_exact), the
 # class-datum view and one-class character that no route read
-# (ClassDatum, conjugacy_data, mn_character); it changes only on purpose.
+# (ClassDatum, conjugacy_data, mn_character), and the standard-tableau
+# list and major-index series that no verify route reads any more
+# (syt_enumerate, syt_major_index_genfun); it changes only on purpose.
 EXPORTS = [
     "BiLaurentPoly", "BigradedSeries", "CONVENTION_TAG",
     "ExactDivisionError", "LaurentPoly", "Partition", "ProudfootReport",
@@ -18,7 +20,7 @@ EXPORTS = [
     "kostka_from_fake_degree", "kostka_g",
     "orbit_dim", "partitions_of", "pn_series", "pn_series_molien", "proudfoot_check",
     "slice_series_typeA_printed", "sn_character_values", "springer_fiber_series",
-    "ssyt_enumerate", "syt_enumerate", "syt_major_index_genfun", "weyl_type",
+    "ssyt_enumerate", "weyl_type",
 ]
 SUBMODULES = ["laurent", "partitions", "tableaux", "kostka", "weyl", "springer", "verify", "cli"]
 

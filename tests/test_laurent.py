@@ -209,6 +209,43 @@ class TestConstructorsRefuseNonIntegerData:
         with pytest.raises(TypeError, match=f"^{message}"):
             build()
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: LaurentPoly({1: 1}).shift(0.5), "LaurentPoly.shift needs an int, not float"),
+            (lambda: LaurentPoly({1: 1}).shift(True), "LaurentPoly.shift needs an int, not bool"),
+            (
+                lambda: LaurentPoly({1: 1}).substitute_power(1.5),
+                "LaurentPoly.substitute_power needs an int, not float",
+            ),
+            (
+                lambda: LaurentPoly({1: 1}).substitute_power(True),
+                "LaurentPoly.substitute_power needs an int, not bool",
+            ),
+            (
+                lambda: LaurentPoly({1: 1}).substitute_power(False),
+                "LaurentPoly.substitute_power needs an int, not bool",
+            ),
+            (lambda: BiLaurentPoly({(1, 1): 1}).shift(0.5, 1), "BiLaurentPoly.shift needs an int, not float"),
+            (lambda: BiLaurentPoly({(1, 1): 1}).shift(1, "2"), "BiLaurentPoly.shift needs an int, not str"),
+            (lambda: BiLaurentPoly({(1, 1): 1}).shift(True, 0), "BiLaurentPoly.shift needs an int, not bool"),
+            (
+                lambda: TruncatedSeries.from_poly(3, 2),
+                "TruncatedSeries.from_poly needs a LaurentPoly, not int",
+            ),
+            (
+                lambda: TruncatedSeries.from_poly(BiLaurentPoly({(0, 0): 1}), 2),
+                "TruncatedSeries.from_poly needs a LaurentPoly, not BiLaurentPoly",
+            ),
+        ],
+    )
+    def test_value_methods_refuse_non_integer_exponents(self, call, message):
+        """The exponent arguments of the value methods follow the value
+        rule of the constructors: a float or a bool would land in the term
+        map as an exponent."""
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            call()
+
     def test_internal_builders_skip_the_check(self, monkeypatch):
         def refused(*args):
             raise AssertionError("checked again")

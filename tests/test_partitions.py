@@ -159,6 +159,13 @@ class TestDominance:
         with pytest.raises(ValueError):
             Partition((2,)).dominates(Partition((2, 1)))
 
+    @pytest.mark.parametrize("other", [(1, 1), [1, 1], 2, None])
+    def test_non_partition_rejected(self, other):
+        with pytest.raises(
+            TypeError, match=f"^Partition.dominates needs a Partition, not {type(other).__name__}$"
+        ):
+            Partition((2,)).dominates(other)
+
     def test_partial_order_exhaustive(self):
         for n in range(9):
             parts = partitions_of(n)

@@ -403,8 +403,6 @@ class TestDegenerateInputs:
         (springer, "orbit_dim"),
         (weyl, "sn_character_values"),
         (tableaux, "ssyt_enumerate"),
-        (tableaux, "syt_enumerate"),
-        (tableaux, "syt_major_index_genfun"),
         (springer, "slice_series_typeA_printed"),
     ],
 )

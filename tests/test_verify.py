@@ -11,6 +11,7 @@ from nilcone.verify import SUITES, run_suite
 from test_mutations import (
     a2_class_size,
     dropped_factor,
+    raised_hook,
     shifted_column_entry,
     shifted_packed_fake_degree,
     walg_stride,
@@ -34,15 +35,14 @@ class TestSuites:
         }
 
     def test_fake_degrees_suite_catches_a_wrong_qhook(self, monkeypatch, clear_memos):
-        """One wrong q-hook value fails the suite even when the major-index
-        and Molien routes are made to agree with it: the charge route is
-        left to catch it, so it must not share the q-hook's code.  The
-        wrong value is planted in the one coefficient helper that both
-        fake_degree_qhook and kostka_from_fake_degree read, and the memos
-        are emptied so that a memoised column does not hide it."""
+        """One wrong q-hook value fails the suite even when the Molien route
+        is made to agree with it: the charge route is left to catch it, so
+        it must not share the q-hook's code.  The wrong value is planted in
+        the one coefficient helper that both fake_degree_qhook and
+        kostka_from_fake_degree read, and the memos are emptied so that a
+        memoised column does not hide it."""
         wrong_fd = kostka.fake_degree_qhook
         wrong_qhook(monkeypatch)
-        monkeypatch.setattr(verify, "syt_major_index_genfun", wrong_fd)
         monkeypatch.setattr(verify, "sn_character_values", lambda lam: lam)
         monkeypatch.setattr(verify, "fake_degree_molien", lambda wt, lam: wrong_fd(lam))
         report = run_suite("fake-degrees", max_n=4)
@@ -77,6 +77,15 @@ class TestSuites:
             kostka.fake_degree_qhook(Partition((3, 1)))
         with pytest.raises(AssertionError):
             weyl._class_characters("A", 3)
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_a_raised_hook_trips_every_suite(self, name, monkeypatch, clear_memos):
+        """A hook of (2,1) raised by one leaves its q-hook inexact.  Every
+        suite divides that q-hook unmemoised, so each raises
+        ExactDivisionError before it compares anything."""
+        raised_hook(monkeypatch)
+        with pytest.raises(ExactDivisionError):
+            run_suite(name, max_n=4)
 
     def test_fibers_suite_catches_a_shifted_column_entry(self, monkeypatch):
         """K[(3),(2,1)] times t in the Springer series' column keeps every
