@@ -17,12 +17,14 @@ precision survives any consumer:
      "result": {"variables": ["x", "y"],
                 "terms": [{"x": 0, "y": 0, "coeff": "1"}, ...]},
      "meta": {"version": ..., "convention": ..., "ms": ...}}
+
+Command line: `nilcone COMMAND` and its flags, each `--flag value` or
+`--flag=value`: a unique prefix names a flag, the last repeat wins, a value
+may be negative (`--truncate -1`), and `-h` prints help on stdout.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 import warnings
@@ -49,11 +51,6 @@ def __getattr__(name: str):
 
 class UsageError(Exception):
     """Bad command line; reported with a one-line diagnostic and exit 1."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); the contract is exit 1
-        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +230,7 @@ def _verify(o: dict):
 
 _PARTS = {"type": parse_partition, "required": True, "metavar": "PARTS"}
 _LAMBDA, _PHI, _INT = ("--lambda", _PARTS), ("--phi", _PARTS), {"type": int}
+_FORMAT = ("--format", {"choices": ("text", "json", "latex"), "default": "text"})
 
 # name: (help, option specs, compute)
 COMMANDS = {
@@ -273,18 +271,69 @@ COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="nilcone",
-        description="Exact Kostka polynomials and bigraded nilpotent-cone series",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_text, options, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-        for flag, spec in options:
-            p.add_argument(flag, **spec)
-    return parser
+def _help(name) -> str:
+    """The -h text: the commands, or one command's flags and their marks."""
+    rows = [(cmd, spec[0]) for cmd, spec in COMMANDS.items()]
+    if name is not None:
+        rows = []
+        for flag, spec in (_FORMAT, *COMMANDS[name][1]):
+            choices = spec.get("choices")
+            meta = "{%s}" % ",".join(choices) if choices else spec.get("metavar", "N")
+            marks = [spec.get("help"), spec.get("required") and "required"]
+            marks.append("default" in spec and f"default {spec['default']}")
+            rows.append((f"{flag} {meta}", "; ".join(filter(None, marks))))
+    width = max(len(left) for left, _ in rows) + 2
+    body = "\n".join(f"  {left:<{width}}{right}".rstrip() for left, right in rows)
+    title = COMMANDS[name][0] if name else "Exact Kostka polynomials and bigraded nilpotent-cone series"
+    return f"usage: nilcone {name or 'COMMAND'} [-h] [--flag value ...]\n\n{title}\n\n{body}"
+
+
+def parse_args(argv) -> dict | str:
+    """The command and each of its flags under its dest name (`max_n` for
+    --max-n), None or the default when not given; after -h, the help text."""
+    args = list(sys.argv[1:] if argv is None else argv)
+    if args[:1] in (["-h"], ["--help"]):
+        return _help(None)
+    if not args or args[0].startswith("-"):
+        raise UsageError("the following arguments are required: command")
+    name = args.pop(0)
+    if name not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {name!r} (choose from {choices})")
+    specs, given, extras = dict([_FORMAT, *COMMANDS[name][1]]), {}, []
+    while args:
+        token = args.pop(0)
+        if token in ("-h", "--help"):
+            return _help(name)
+        flag, eq, text = token.partition("=")
+        found = [f for f in specs if f.startswith(flag) and len(flag) > 2]
+        found = [flag] if flag in specs else found
+        if len(found) > 1:
+            raise UsageError(f"ambiguous option: {flag} could match {', '.join(found)}")
+        if not found:
+            extras.append(token)
+            continue
+        flag, spec = found[0], specs[found[0]]
+        # without `=`, the value is the next token unless that is a flag (-1 is a value)
+        number = args and args[0][1:].replace(".", "", 1).isdecimal()
+        if not eq and (not args or args[0].startswith("-") and not number):
+            raise UsageError(f"argument {flag}: expected one argument")
+        text = text if eq else args.pop(0)
+        kind = spec.get("type", str)
+        try:
+            given[flag] = kind(text)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
+        if "choices" in spec and given[flag] not in spec["choices"]:
+            choices = ", ".join(map(repr, spec["choices"]))
+            raise UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+    missing = [f for f, spec in specs.items() if spec.get("required") and f not in given]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    options = {f[2:].replace("-", "_"): given.get(f, s.get("default")) for f, s in specs.items()}
+    return {"command": name, **options}
 
 
 def run(argv=None) -> int:
@@ -301,7 +350,10 @@ def run(argv=None) -> int:
 
 def _query(argv) -> int:
     try:
-        o = vars(build_parser().parse_args(argv))
+        o = parse_args(argv)
+        if isinstance(o, str):
+            print(o, flush=True)
+            return 0
         started = time.perf_counter()
         value, code = COMMANDS[o["command"]][2](o)
         if value is None:
@@ -313,6 +365,8 @@ def _query(argv) -> int:
             query = {k: list(v) if isinstance(v, Partition) else v for k, v in echo.items()}
             ms = int((time.perf_counter() - started) * 1000)
             meta = {"version": __version__, "convention": CONVENTION_TAG, "ms": ms}
+            import json
+
             value = json.dumps({"query": query, "result": value, "meta": meta}, sort_keys=True)
         print(value, flush=True)  # a closed pipe fails here, not at exit
         return code

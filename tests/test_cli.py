@@ -1,14 +1,19 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nilcone.cli import UsageError, parse_partition, run
+from nilcone.cli import _FORMAT, _INT, _PARTS, COMMANDS, UsageError, parse_args, parse_partition, run
 from nilcone.laurent import BiLaurentPoly, ExactDivisionError, LaurentPoly
+from nilcone.partitions import partitions_of
 from nilcone.verify import CheckResult
 
 # a planted defect of the mutation catalogue
@@ -391,3 +396,148 @@ def test_closed_pipe_is_one_line_and_exit_4(argv):
         os.close(write)
     assert done.stderr == "error: output closed (broken pipe)\n"
     assert done.returncode == 4
+
+
+class TestArgvGrammar:
+    """The parser keeps argparse's contract: the same options dict, the same
+    error wording (tests/cli_golden.json pins it), help on stdout with exit 0,
+    and unique flag prefixes."""
+
+    def test_options_dict_has_every_flag(self):
+        assert parse_args(["pn", "--n", "3"]) == {
+            "command": "pn", "format": "text", "n": 3, "type": None, "rank": None,
+        }
+        assert parse_args(["verify", "--max-n=2", "--format", "json"]) == {
+            "command": "verify", "format": "json", "suite": "all", "max_n": 2,
+        }
+
+    def test_equals_form_and_last_repeat_wins(self, capsys):
+        code, out, _ = invoke(capsys, "walg", "--phi=2", "--truncate", "3", "--truncate=6")
+        assert (code, out) == (0, "1 + y^4 + O(y^7)\n")
+
+    def test_negative_value_is_a_value(self):
+        assert parse_args(["walg", "--phi", "2", "--truncate", "-1"])["truncate"] == -1
+
+    def test_unique_prefix_names_the_flag(self, capsys):
+        assert invoke(capsys, "kostka", "--lam", "3", "--m", "2,1") == (0, "t\n", "")
+        assert parse_args(["verify", "--max", "1", "--s", "counts"])["max_n"] == 1
+
+    def test_ambiguous_prefix_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setitem(
+            COMMANDS, "both", ("two flags", [("--max-n", _INT), ("--mu", _PARTS)], None)
+        )
+        code, out, err = invoke(capsys, "both", "--m", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: ambiguous option: --m could match --max-n, --mu\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["kostka", "--lambda"], "argument --lambda: expected one argument"),
+            (["kostka", "--lambda", "--mu", "1"], "argument --lambda: expected one argument"),
+            (["hp0", "--phi", "1", "--", "-1"], "unrecognized arguments: -- -1"),
+            (["hp0", "--phi", "1", "--lambda=1"], "unrecognized arguments: --lambda=1"),
+            (["hp0", "--phi", "1", "--format="], "argument --format: invalid choice: '' "
+             "(choose from 'text', 'json', 'latex')"),
+            ([], "the following arguments are required: command"),
+            (["--format", "json", "kostka"], "the following arguments are required: command"),
+            (["s3"], "the following arguments are required: --nu, --phi"),
+        ],
+    )
+    def test_usage_errors(self, capsys, argv, message):
+        assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_the_commands(self, capsys, flag):
+        code, out, err = invoke(capsys, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: nilcone COMMAND")
+        for name, (help_text, _, _) in COMMANDS.items():
+            assert re.search(rf"^  {re.escape(name)} +{re.escape(help_text)}$", out, re.M)
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_command_help_lists_its_flags(self, capsys, name):
+        code, out, err = invoke(capsys, name, "-h", "--no-such-flag")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: nilcone {name} ")
+        assert "  --format {text,json,latex}  " in out and out.count("default text") == 1
+        for flag, _ in COMMANDS[name][1]:
+            assert flag in out
+        assert out.count("required") == sum(bool(s.get("required")) for _, s in COMMANDS[name][1])
+
+    def test_command_help_shows_choices_defaults_and_help(self, capsys):
+        _, out, _ = invoke(capsys, "verify", "-h")
+        assert "--suite {counts,fake-degrees,cone-series,proudfoot,fibers,walg,all}  default all" in out
+        _, out, _ = invoke(capsys, "pn", "--help")
+        assert re.search(r"^  --n N +type A, per-partition sum$", out, re.M)
+        assert re.search(r"^  --type \{A,B,C,D,G2,F4,E6\} +class-average route$", out, re.M)
+
+    def test_help_in_a_fresh_process_exits_zero(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        for argv in (["-h"], ["kostka", "-h"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "nilcone.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert (done.returncode, done.stderr) == (0, "")
+            assert done.stdout.startswith("usage: nilcone ")
+
+
+# Values of each flag, bounded so that every query stays cheap; JUNK may land
+# anywhere, even as a value, so it holds no large number.
+VALUES = {
+    "--n": st.integers(-1, 6), "--rank": st.integers(-1, 4),
+    "--truncate": st.integers(-1, 50), "--max-n": st.integers(-1, 3),
+    "partition": st.integers(1, 6).flatmap(lambda n: st.sampled_from(partitions_of(n))).map(
+        lambda lam: ",".join(map(str, lam))
+    ),
+}
+JUNK = ("", "x", "0", "6", "-1", "-", "--", "=", "2,1", "1,2", "2,x", "A", "json", "all", "pn")
+UNKNOWN = ("--cache-dir", "--bogus", "-x", "--lambda", "--n", "--phi", "--format", "--help=1")
+
+
+@st.composite
+def argvs(draw):
+    """A command (or junk in its place), maybe its required flags, then
+    flags of it in the space, `=` and prefix forms, -h, unknown flags and
+    junk tokens."""
+    name = draw(st.sampled_from([*COMMANDS, "frobnicate", "-h", "--lam"]))
+    specs = dict([_FORMAT, *(COMMANDS[name][1] if name in COMMANDS else [])])
+
+    def pair(flag):
+        spec = specs[flag]
+        if "choices" in spec:
+            value = draw(st.sampled_from(spec["choices"]))
+        else:
+            value = str(draw(VALUES.get(flag, VALUES["partition"])))
+        shortest = min(k for k in range(3, len(flag) + 1)
+                       if [f for f in specs if f.startswith(flag[:k])] == [flag])
+        spelled = flag[: draw(st.integers(shortest, len(flag)))]
+        return [f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value]
+
+    argv = [name] if draw(st.integers(0, 9)) else []
+    if draw(st.integers(0, 3)):
+        argv += [token for flag, spec in specs.items() if spec.get("required") for token in pair(flag)]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["pair"] * 5 + ["unknown", "junk", "help"]))
+        if kind == "pair":
+            argv += pair(draw(st.sampled_from(sorted(specs))))
+        elif kind == "unknown":
+            argv.append(draw(st.sampled_from(UNKNOWN)))
+        elif kind == "junk":
+            argv.append(draw(st.sampled_from(JUNK)))
+        else:
+            argv.append(draw(st.sampled_from(["-h", "--help"])))
+    return argv
+
+
+@settings(deadline=None, max_examples=150)
+@given(argvs())
+def test_any_argv_gives_an_exit_code_and_at_most_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert type(code) is int and 0 <= code <= 4
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
+    errors = sum(line.startswith("error: ") for line in lines)
+    assert errors == int(code in (1, 3, 4)) or code == 2 and errors == 1

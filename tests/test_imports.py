@@ -83,14 +83,17 @@ def test_detector_sees_unread_and_read_names():
 # loads.  The set decides what the package's modules put in sys.modules, and
 # with it the speed of a fresh process and the pace reference of
 # perfbench/pace.py, so a change to it has to be made here on purpose.
-# No module imports `fractions`: every value is an int.  `dataclasses` stays,
-# in weyl and verify: library workers load it through weyl_type, and the pace
-# reference takes about 12.8 ms with it loaded against 8.8 ms without, so
-# dropping it would move paced kostka-table times by about 30% for no work
-# of their own.
+# No module imports `fractions`: every value is an int.  The command line
+# parses argv itself from its COMMANDS table and imports `json` only to write
+# JSON output, so a text query loads neither `argparse` (with `gettext` and
+# `locale`) nor `json`; the probes at the end check both in fresh processes.
+# `dataclasses` stays, in weyl and verify: library workers load it through
+# weyl_type, and the pace reference takes about 12.8 ms with it loaded against
+# 8.8 ms without, so dropping it would move paced kostka-table times by about
+# 30% for no work of their own.
 STDLIB_IMPORTS = {
-    "__future__", "argparse", "collections", "dataclasses", "functools",
-    "itertools", "json", "math", "operator", "sys", "time", "typing", "warnings",
+    "__future__", "collections", "dataclasses", "functools", "itertools",
+    "math", "operator", "sys", "time", "typing", "warnings",
 }
 
 
@@ -171,3 +174,24 @@ def test_hp0_query_loads_neither_weyl_nor_verify():
     )
     assert "nilcone.springer" in loaded
     assert loaded & {"nilcone.weyl", "nilcone.verify", "dataclasses"} == set()
+
+
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
+def test_text_query_loads_neither_argparse_nor_json():
+    loaded = loaded_modules(
+        "from nilcone.cli import run\n"
+        "assert run(['kostka', '--lambda', '3,1', '--mu', '2,1,1']) == 0"
+    )
+    assert "nilcone.kostka" in loaded
+    assert loaded & (PARSER_MODULES | {"json"}) == set()
+
+
+def test_json_query_loads_json_but_not_argparse():
+    loaded = loaded_modules(
+        "from nilcone.cli import run\n"
+        "assert run(['kostka', '--lambda', '3,1', '--mu', '2,1,1', '--format', 'json']) == 0"
+    )
+    assert "json" in loaded
+    assert loaded & PARSER_MODULES == set()
