@@ -45,6 +45,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, factorial, prod
 from operator import lt
+from types import MappingProxyType
 from typing import Sequence
 
 from .laurent import LaurentPoly, _digit_bytes, _signed_digits, q_quotient_coefficients
@@ -53,6 +54,7 @@ from .tableaux import ssyt_enumerate
 
 CONVENTION_TAG = "charge-c1=0-right-increment"
 _new = object.__new__
+_EMPTY = MappingProxyType({})  # the term map of a zero, read-only so it can be shared
 
 
 def _validate_partition_content(word: Sequence[int]) -> int:
@@ -273,7 +275,7 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> LaurentPoly:
     if lam.size != mu.size:
         raise ValueError(f"Kostka polynomial needs equal sizes: |{lam}| != |{mu}|")
     zero = _new(LaurentPoly)  # LaurentPoly.zero("t"), without its two calls
-    zero.terms, zero.var = {}, "t"
+    zero.terms, zero.var = _EMPTY, "t"
     return zero
 
 

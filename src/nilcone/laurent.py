@@ -6,21 +6,23 @@ or BiLaurentPoly in x and y, is a map from exponent (a pair of them in x
 and y) to coefficient, and one value rule holds for both: the map holds no
 zero coefficient, two polynomials of one class are equal when their maps
 are, a LaurentPoly never equals a BiLaurentPoly, and a constant equals its
-int and hashes like it.  Negative exponents are allowed everywhere (the
-weight gradings computed downstream genuinely produce them).  Exponents
-and coefficients are ints, not bools: the public constructors refuse
-anything else by name, and the package builds its own values unchecked.
+int and hashes like it.  The map is read-only (a MappingProxyType), so
+no caller can change a memoised value.  Negative exponents are allowed
+everywhere (the weight gradings computed downstream genuinely produce
+them).  Exponents and coefficients are ints, not bools: the public
+constructors refuse anything else by name, and the package builds its
+own values unchecked.
 
 Products of cyclotomic-type factors, prod_a (1 - var**a) / prod_b
 (1 - var**b), are divided once, as integers at var = B = 2**bits
 (Kronecker substitution): _at_base builds each product by shifts and
 subtractions, and _signed_digits decodes the quotient.  _at_base is a
-shared kernel: q_quotient_coefficients (the q-hook fake degrees, the
-q-multinomial of the fibers suite and the labels of the exceptional
-Weyl-group classes) and weyl._class_characters both divide through it,
-and q_quotient_coefficients holds the argument that makes an exact
-division at B exact in var.  divide_one_minus, the strided prefix sums,
-divides a truncated series, for the W-algebra series.
+shared kernel: q_quotient_coefficients (the q-hook fake degrees and the
+labels of the exceptional Weyl-group classes) and weyl._class_characters
+both divide through it, and q_quotient_coefficients holds the argument
+that makes an exact division at B exact in var.  divide_one_minus, the
+strided prefix sums, divides a truncated series, for the W-algebra
+series.
 
 Bivariate polynomials are sums of products f(x) * g(y), and every one the
 package builds is summed as packed rows: each g(y) is one int (Kronecker
@@ -53,6 +55,7 @@ import sys
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from math import comb, prod
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Monomials = tuple[tuple[str, ...], list[tuple[tuple[int, ...], int]]]
@@ -238,8 +241,8 @@ class LaurentPoly(_TermMap):
     _ONE = 0
 
     def __init__(self, terms: Mapping[int, int] | None = None, var: str = "t"):
-        self.terms = _clean_terms(terms, "LaurentPoly", "int", lambda e: type(e) is int)
-        self.var = var
+        terms = _clean_terms(terms, "LaurentPoly", "int", lambda e: type(e) is int)
+        self.terms, self.var = MappingProxyType(terms), var
 
     @classmethod
     def zero(cls, var: str = "t") -> "LaurentPoly":
@@ -253,8 +256,11 @@ class LaurentPoly(_TermMap):
     def _from_clean(cls, terms: dict[int, int], var: str) -> "LaurentPoly":
         """A polynomial that owns terms, which must hold no zero coefficient."""
         poly = cls.__new__(cls)
-        poly.terms, poly.var = terms, var
+        poly.terms, poly.var = MappingProxyType(terms), var
         return poly
+
+    def __reduce__(self):
+        return LaurentPoly, (dict(self.terms), self.var)
 
     @classmethod
     def from_coefficients(cls, coeffs: Iterable[int], var: str = "t") -> "LaurentPoly":
@@ -353,14 +359,17 @@ class BiLaurentPoly(_TermMap):
     _ONE = (0, 0)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        self.terms = _clean_terms(terms, "BiLaurentPoly", "(int, int)", _is_pair)
+        self.terms = MappingProxyType(_clean_terms(terms, "BiLaurentPoly", "(int, int)", _is_pair))
 
     @classmethod
     def _from_clean(cls, terms: dict) -> "BiLaurentPoly":
         """A polynomial that owns terms, which must hold no zero coefficient."""
         poly = cls.__new__(cls)
-        poly.terms = terms
+        poly.terms = MappingProxyType(terms)
         return poly
+
+    def __reduce__(self):
+        return BiLaurentPoly, (dict(self.terms),)
 
     def shift(self, dx: int, dy: int) -> "BiLaurentPoly":
         """Multiply by x**dx * y**dy."""

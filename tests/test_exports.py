@@ -114,3 +114,38 @@ def test_a_wrong_type_is_refused_in_words(name, arg, bad):
         entries = bad if type(bad) is tuple else ()
         kinds = {type(bad).__name__, *(type(x).__name__ for x in entries)}
         assert any(kind in str(refused.value) for kind in kinds), refused.value
+
+
+P = nilcone.Partition
+# one query of every exported function that returns a polynomial, memoised or not
+RETURNED = {
+    "compute_kostka_table": lambda: nilcone.compute_kostka_table(3)[P((2, 1)), P((1, 1, 1))],
+    "fake_degree_molien": lambda: nilcone.fake_degree_molien(
+        nilcone.weyl_type("A", 2), nilcone.sn_character_values(P((2, 1)))
+    ),
+    "fake_degree_qhook": lambda: nilcone.fake_degree_qhook(P((2, 1))),
+    "hp0_slice_series": lambda: nilcone.hp0_slice_series(P((2, 1))),
+    "ih_orbit_closure": lambda: nilcone.ih_orbit_closure(P((2, 1))),
+    "ih_s3_variety": lambda: nilcone.ih_s3_variety(P((2, 1)), P((1, 1, 1))),
+    "kostka_foulkes": lambda: nilcone.kostka_foulkes(P((3, 1)), P((2, 1, 1))),
+    "kostka_foulkes zero": lambda: nilcone.kostka_foulkes(P((2, 1)), P((3,))),
+    "kostka_foulkes_charge": lambda: nilcone.kostka_foulkes_charge(P((3, 1)), P((2, 1, 1))),
+    "kostka_from_fake_degree": lambda: nilcone.kostka_from_fake_degree(P((2, 1))),
+    "kostka_g": lambda: nilcone.kostka_g(P((2, 1))),
+    "pn_series": lambda: nilcone.pn_series(3).poly,
+    "pn_series_molien": lambda: nilcone.pn_series_molien(nilcone.weyl_type("B", 2)),
+    "proudfoot_check": lambda: nilcone.proudfoot_check(P((2, 1))).ih_dual_series,
+    "slice_series_typeA_printed": lambda: nilcone.slice_series_typeA_printed(P((2, 1))).poly,
+    "springer_fiber_series": lambda: nilcone.springer_fiber_series(P((2, 1))).poly,
+}
+
+
+@pytest.mark.parametrize("query", RETURNED)
+def test_a_returned_polynomial_is_read_only(query):
+    """A write into a returned term map raises TypeError, so it cannot
+    reach the memo that the next call reads."""
+    value = RETURNED[query]()
+    before = dict(value.terms)
+    with pytest.raises(TypeError):
+        value.terms[next(iter(before), 0)] = 99
+    assert dict(RETURNED[query]().terms) == before

@@ -93,7 +93,7 @@ def test_detector_sees_unread_and_read_names():
 # 30% for no work of their own.
 STDLIB_IMPORTS = {
     "__future__", "collections", "dataclasses", "functools", "itertools",
-    "math", "operator", "sys", "time", "typing", "warnings",
+    "math", "operator", "sys", "time", "types", "typing", "warnings",
 }
 
 

@@ -405,8 +405,9 @@ class TestKostkaTable:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda t: t[P((3, 1)), P((2, 1, 1))].terms.update({1: 2}), "sum of f"),
-            (lambda t: t[P((3, 1)), P((2, 1, 1))].terms.update({2: 2}), "not monic"),
+            # K[(3,1),(2,1,1)] = t + t^2 with one coefficient raised to 2
+            (lambda t: t.update({(P((3, 1)), P((2, 1, 1))): LaurentPoly({1: 2, 2: 1})}), "sum of f"),
+            (lambda t: t.update({(P((3, 1)), P((2, 1, 1))): LaurentPoly({1: 1, 2: 2})}), "not monic"),
             (lambda t: t.update({(P((2, 2)), P((3, 1))): LaurentPoly.one()}), "does not dominate"),
             (lambda t: t.update({(P((2, 2)), P((2, 2))): LaurentPoly({0: 1, 1: 1})}), "not monic"),
             # 1 - t + t^2 keeps the column sum and the monic top term of t^2

@@ -1,3 +1,6 @@
+import copy
+import pickle
+from collections.abc import Mapping
 from math import gcd
 from operator import sub
 
@@ -573,21 +576,43 @@ class TestDivideOneMinus:
 
 class TestStorageContract:
     """The benchmark's encoder (perfbench/worker.py, encode) reads these
-    attributes directly, so a change of storage fails here first."""
+    attributes directly, so a change of storage fails here first.  A term
+    map is read-only, so that no caller can corrupt a memoised value."""
 
-    def test_univariate_terms_are_a_dict_keyed_by_int(self):
+    def test_univariate_terms_are_a_read_only_map_keyed_by_int(self):
         for p in (L({-2: 1, 3: -4}), LaurentPoly.zero(), q_quotient([2, 3], [1])):
-            assert type(p.terms) is dict
+            assert isinstance(p.terms, Mapping)
             assert all(type(e) is int for e in p.terms)
+            with pytest.raises(TypeError):
+                p.terms[7] = 1
 
-    def test_bivariate_terms_are_a_dict_keyed_by_int_pairs(self):
+    def test_bivariate_terms_are_a_read_only_map_keyed_by_int_pairs(self):
         b = packed_sum([(2, L({0: 1, 1: 1}), L({-1: 1, 3: 2}))])
         for p in (b, b.shift(1, -2), BiLaurentPoly({(0, 0): 1})):
-            assert type(p.terms) is dict and p.terms
+            assert isinstance(p.terms, Mapping) and p.terms
             assert all(
                 type(k) is tuple and len(k) == 2 and all(type(e) is int for e in k)
                 for k in p.terms
             )
+            with pytest.raises(TypeError):
+                p.terms[0, 7] = 1
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            LaurentPoly({-2: 1, 3: -4}, "q"),
+            LaurentPoly.zero("x"),
+            BiLaurentPoly({(0, 0): 1, (2, -2): 3}),
+        ],
+        ids=repr,
+    )
+    def test_pickle_and_deepcopy_round_trip(self, value):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(twin) is type(value) and twin == value
+            assert getattr(twin, "var", None) == getattr(value, "var", None)
+            assert isinstance(twin.terms, Mapping)
+            with pytest.raises(TypeError):
+                twin.terms[9, 9] = 1
 
     def test_series_coefficients_are_a_list(self):
         for s in (TruncatedSeries((1, 2, 3)), TruncatedSeries.from_poly(L({0: 1, 2: 5}), 4)):

@@ -245,6 +245,17 @@ def shifted_kostka_column_entry(monkeypatch):
     monkeypatch.setattr(kostka, "_kostka_column", shifted)
 
 
+def swapped_table_keys(monkeypatch):
+    """compute_kostka_table, as the counts suite reads it, keyed (mu, lam)
+    in place of (lam, mu): the column route is right, its assembly wrong."""
+    right = verify.compute_kostka_table
+    monkeypatch.setattr(
+        verify,
+        "compute_kostka_table",
+        lambda n: {(mu, lam): poly for (lam, mu), poly in right(n).items()},
+    )
+
+
 class Defect(NamedTuple):
     plant: Callable  # plant(monkeypatch)
     suites: set  # the suites that catch it
@@ -285,6 +296,8 @@ DEFECTS = {
         raised_hook, {"counts", "fake-degrees", "cone-series", "proudfoot", "fibers", "walg"}
     ),
     "kostka's column entry": Defect(shifted_kostka_column_entry, {"counts", "fake-degrees"}),
+    # the table invariants that the column's own tripwires do not cover
+    "compute_kostka_table keys": Defect(swapped_table_keys, {"counts"}),
 }
 
 

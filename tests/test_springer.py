@@ -293,6 +293,26 @@ class TestSpringerFiberSeries:
                 )
                 assert bottom == hp0_slice_series(phi), phi
 
+    def test_y_side_is_the_q_multinomial(self):
+        # S_phi(1, y) = y**(-2 n(phi)) [n; phi]_(y**2), checked by multiplying
+        # both sides by prod_i [phi_i]_(y**2)!, each a product of q-integers
+        def q_factorial(k):
+            out = LaurentPoly.one("y")
+            for j in range(1, k + 1):
+                out = out * LaurentPoly(dict.fromkeys(range(0, 2 * j, 2), 1), "y")
+            return out
+
+        for n in range(1, 7):
+            for phi in partitions_of(n):
+                at_x1: dict = {}
+                for (_, ye), c in springer_fiber_series(phi).poly.terms.items():
+                    at_x1[ye] = at_x1.get(ye, 0) + c
+                blocks = LaurentPoly.one("y")
+                for part in phi.parts:
+                    blocks = blocks * q_factorial(part)
+                side = LaurentPoly(at_x1, "y").shift(2 * phi.n_stat())
+                assert side * blocks == q_factorial(n), phi
+
     def test_components_of_subregular_fiber(self):
         # two irreducible components for the subregular element of sl_3
         poly = springer_fiber_series(P((2, 1))).poly

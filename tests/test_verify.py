@@ -97,14 +97,12 @@ class TestSuites:
 
     def test_fibers_suite_catches_a_shifted_fake_degree(self, monkeypatch):
         """The packed fake degree of (2,1) moved up one power of y**2 keeps
-        every count; the y-side closed form catches it for each phi whose
-        column holds (2,1), and the zero-orbit check for (1,1,1)."""
+        every count and the x side of every series; the zero-orbit check
+        against the Molien cone series catches it at (1,1,1)."""
         shifted_packed_fake_degree(monkeypatch)
         report = run_suite("fibers", max_n=3)
         assert not report.passed
-        assert report.checks[0].counterexample == (
-            "zero-orbit n=3; y side phi=(2,1); y side phi=(1,1,1)"
-        )
+        assert report.checks[0].counterexample == "zero-orbit n=3"
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ import nilcone.weyl as weyl
 from nilcone.kostka import fake_degree_qhook
 from nilcone.laurent import LaurentPoly, q_quotient
 from nilcone.partitions import Partition, partitions_of
-from nilcone.verify import _TABLE_TYPES
 from nilcone.weyl import (
     _class_characters,
     _conjugacy_classes,
@@ -170,6 +169,20 @@ class TestDegreeTableTripwire:
         with pytest.raises(AssertionError, match="contradicts enumeration"):
             weyl_type(family, len(degrees))
 
+    # the classical tables up to order 1200 are validated on lookup too, which
+    # is why the counts suite enumerates only the larger ones
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 4), ("D", 4)])
+    def test_a_raised_classical_degree_trips(self, monkeypatch, family, rank):
+        right = weyl._degrees
+
+        def raised(f, r):
+            degrees = right(f, r)
+            return (*degrees[:-1], degrees[-1] + 2) if (f, r) == (family, rank) else degrees
+
+        monkeypatch.setattr(weyl, "_degrees", raised)
+        with pytest.raises(AssertionError, match="contradicts enumeration"):
+            weyl_type(family, rank)
+
 
 class TestEnumeration:
     # every supported type that enumeration_counts takes, up to E6
@@ -185,7 +198,10 @@ class TestEnumeration:
         assert reflections == wt.num_positive_roots
 
     @pytest.mark.parametrize(
-        "family,rank", [*_TABLE_TYPES, ("A", 5), ("C", 4), ("D", 2), ("D", 3)]
+        "family,rank",
+        [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("A", 7),
+         ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6), ("C", 4),
+         ("D", 2), ("D", 3), ("D", 4), ("D", 5), ("D", 6), ("G2", 2), ("F4", 4), ("E6", 6)],
     )
     def test_orbit_count_matches_the_element_list(self, family, rank):
         # the enumerated elements, split into classes: their sizes sum to the
@@ -612,7 +628,8 @@ class TestFakeDegreeMolien:
     def test_mutating_a_result_leaves_the_next_one_intact(self):
         wt = weyl_type("A", 2)
         standard = sn_character_values(P((2, 1)))
-        fake_degree_molien(wt, standard).terms[1] = 7
+        with pytest.raises(TypeError):
+            fake_degree_molien(wt, standard).terms[1] = 7
         assert fake_degree_molien(wt, standard).terms == {1: 1, 2: 1}
 
 
