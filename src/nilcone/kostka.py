@@ -45,7 +45,6 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, factorial, prod
 from operator import lt
-from types import MappingProxyType
 from typing import Sequence
 
 from .laurent import LaurentPoly, _digit_bytes, _signed_digits, q_quotient_coefficients
@@ -53,8 +52,7 @@ from .partitions import Partition, Shape, _check_partition, _trim, partitions_of
 from .tableaux import ssyt_enumerate
 
 CONVENTION_TAG = "charge-c1=0-right-increment"
-_new = object.__new__
-_EMPTY = MappingProxyType({})  # the term map of a zero, read-only so it can be shared
+_ZERO = LaurentPoly.zero("t")  # every miss of kostka_foulkes, shared: a LaurentPoly is immutable
 
 
 def _validate_partition_content(word: Sequence[int]) -> int:
@@ -260,7 +258,7 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> LaurentPoly:
     tableau-and-charge oracle.
 
     The column is read first: it holds only keys of size |mu|, so the
-    stored sizes are compared only on a miss, which builds its zero in place."""
+    stored sizes are compared only on a miss, which returns one shared zero."""
     try:
         poly = _kostka_column(mu.parts).get(lam.parts)
     except AttributeError:
@@ -274,9 +272,7 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> LaurentPoly:
         return poly
     if lam.size != mu.size:
         raise ValueError(f"Kostka polynomial needs equal sizes: |{lam}| != |{mu}|")
-    zero = _new(LaurentPoly)  # LaurentPoly.zero("t"), without its two calls
-    zero.terms, zero.var = _EMPTY, "t"
-    return zero
+    return _ZERO
 
 
 def _qhook_coefficients(lam: Partition, caller: str) -> list[int]:

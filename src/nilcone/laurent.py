@@ -6,12 +6,13 @@ or BiLaurentPoly in x and y, is a map from exponent (a pair of them in x
 and y) to coefficient, and one value rule holds for both: the map holds no
 zero coefficient, two polynomials of one class are equal when their maps
 are, a LaurentPoly never equals a BiLaurentPoly, and a constant equals its
-int and hashes like it.  The map is read-only (a MappingProxyType), so
-no caller can change a memoised value.  Negative exponents are allowed
-everywhere (the weight gradings computed downstream genuinely produce
-them).  Exponents and coefficients are ints, not bools: the public
-constructors refuse anything else by name, and the package builds its
-own values unchecked.
+int and hashes like it.  A polynomial is immutable, its map read-only (a
+MappingProxyType) and its attributes not rebindable, so no caller can
+change a memoised value and the package shares them as they are.
+Negative exponents are allowed everywhere (the weight gradings computed
+downstream genuinely produce them).  Exponents and coefficients are ints,
+not bools: the public constructors refuse anything else by name, and the
+package builds its own values unchecked.
 
 Products of cyclotomic-type factors, prod_a (1 - var**a) / prod_b
 (1 - var**b), are divided once, as integers at var = B = 2**bits
@@ -208,6 +209,9 @@ class _TermMap:
 
     __slots__ = ("terms",)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name}")
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -242,7 +246,8 @@ class LaurentPoly(_TermMap):
 
     def __init__(self, terms: Mapping[int, int] | None = None, var: str = "t"):
         terms = _clean_terms(terms, "LaurentPoly", "int", lambda e: type(e) is int)
-        self.terms, self.var = MappingProxyType(terms), var
+        _set_terms(self, MappingProxyType(terms))
+        _set_var(self, var)
 
     @classmethod
     def zero(cls, var: str = "t") -> "LaurentPoly":
@@ -256,7 +261,8 @@ class LaurentPoly(_TermMap):
     def _from_clean(cls, terms: dict[int, int], var: str) -> "LaurentPoly":
         """A polynomial that owns terms, which must hold no zero coefficient."""
         poly = cls.__new__(cls)
-        poly.terms, poly.var = MappingProxyType(terms), var
+        _set_terms(poly, MappingProxyType(terms))
+        _set_var(poly, var)
         return poly
 
     def __reduce__(self):
@@ -359,13 +365,14 @@ class BiLaurentPoly(_TermMap):
     _ONE = (0, 0)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        self.terms = MappingProxyType(_clean_terms(terms, "BiLaurentPoly", "(int, int)", _is_pair))
+        terms = _clean_terms(terms, "BiLaurentPoly", "(int, int)", _is_pair)
+        _set_terms(self, MappingProxyType(terms))
 
     @classmethod
     def _from_clean(cls, terms: dict) -> "BiLaurentPoly":
         """A polynomial that owns terms, which must hold no zero coefficient."""
         poly = cls.__new__(cls)
-        poly.terms = MappingProxyType(terms)
+        _set_terms(poly, MappingProxyType(terms))
         return poly
 
     def __reduce__(self):
@@ -382,6 +389,10 @@ class BiLaurentPoly(_TermMap):
 
     def __repr__(self) -> str:
         return f"BiLaurentPoly({dict(sorted(self.terms.items()))!r})"
+
+
+# the constructors write through the slots' own setters, which bypass __setattr__
+_set_terms, _set_var = _TermMap.terms.__set__, LaurentPoly.var.__set__
 
 
 class TruncatedSeries:

@@ -75,16 +75,13 @@ def orbit_dim(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _kostka_g_parts(lam_parts: tuple[int, ...]) -> LaurentPoly:
-    return kostka_from_fake_degree(Partition(lam_parts))
-
-
-@lru_cache(maxsize=None)
-def _fake_degree_bounds(nu: Shape) -> tuple[int, int]:
-    """(FD_nu(1), max |FD_nu|): f^nu and the largest coefficient of the
-    fake degree, which has the coefficients of K[nu] = _kostka_g_parts(nu)."""
-    coeffs = _kostka_g_parts(nu).terms.values()
-    return sum(coeffs), max(map(abs, coeffs))
+def _fake_degree(nu: Shape) -> tuple[LaurentPoly, int, int]:
+    """(K[nu], FD_nu(1), max |FD_nu|): the degree-reversed q-hook fake
+    degree K[nu] = kostka_from_fake_degree(nu), whose coefficients are
+    those of FD_nu, with their sum f^nu and the largest of them."""
+    k = kostka_from_fake_degree(Partition(nu))
+    coeffs = k.terms.values()
+    return k, sum(coeffs), max(map(abs, coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +90,7 @@ def _fake_degree_packed(nu: Shape, width: int) -> int:
     N = n(n - 1)/2, packed with its q**k coefficient as digit k of width
     bytes."""
     top, bits = comb(sum(nu), 2), 8 * width
-    return sum(c << bits * (top - e) for e, c in _kostka_g_parts(nu).terms.items())
+    return sum(c << bits * (top - e) for e, c in _fake_degree(nu)[0].terms.items())
 
 
 def _fiber_series(n: int, low: int, column: Iterable[tuple[Shape, LaurentPoly]]) -> BigradedSeries:
@@ -109,14 +106,12 @@ def _fiber_series(n: int, low: int, column: Iterable[tuple[Shape, LaurentPoly]])
     sign bit more than that bound (_digit_bytes).  _packed_rows decodes
     the rows, and checks each against its value at y = 1,
     sum_nu K * FD_nu(1)."""
-    column = [(nu, k.terms) for nu, k in column]
-    width = _digit_bytes(
-        sum(max(map(abs, k.values())) * _fake_degree_bounds(nu)[1] for nu, k in column)
-    )
+    column = [(nu, k.terms, *_fake_degree(nu)[1:]) for nu, k in column]
+    width = _digit_bytes(sum(max(map(abs, k.values())) * top for _, k, _, top in column))
     rows: dict[int, int] = {}
     sums: dict[int, int] = {}
-    for nu, k in column:
-        packed, at_one = _fake_degree_packed(nu, width), _fake_degree_bounds(nu)[0]
+    for nu, k, at_one, _ in column:
+        packed = _fake_degree_packed(nu, width)
         for e, c in k.items():
             rows[2 * e] = rows.get(2 * e, 0) + c * packed
             sums[2 * e] = sums.get(2 * e, 0) + c * at_one
@@ -136,10 +131,11 @@ def kostka_g(lam: Partition) -> LaurentPoly:
 
     Every series in this module takes it from the closed form, the
     degree-reversed q-hook fake degree (kostka_from_fake_degree), memoised
-    by parts.  The charge enumeration kostka_foulkes_charge(lam, (1^n)) is
-    the independent route that the verify suites and tests compare it with."""
+    with its sum and largest coefficient (_fake_degree).  The charge
+    enumeration kostka_foulkes_charge(lam, (1^n)) is the independent route
+    that the verify suites and tests compare it with."""
     _check_partition(lam, "kostka_g")
-    return _kostka_g_parts(lam.parts)
+    return _fake_degree(lam.parts)[0]
 
 
 def pn_series(n: int) -> BigradedSeries:
@@ -165,7 +161,7 @@ def hp0_slice_series(phi: Partition) -> LaurentPoly:
     Constant term 1; value at 1 is the number of standard tableaux of
     shape phi."""
     _check_partition(phi, "hp0_slice_series")
-    return _reflected(_kostka_g_parts(phi.parts), orbit_dim(phi), "y")
+    return _reflected(_fake_degree(phi.parts)[0], orbit_dim(phi), "y")
 
 
 def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
@@ -197,7 +193,7 @@ def ih_orbit_closure(lam: Partition) -> LaurentPoly:
     """Intersection-cohomology Poincare polynomial of the closure of the
     orbit with Jordan type lam:  x**dim(O_lam) * K[lam](x**-2)."""
     _check_partition(lam, "ih_orbit_closure")
-    return _reflected(_kostka_g_parts(lam.parts), orbit_dim(lam), "x")
+    return _reflected(_fake_degree(lam.parts)[0], orbit_dim(lam), "x")
 
 
 def ih_s3_variety(nu: Partition, phi: Partition) -> LaurentPoly:

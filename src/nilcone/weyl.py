@@ -210,7 +210,6 @@ def _descending_walk(family: str, rank: int, k: int) -> list[tuple[int, int]]:
     return steps
 
 
-@lru_cache(maxsize=None)
 def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[tuple, tuple, int], ...]:
     """The true conjugacy classes of W, each as (a, b, size) with
     det(1 - t w) = prod (1 - t**a) / prod (1 - t**b).
@@ -224,7 +223,8 @@ def _conjugacy_classes(family: str, rank: int) -> tuple[tuple[tuple, tuple, int]
     x = s_j x_parent for each step of _descending_walk, one translate per
     element x u; the products must be distinct and number prod d_i.  The
     classes are the closures under w -> s_j w s_j; only each class
-    representative's powers are traced."""
+    representative's powers are traced.  Not memoised: its one caller,
+    _class_rows, runs under the memo of _class_characters."""
     roots, gens = _root_system(family, rank)
     name = family if family in EXCEPTIONAL_DEGREES else f"{family}{rank}"  # as WeylType prints it
     if len(roots) > 256:
@@ -528,14 +528,14 @@ def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
     Agrees with the per-irreducible sum of Kostka-polynomial products
     because sum_chi FD_chi(a) FD_chi(b) class-averages f(a) f(b) for real
     characters.  Computed once per group (B_n and C_n are one), from packed
-    rows of which only half are summed (see the module docstring); every
-    call returns a fresh copy."""
-    return BiLaurentPoly._from_clean(dict(_flag_series(*_group(wt))))
+    rows of which only half are summed (see the module docstring), and
+    shared by every call: a BiLaurentPoly is immutable."""
+    return _flag_series(*_group(wt))
 
 
 @lru_cache(maxsize=None)
-def _flag_series(family: str, rank: int) -> dict[tuple[int, int], int]:
-    """The term map of pn_series_molien, which every caller copies:
+def _flag_series(family: str, rank: int) -> BiLaurentPoly:
+    """pn_series_molien of one group:
     x**(2N - 2i) y**(2j - 2N) has |W| M[i][j] = sum_c size_c f_c[i] f_c[j].
     Row i, for i <= N/2 (row N - i is row i reversed; see the module
     docstring), is a packed sum over _merged_classes decoded to N + 1 powers
@@ -561,4 +561,6 @@ def _flag_series(family: str, rank: int) -> dict[tuple[int, int], int]:
             raise AssertionError("negative coefficient in the flag series")
     rows += [row[::-1] for row in reversed(rows[: (npos + 1) // 2])]
     ys = range(-2 * npos, 1, 2)
-    return {(2 * (npos - i), y): v for i, row in enumerate(rows) for y, v in zip(ys, row) if v}
+    return BiLaurentPoly._from_clean(
+        {(2 * (npos - i), y): v for i, row in enumerate(rows) for y, v in zip(ys, row) if v}
+    )

@@ -142,10 +142,32 @@ RETURNED = {
 
 @pytest.mark.parametrize("query", RETURNED)
 def test_a_returned_polynomial_is_read_only(query):
-    """A write into a returned term map raises TypeError, so it cannot
-    reach the memo that the next call reads."""
+    """A write into a returned term map raises TypeError, and a rebinding
+    of its terms (or of a LaurentPoly's var) AttributeError, so neither
+    can reach the memo that the next call reads."""
     value = RETURNED[query]()
     before = dict(value.terms)
     with pytest.raises(TypeError):
         value.terms[next(iter(before), 0)] = 99
+    with pytest.raises(AttributeError):
+        setattr(value, "terms", {0: 7})
+    if isinstance(value, nilcone.LaurentPoly):
+        var = value.var
+        with pytest.raises(AttributeError):
+            setattr(value, "var", "z")
+        assert RETURNED[query]().var == var
     assert dict(RETURNED[query]().terms) == before
+
+
+def test_a_rebound_kostka_polynomial_leaves_the_memo_intact():
+    p = nilcone.kostka_foulkes(P((3, 1)), P((2, 1, 1)))
+    with pytest.raises(AttributeError, match="LaurentPoly is immutable: cannot assign terms"):
+        p.terms = {1: 99}
+    again = nilcone.kostka_foulkes(P((3, 1)), P((2, 1, 1)))
+    assert again.terms == {1: 1, 2: 1} and str(again) == "t + t^2"
+
+
+def test_kostka_misses_share_one_zero():
+    first = nilcone.kostka_foulkes(P((2, 1)), P((3,)))
+    second = nilcone.kostka_foulkes(P((1, 1, 1, 1)), P((2, 2)))
+    assert first is second and first == 0 and first.var == "t"

@@ -123,6 +123,26 @@ def test_package_imports_the_pinned_stdlib_set():
     assert {name.split(".")[0] for name in imported} <= sys.stdlib_module_names
 
 
+# Every lru_cache of the package; a new memo is added here on purpose, so
+# that the unbounded ones stay counted.
+MEMO_NAMES = {
+    "nilcone.kostka._kostka_column", "nilcone.kostka._kostka_foulkes_charge_parts",
+    "nilcone.kostka._remove_horizontal", "nilcone.kostka._standard_count",
+    "nilcone.kostka._straighten", "nilcone.laurent._digit_offset",
+    "nilcone.partitions._add_horizontal", "nilcone.springer._fake_degree",
+    "nilcone.springer._fake_degree_packed", "nilcone.weyl._class_characters",
+    "nilcone.weyl._cycle_types", "nilcone.weyl._flag_series", "nilcone.weyl._mn_beads",
+    "nilcone.weyl._root_system", "nilcone.weyl._weyl_type",
+}
+
+
+def test_package_memoises_the_pinned_set():
+    from conftest import MEMOS
+
+    assert {f"{f.__module__}.{f.__qualname__}" for f in MEMOS} == MEMO_NAMES
+    assert len({id(f) for f in MEMOS}) == len(MEMO_NAMES)
+
+
 def test_import_reader_skips_function_bodies():
     source = (
         "import os.path\nfrom . import x\nfrom json import dumps\n"

@@ -613,6 +613,8 @@ class TestStorageContract:
             assert isinstance(twin.terms, Mapping)
             with pytest.raises(TypeError):
                 twin.terms[9, 9] = 1
+            with pytest.raises(AttributeError):
+                twin.terms = {}
 
     def test_series_coefficients_are_a_list(self):
         for s in (TruncatedSeries((1, 2, 3)), TruncatedSeries.from_poly(L({0: 1, 2: 5}), 4)):

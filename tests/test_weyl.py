@@ -672,7 +672,7 @@ class TestPnSeriesMolien:
 
     def test_b_and_c_share_one_series(self):
         b3, c3 = pn_series_molien(weyl_type("B", 3)), pn_series_molien(weyl_type("C", 3))
-        assert b3 == c3 and b3 is not c3
+        assert b3 == c3 and b3 is c3
         assert _flag_series.cache_info().currsize == 1
 
     def test_exponent_window(self):
