@@ -5,9 +5,10 @@ Exit codes: 0 on success, 1 on a usage error (malformed partition,
 unsupported Weyl type, negative truncation, ...), 2 on a failed
 verification, 3 when an internal invariant breaks (an exact division
 leaves a remainder, an assertion fails), 4 when the reader of stdout
-closes it early (a broken pipe, as under `| head`); 1, 3 and 4 print a
-one-line diagnostic on stderr.  A warning prints as one `warning: ...`
-line there.
+closes it early (a broken pipe, as under `| head`), 5 when the process runs
+out of memory or recursion depth (a MemoryError or RecursionError); 1, 3,
+4 and 5 print a one-line diagnostic on stderr.  A warning prints as one
+`warning: ...` line there.
 
 Output formats: text (ascending exponents, explicit signs), json (the
 schema below), latex.  JSON coefficients are decimal strings so arbitrary
@@ -384,6 +385,10 @@ def _query(argv) -> int:
         kind = type(exc).__name__
         print(f"error: internal invariant failed: {kind}: {exc}", file=sys.stderr)
         return 3
+    except (MemoryError, RecursionError) as exc:
+        detail = ": ".join(filter(None, (type(exc).__name__, str(exc))))
+        print(f"error: out of memory or recursion depth: {detail}", file=sys.stderr)
+        return 5
 
 
 def main() -> None:

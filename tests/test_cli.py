@@ -243,6 +243,28 @@ class TestOtherCommands:
         assert out == ""
         assert err == f"error: internal invariant failed: {type(error).__name__}: {error}\n"
 
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (MemoryError(), "MemoryError"),
+            (
+                RecursionError("maximum recursion depth exceeded"),
+                "RecursionError: maximum recursion depth exceeded",
+            ),
+        ],
+    )
+    def test_exhausted_memory_or_stack_exits_five(self, capsys, monkeypatch, error, line):
+        import nilcone.springer as springer
+
+        def exhausted(phi):
+            raise error
+
+        monkeypatch.setattr(springer, "hp0_slice_series", exhausted)
+        code, out, err = invoke(capsys, "hp0", "--phi", "2,1")
+        assert code == 5
+        assert out == ""
+        assert err == f"error: out of memory or recursion depth: {line}\n"
+
     def test_broken_kostka_column_exits_three(self, capsys, monkeypatch, clear_memos):
         import nilcone.kostka as kostka
 
@@ -398,6 +420,26 @@ def test_closed_pipe_is_one_line_and_exit_4(argv):
     assert done.returncode == 4
 
 
+def test_exhausted_address_space_is_one_line_and_exit_5():
+    """`nilcone ih --lambda 999999999` under a 2 GB address space (as
+    `ulimit -v 2000000`) fails to allocate the conjugate of the one-row
+    partition: one diagnostic line and exit 5, in a fresh process."""
+    import resource
+
+    limit = 2_000_000 * 1024
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "nilcone.cli", "ih", "--lambda", "999999999"],
+        capture_output=True, env=env, text=True, preexec_fn=capped, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (5, "")
+    assert done.stderr == "error: out of memory or recursion depth: MemoryError\n"
+
+
 class TestArgvGrammar:
     """The parser keeps argparse's contract: the same options dict, the same
     error wording (tests/cli_golden.json pins it), help on stdout with exit 0,
@@ -536,8 +578,8 @@ def test_any_argv_gives_an_exit_code_and_at_most_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run(argv)
-    assert type(code) is int and 0 <= code <= 4
+    assert type(code) is int and 0 <= code <= 5
     lines = err.getvalue().splitlines()
     assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
     errors = sum(line.startswith("error: ") for line in lines)
-    assert errors == int(code in (1, 3, 4)) or code == 2 and errors == 1
+    assert errors == int(code in (1, 3, 4, 5)) or code == 2 and errors == 1

@@ -126,7 +126,8 @@ def test_package_imports_the_pinned_stdlib_set():
 # Every lru_cache of the package; a new memo is added here on purpose, so
 # that the unbounded ones stay counted.
 MEMO_NAMES = {
-    "nilcone.kostka._kostka_column", "nilcone.kostka._kostka_foulkes_charge_parts",
+    "nilcone.kostka._column_entry", "nilcone.kostka._kostka_column",
+    "nilcone.kostka._kostka_foulkes_charge_parts",
     "nilcone.kostka._remove_horizontal", "nilcone.kostka._standard_count",
     "nilcone.kostka._straighten", "nilcone.laurent._digit_offset",
     "nilcone.partitions._add_horizontal", "nilcone.springer._fake_degree",

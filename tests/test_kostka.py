@@ -349,6 +349,33 @@ class TestColumnTripwires:
             kostka_foulkes(P(mu), P(mu))
 
 
+class TestSharedEntries:
+    """_column_entry decodes each distinct packed entry once, so equal
+    K[lam,mu] of the columns of one n are one object."""
+
+    def test_equal_entries_of_two_columns_are_one_object(self, clear_memos):
+        # K[(4),(3,1)] = K[(3,1),(2,2)] = t
+        first, second = kostka_foulkes(P((4,)), P((3, 1))), kostka_foulkes(P((3, 1)), P((2, 2)))
+        assert first == LaurentPoly({1: 1})
+        assert first is second
+
+    def test_equal_entries_of_one_n_are_one_object(self, clear_memos):
+        shared = {}
+        entries = [
+            poly for mu in partitions_of(9) for poly in kostka._kostka_column(mu.parts).values()
+        ]
+        assert all(shared.setdefault(poly, poly) is poly for poly in entries)
+        assert len(shared) < len(entries)
+
+    def test_columns_of_n_up_to_10_decode_each_distinct_entry_once(self, clear_memos):
+        # 1719 nonzero K[lam,mu] with n <= 10, 622 distinct (packed, width) keys
+        for n in range(1, 11):
+            for mu in partitions_of(n):
+                kostka._kostka_column(mu.parts)
+        info = kostka._column_entry.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (622, 1097, 622)
+
+
 class TestFakeDegrees:
     def test_hand_case(self):
         assert fake_degree_qhook(P((2, 1))).terms == {1: 1, 2: 1}

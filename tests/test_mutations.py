@@ -245,6 +245,21 @@ def shifted_kostka_column_entry(monkeypatch):
     monkeypatch.setattr(kostka, "_kostka_column", shifted)
 
 
+def miscounted_entry_value(monkeypatch):
+    """K(1) of the column entry t counted one too high, in the lookup of
+    decoded entries that every Jing column reads, on a miss and on a hit
+    alike.  The column memo is emptied, so that a warm plant rebuilds the
+    columns over the warm entry memo and every other warm memo."""
+    right = kostka._column_entry
+
+    def miscounted(packed, width):
+        poly, at_one, low = right(packed, width)
+        return poly, at_one + (packed == 1 << 8 * width), low
+
+    monkeypatch.setattr(kostka, "_column_entry", miscounted)
+    kostka._kostka_column.cache_clear()
+
+
 def swapped_table_keys(monkeypatch):
     """compute_kostka_table, as the counts suite reads it, keyed (mu, lam)
     in place of (lam, mu): the column route is right, its assembly wrong."""
@@ -296,6 +311,14 @@ DEFECTS = {
         raised_hook, {"counts", "fake-degrees", "cone-series", "proudfoot", "fibers", "walg"}
     ),
     "kostka's column entry": Defect(shifted_kostka_column_entry, {"counts", "fake-degrees"}),
+    # each suite that reads a Jing column rebuilds it, and its column-sum
+    # tripwire trips
+    "_column_entry value at one": Defect(
+        miscounted_entry_value, {"counts", "fake-degrees", "fibers"}
+    ),
+    "_column_entry value at one, warm": Defect(
+        miscounted_entry_value, {"counts", "fake-degrees", "fibers"}, warm=True
+    ),
     # the table invariants that the column's own tripwires do not cover
     "compute_kostka_table keys": Defect(swapped_table_keys, {"counts"}),
 }
