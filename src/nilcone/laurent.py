@@ -19,11 +19,13 @@ Products of cyclotomic-type factors, prod_a (1 - var**a) / prod_b
 (Kronecker substitution): _at_base builds each product by shifts and
 subtractions, and _signed_digits decodes the quotient.  _at_base is a
 shared kernel: q_quotient_coefficients (the q-hook fake degrees and the
-labels of the exceptional Weyl-group classes) and weyl._class_characters
-both divide through it, and q_quotient_coefficients holds the argument
+labels of the exceptional Weyl-group classes), weyl._class_characters
+and the hook numerator of springer.py's W-algebra series all divide
+through it, and q_quotient_coefficients holds the argument
 that makes an exact division at B exact in var.  divide_one_minus, the
-strided prefix sums, divides a truncated series, for the W-algebra
-series.
+strided prefix sums, builds the degree series 1 / prod_{d=2..n} (1 -
+u**d), which springer.py memoises packed, once per n and length, and
+shares across the W-algebra series of every Jordan type of n.
 
 Bivariate polynomials are sums of products f(x) * g(y), and every one the
 package builds is summed as packed rows: each g(y) is one int (Kronecker
@@ -38,7 +40,8 @@ coefficients.
 One decoder, _signed_digits, serves every Kronecker-packed int: the rows
 of _packed_rows, the t -> 2**bits entries of the Jing column in
 kostka.py, every q-quotient (q_quotient_coefficients and weyl.py's class
-characters), and Molien class sums (each fake degree and each row of the
+characters), the W-algebra series (one product of packed ints each), and
+Molien class sums (each fake degree and each row of the
 flag series).  It decodes in C: an XOR with the digit
 offset leaves two's-complement digits, which memoryview.cast reads from
 the value's bytes in native byte order at 1, 2, 4 or 8 bytes a digit

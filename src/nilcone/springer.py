@@ -17,18 +17,26 @@ a point.
 
 from __future__ import annotations
 
+import sys
 import warnings
+from array import array
 from functools import lru_cache
-from math import comb
+from itertools import repeat
+from math import comb, factorial, isqrt
 from typing import Iterable, NamedTuple
 
 from .kostka import _kostka_column, kostka_foulkes, kostka_from_fake_degree
 from .laurent import (
     BiLaurentPoly,
+    ExactDivisionError,
     LaurentPoly,
     TruncatedSeries,
+    _SIGNED,
+    _at_base,
     _digit_bytes,
+    _digit_offset,
     _packed_rows,
+    _signed_digits,
     divide_one_minus,
 )
 from .partitions import Partition, Shape, _check_partition, partitions_of
@@ -164,6 +172,40 @@ def hp0_slice_series(phi: Partition) -> LaurentPoly:
     return _reflected(_fake_degree(phi.parts)[0], orbit_dim(phi), "y")
 
 
+def _packed(digits: list[int], width: int) -> int:
+    """sum_k digits[k] 2**(8 * width * k) for digits in [0, 2**(8 * width - 1)),
+    the inverse of _signed_digits, in linear time: the digits are written
+    as machine ints by an array of the _SIGNED format (by to_bytes for a
+    wider width) and read back as one int in native byte order.  It sits
+    with its one caller, so that only the processes that load springer
+    import array."""
+    if sys.byteorder == "big":
+        digits = digits[::-1]
+    fmt = _SIGNED.get(width)
+    if fmt:
+        buf = array(fmt, digits)
+    else:
+        buf = b"".join(map(int.to_bytes, digits, repeat(width), repeat(sys.byteorder)))
+    return int.from_bytes(buf, sys.byteorder)
+
+
+@lru_cache(maxsize=16)
+def _degree_series(n: int, count: int) -> tuple[int, int]:
+    """(width, P_n(B)), B = 2**(8 * width): the degree series
+    P_n(u) = 1 / prod_{d=2..n} (1 - u**d) to count coefficients, packed
+    with the coefficient of u**k as digit k.  1 / (1 - u**n) is 1 at the
+    multiples of n, and the prefix sums of divide_one_minus divide that by
+    the other degrees, the largest first.  The width holds isqrt(n!) *
+    max P, which bounds every coefficient of N_phi * P for every phi of n
+    (hp0_walg_full_series)."""
+    coeffs = [1] + [0] * (count - 1)
+    if n >= 2:
+        coeffs[::n] = [1] * len(range(0, count, n))
+    coeffs = divide_one_minus(coeffs, range(n - 1, 1, -1))
+    width = _digit_bytes(isqrt(factorial(n)) * max(coeffs))
+    return width, _packed(coeffs, width)
+
+
 def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
     """Hilbert series of the zeroth Poisson homology of the full (non
     centrally reduced) W-algebra at phi, truncated:
@@ -171,22 +213,51 @@ def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
         hp0_slice_series(phi) * prod_i (1 - y**(2 d_i))**-1,
 
     with d_i = 2, ..., n the degrees for sl_n.  The filtered quantization
-    has the same series.  It is taken from its closed form in u = y**2,
+    has the same series.  In u = y**2 it is W = N_phi * P_n, where
 
-        1 / prod_{h in hooks(phi), less one h = 1} (1 - u**h).
+        N_phi = prod_{d=2..n} (1 - u**d) / prod_h (1 - u**h),
 
-    Derivation: hp0_slice_series(phi) is y**(-2 n(phi)) FD_phi(y**2), and
-    the q-hook formula (Macdonald, Symmetric Functions, I.5) makes that
-    prod_{k=1..n} (1 - u**k) / prod_{h in hooks(phi)} (1 - u**h).  The
-    degrees d = 2..n cancel every numerator factor but 1 - u, which cancels
-    the hook of one corner cell.  So the series 1, truncated, has its even
-    coefficients divided by 1 - u**h, the largest hook first."""
+    h over the hooks of phi less one h = 1, and P_n = 1 / prod_{d=2..n}
+    (1 - u**d) is the same for every phi of n.  Derivation:
+    hp0_slice_series(phi) is y**(-2 n(phi)) FD_phi(y**2), and the q-hook
+    formula (Macdonald, Symmetric Functions, I.5) makes that prod_{k=1..n}
+    (1 - u**k) / prod_h (1 - u**h) over all the hooks; 1 - u cancels the
+    hook of one corner cell.  So N_phi = u**(-n(phi)) FD_phi(u), a
+    polynomial with nonnegative coefficients summing to f^phi.
+
+    One product at u = B = 2**(8 * width): N_phi(B) is the quotient of the
+    two _at_base products, taken from the hooks (not from the q-hook
+    coefficients, which the walg suite compares against), and its remainder
+    must be zero.  P_n(B) is memoised by n and count, the power of two at
+    or above the half = truncation // 2 + 1 coefficients needed
+    (_degree_series), so nearby truncations share it.  Every coefficient
+    of N_phi * (P_n mod u**half) is at most f^phi max P_n, and f^phi <=
+    isqrt(n!) because the (f^lam)**2 sum to n!, so the memo's width holds
+    every digit with its sign bit: no digit carries, and the product's
+    digits are its coefficients.  Reduction mod B**half is a ring map from
+    Z[u]/(u**half), so the product of the two residues, reduced, is
+    W mod u**half.  A digit with its sign bit set, the mark of a wrapped
+    one, raises AssertionError; _signed_digits decodes the rest."""
     _check_partition(phi, "hp0_walg_full_series")
-    series = TruncatedSeries.from_poly(LaurentPoly.one("y"), truncation)
+    if type(truncation) is not int:  # bool is not an order
+        raise TypeError(f"truncation order must be an int, not {type(truncation).__name__}")
+    if truncation < 0:
+        raise ValueError("truncation order must be nonnegative")
+    n, half = phi.size, truncation // 2 + 1
+    width, degrees = _degree_series(n, 1 << (half - 1).bit_length())
+    bits = 8 * width
     hooks = sorted(phi.hooks(), reverse=True)[:-1]  # the last is a corner's 1
-    coeffs = series.coefficients
-    coeffs[::2] = divide_one_minus(coeffs[::2], hooks)
-    return series
+    numerator, remainder = divmod(_at_base(range(2, n + 1), bits), _at_base(hooks, bits))
+    if remainder:
+        raise ExactDivisionError(f"the hooks of {phi} do not divide prod (1 - u^d), d = 2..{n}")
+    mask = (1 << bits * half) - 1
+    product = numerator * (degrees & mask) & mask
+    if product & _digit_offset(width, half):  # a digit's sign bit
+        raise AssertionError(f"walg's packed product for {phi} wrapped a digit")
+    digits = _signed_digits(product, width, half)
+    coeffs = [0] * (truncation + 1)
+    coeffs[::2] = digits
+    return TruncatedSeries._from_clean(coeffs, "y")
 
 
 def ih_orbit_closure(lam: Partition) -> LaurentPoly:

@@ -25,8 +25,11 @@ kernels they share, and what it alone catches:
                 and at y = 1 = the flag count; shared: _at_base and
                 _signed_digits by the zero orbit alone, as in cone-series;
                 alone: the Jing column that springer reads, _flag_count
-  walg          walg's hook form = the q-hook slice series; shared:
-                Partition.hooks; alone: the stride of walg's own division
+  walg          walg's packed product N_phi * P_n = the q-hook slice
+                series; shared: Partition.hooks, _at_base and
+                _signed_digits, through which walg and the q-hook both
+                divide and decode; alone: the prefix sums of walg's
+                degree series P_n, its packed product
 
 Every suite reads Partition.hooks, so a wrong hook trips them all.
 """
@@ -274,14 +277,18 @@ def suite_fibers(max_n: int = 6) -> list[CheckResult]:
 
 
 def suite_walg(max_n: int = 8) -> list[CheckResult]:
-    """The full W-algebra series, taken from its hook closed form
-    1 / prod (1 - y**(2h)) over the hooks h of phi less one h = 1, then
+    """The full W-algebra series, taken as one packed product of its hook
+    numerator N_phi and the degree series P_n (hp0_walg_full_series), then
     multiplied back by prod_i (1 - y**(2 d_i)) with LaurentPoly.__mul__ and
     truncated by from_poly, is the truncated q-hook slice series
-    hp0_slice_series.  The two routes share only Partition.hooks(); the
-    q-hook divides at q = 2**bits (laurent._at_base), walg by the prefix
-    sums of divide_one_minus, and the multiplication back shares no code
-    with either.  Lone catch: a wrong stride in walg's own division."""
+    hp0_slice_series.  The two routes share Partition.hooks() and the
+    kernels _at_base and _signed_digits: walg divides its hook product at
+    B = 2**bits for N_phi and decodes its product, and the q-hook divides
+    and decodes through q_quotient_coefficients, whose coefficients walg
+    does not read.  P_n comes from the prefix sums of
+    divide_one_minus, which nothing else calls, and the multiplication back
+    shares no code with either.  Lone catches: a wrong stride in those
+    prefix sums, cold or over a warm memo, and a shifted packed P_n."""
     failures = []
     for n in range(1, max_n + 1):
         order = 2 * n * (n - 1) + 8  # 4N + 8, N the number of positive roots

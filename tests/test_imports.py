@@ -92,7 +92,7 @@ def test_detector_sees_unread_and_read_names():
 # 8.8 ms without, so dropping it would move paced kostka-table times by about
 # 30% for no work of their own.
 STDLIB_IMPORTS = {
-    "__future__", "collections", "dataclasses", "functools", "itertools",
+    "__future__", "array", "collections", "dataclasses", "functools", "itertools",
     "math", "operator", "sys", "time", "types", "typing", "warnings",
 }
 
@@ -130,10 +130,11 @@ MEMO_NAMES = {
     "nilcone.kostka._kostka_foulkes_charge_parts",
     "nilcone.kostka._remove_horizontal", "nilcone.kostka._standard_count",
     "nilcone.kostka._straighten", "nilcone.laurent._digit_offset",
-    "nilcone.partitions._add_horizontal", "nilcone.springer._fake_degree",
-    "nilcone.springer._fake_degree_packed", "nilcone.weyl._class_characters",
-    "nilcone.weyl._cycle_types", "nilcone.weyl._flag_series", "nilcone.weyl._mn_beads",
-    "nilcone.weyl._root_system", "nilcone.weyl._weyl_type",
+    "nilcone.partitions._add_horizontal", "nilcone.springer._degree_series",
+    "nilcone.springer._fake_degree", "nilcone.springer._fake_degree_packed",
+    "nilcone.weyl._class_characters", "nilcone.weyl._cycle_types",
+    "nilcone.weyl._flag_series", "nilcone.weyl._mn_beads", "nilcone.weyl._root_system",
+    "nilcone.weyl._weyl_type",
 }
 
 

@@ -159,9 +159,24 @@ def _wrong_stride(coeffs, exponents, right=laurent.divide_one_minus):
 
 
 def walg_stride(monkeypatch):
-    """A wrong stride where walg's hook closed form calls the kernel, its
-    one caller: springer reads divide_one_minus and no other module does."""
+    """A wrong stride where walg's degree series calls the kernel, its one
+    caller: springer reads divide_one_minus and no other module does.  The
+    memo of degree series is emptied, since it holds the kernel's only
+    output, so that a warm plant rebuilds the series through the stride."""
     monkeypatch.setattr(springer, "divide_one_minus", _wrong_stride)
+    springer._degree_series.cache_clear()
+
+
+def shifted_degree_series(monkeypatch):
+    """The packed degree series that every walg product reads shifted up
+    one digit, one power of u = y**2, on a miss and on a hit alike."""
+    right = springer._degree_series
+
+    def shifted(n, count):
+        width, packed = right(n, count)
+        return width, packed << 8 * width
+
+    monkeypatch.setattr(springer, "_degree_series", shifted)
 
 
 def skipped_flip(monkeypatch):
@@ -178,16 +193,16 @@ def skipped_flip(monkeypatch):
 
 def dropped_factor(monkeypatch):
     """The shared kernel _at_base drops the last factor of each product, in
-    both modules that divide through it: laurent (q_quotient_coefficients)
-    and weyl (the class characters).  Every division loses a denominator
-    factor, and its numerator one too."""
+    every module that divides through it: laurent (q_quotient_coefficients),
+    weyl (the class characters) and springer (walg's numerator).  Every
+    division loses a denominator factor, and its numerator one too."""
     right = laurent._at_base
 
     def dropped(exponents, bits):
         return right(list(exponents)[:-1], bits)
 
-    monkeypatch.setattr(laurent, "_at_base", dropped)
-    monkeypatch.setattr(weyl, "_at_base", dropped)
+    for module in (laurent, weyl, springer):
+        monkeypatch.setattr(module, "_at_base", dropped)
 
 
 def dropped_tableau(monkeypatch):
@@ -299,9 +314,11 @@ DEFECTS = {
         dropped_factor, {"counts", "fake-degrees", "cone-series", "proudfoot", "fibers", "walg"}
     ),
     "walg's stride": Defect(walg_stride, {"walg"}),
-    # the same stride planted over the memos of a clean walg run: the hook
-    # closed form is recomputed, so no memo hides it
+    # the same stride planted over the memos of a clean walg run: the plant
+    # empties the degree-series memo, which is rebuilt through the stride
     "divide_one_minus stride, warm": Defect(walg_stride, {"walg"}, warm=True),
+    "walg's packed product": Defect(shifted_degree_series, {"walg"}),
+    "walg's packed product, warm": Defect(shifted_degree_series, {"walg"}, warm=True),
     "ssyt_enumerate tableau": Defect(dropped_tableau, {"fake-degrees"}),
     "_mn_beads sign": Defect(negated_mn_beads, {"fake-degrees"}),
     "_flag_count shift": Defect(shifted_flag_count, {"fibers"}),

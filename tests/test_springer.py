@@ -2,7 +2,7 @@ from math import comb, factorial
 
 import pytest
 
-from nilcone import kostka, springer, tableaux, weyl
+from nilcone import kostka, laurent, springer, tableaux, weyl
 from nilcone.kostka import kostka_foulkes, kostka_foulkes_charge
 from nilcone.laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries, divide_one_minus
 from nilcone.partitions import Partition, partitions_of
@@ -180,6 +180,59 @@ class TestWalgSeries:
                         expansions[t] = LaurentPoly(dict(enumerate(inverse)), "y")
                     expected = TruncatedSeries.from_poly(expansions[t] * hp0, t)
                     assert hp0_walg_full_series(phi, t) == expected, (phi, t)
+
+    @staticmethod
+    def prefix_sums(phi, t):
+        """The series by the prefix sums of divide_one_minus over the hooks
+        of phi less one 1, on the even coefficients."""
+        hooks = sorted(phi.hooks(), reverse=True)[:-1]
+        coeffs = [0] * (t + 1)
+        coeffs[::2] = divide_one_minus([1] + [0] * (t // 2), hooks)
+        return coeffs
+
+    def test_equals_prefix_sums_at_the_bucket_edges(self, clear_memos):
+        """Every phi of n <= 12, at truncations whose half = t // 2 + 1 is
+        2**k - 1, 2**k and 2**k + 1: the last coefficient of a shared
+        series, the whole of it, and the first truncation past it."""
+        for n in range(13):
+            for phi in partitions_of(n):
+                for k in range(1, 8):
+                    for half in (2**k - 1, 2**k, 2**k + 1):
+                        t = 2 * half - 1 - half % 2  # odd and even t alike
+                        walg = hp0_walg_full_series(phi, t).coefficients
+                        assert walg == self.prefix_sums(phi, t), (phi, t)
+
+    def test_equals_prefix_sums_at_the_benchmark_truncation(self):
+        for phi in partitions_of(10):
+            assert hp0_walg_full_series(phi, 2900).coefficients == self.prefix_sums(phi, 2900), phi
+
+    def test_equals_prefix_sums_past_8_byte_digits(self, clear_memos):
+        """At t = 10**4 the series of n = 10 needs 10-byte digits, which
+        _packed writes by to_bytes and _signed_digits reads by
+        int.from_bytes slices."""
+        phi = P((5, 4, 1))
+        assert hp0_walg_full_series(phi, 10**4).coefficients == self.prefix_sums(phi, 10**4)
+        assert springer._degree_series(10, 8192)[0] > 8
+
+    def test_cone_series_truncations_share_three_degree_series(self, clear_memos):
+        """The 20 walg truncations of the cone-series benchmark, 1000..2900
+        at n = 10, fall in the counts 512, 1024 and 2048."""
+        for phi, t in zip(partitions_of(10), range(1000, 3000, 100)):
+            hp0_walg_full_series(phi, t)
+        info = springer._degree_series.cache_info()
+        assert (info.misses, info.hits) == (3, 17)
+
+    def test_packed_inverts_signed_digits(self):
+        for width in (1, 2, 4, 8, 9, 16):
+            digits = [0, 1, 2 ** (8 * width - 1) - 1, 5, 0]
+            assert laurent._signed_digits(springer._packed(digits, width), width, 5) == digits
+
+    def test_wrapped_digit_raises(self, monkeypatch, clear_memos):
+        # P_5 to 32 coefficients fits 1-byte digits (at most 74), but the
+        # series of (3,1,1), f = 6, does not
+        monkeypatch.setattr(springer, "_digit_bytes", lambda bound: 1)
+        with pytest.raises(AssertionError, match=r"\(3,1,1\) wrapped a digit"):
+            hp0_walg_full_series(P((3, 1, 1)), 60)
 
     def test_degenerate_n1(self):
         assert hp0_walg_full_series(P((1,)), 5).coefficients == [1, 0, 0, 0, 0, 0]

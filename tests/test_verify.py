@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from nilcone import kostka, verify, weyl
+from nilcone import kostka, springer, verify, weyl
 from nilcone.laurent import ExactDivisionError
 from nilcone.partitions import Partition
 from nilcone.verify import SUITES, run_suite
@@ -62,21 +62,26 @@ class TestSuites:
     def test_walg_suite_catches_a_wrong_stride(self, monkeypatch, clear_memos):
         """A wrong stride fails the walg suite, which multiplies back
         through LaurentPoly.__mul__.  walg is the one caller of the kernel,
-        so no other route of the suite trips first, memoised or not."""
+        so no other route of the suite trips first, memoised or not.  The
+        first failure is at n = 3: the degree series of n = 2,
+        1 / (1 - u**2), is the multiples of 2 and needs no prefix sum."""
         walg_stride(monkeypatch)
         report = run_suite("walg", max_n=3)
         assert not report.passed
-        assert report.checks[0].counterexample.startswith("phi=(2)")
+        assert report.checks[0].counterexample.startswith("phi=(3)")
 
     def test_dropped_factor_trips_both_divisions(self, monkeypatch, clear_memos):
         """The shared kernel _at_base without the last factor of each product
-        trips the exactness checks of both of its callers: the q-hook's
-        q_quotient_coefficients and the class characters of weyl.py."""
+        trips the exactness checks of its three callers: the q-hook's
+        q_quotient_coefficients, the class characters of weyl.py and walg's
+        hook numerator."""
         dropped_factor(monkeypatch)
         with pytest.raises(ExactDivisionError):
             kostka.fake_degree_qhook(Partition((3, 1)))
         with pytest.raises(AssertionError):
             weyl._class_characters("A", 3)
+        with pytest.raises(ExactDivisionError):
+            springer.hp0_walg_full_series(Partition((3, 1)), 8)
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_a_raised_hook_trips_every_suite(self, name, monkeypatch, clear_memos):
