@@ -32,8 +32,9 @@ package builds is summed as packed rows: each g(y) is one int (Kronecker
 substitution, a digit per y-exponent on a lattice) and one row is summed
 per x-exponent.  springer.py packs the fake degrees of its Springer-fiber
 and cone series, and _packed_rows decodes those rows into a BiLaurentPoly
-with a digit-sum tripwire per row; weyl.py sums and decodes the rows of
-the Molien flag series, each a class average, itself.  They have no ring
+with a digit-sum tripwire per row; weyl.py's one class-average kernel,
+_class_averages, sums and decodes the rows of the Molien flag series
+itself, as it does each fake degree.  They have no ring
 arithmetic, only shifts; the value at (1, 1) is the sum of the
 coefficients.
 
@@ -41,8 +42,8 @@ One decoder, _signed_digits, serves every Kronecker-packed int: the rows
 of _packed_rows, the t -> 2**bits entries of the Jing column in
 kostka.py, every q-quotient (q_quotient_coefficients and weyl.py's class
 characters), the W-algebra series (one product of packed ints each), and
-Molien class sums (each fake degree and each row of the
-flag series).  It decodes in C: an XOR with the digit
+the Molien class averages of weyl._class_averages (each fake degree and
+each row of the flag series).  It decodes in C: an XOR with the digit
 offset leaves two's-complement digits, which memoryview.cast reads from
 the value's bytes in native byte order at 1, 2, 4 or 8 bytes a digit
 (int.from_bytes slices for wider digits), and a value its digits cannot

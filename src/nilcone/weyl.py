@@ -37,16 +37,19 @@ laurent._signed_digits, into the coefficients of f_c.  The width
 (laurent._digit_bytes) holds the bounds under which that argument makes
 the division exact in q (see _class_characters), and nothing more; unlike
 q_quotient_coefficients, a group keeps one width for all its classes, so
-that the F_c can be summed.  A class sum is then one
-big-int sum of the F_c, decoded by _signed_digits: sum_c size_c chi(c) F_c
-for a fake degree, and sum_c (size_c f_c[i]) F_c for row i of the flag
-series, which is computed once per group.  Each sum bounds its own digits,
-and one that needs wider digits than the group's packs its classes anew
-(_widened): the flag series of B7 does, once per process.  Only the flag
-series' rows i <= N/2 are summed, and row N - i is row i reversed.  That
-is exact: each f_c is a quotient of factors (1 - q**k) of degree N
-(checked), so q**N f_c(1/q) = +-f_c(q), and class data that passes that
-check, right or wrong, gives a symmetric sum.
+that the F_c can be summed, and keeps each distinct f_c once, with the
+summed size of the classes that share it.  Every class average is then one
+kernel, _class_averages: a row of weights on the distinct f_c is one
+big-int sum of their F_c, decoded by _signed_digits and checked for its
+digit sum, integrality and sign.  A fake degree is one row,
+sum_c size_c chi(c) F_c, and row i of the flag series, computed once per
+group, is sum_c (size_c f_c[i]) F_c.  Each call bounds the digits of its
+rows, and one that needs wider digits than the group's packs the
+characters anew (_widened): the flag series of B7 and of D8 do, once per
+process.  Only the flag series' rows i <= N/2 are summed, and row N - i is
+row i reversed.  That is exact: each f_c is a quotient of factors
+(1 - q**k) of degree N (checked), so q**N f_c(1/q) = +-f_c(q), and class
+data that passes that check, right or wrong, gives a symmetric sum.
 """
 
 from __future__ import annotations
@@ -362,24 +365,27 @@ def _class_rows(family: str, rank: int) -> Iterator[tuple[str, int, tuple, tuple
 
 
 @lru_cache(maxsize=None)
-def _class_characters(family: str, rank: int) -> tuple[int, tuple, tuple, tuple, tuple]:
-    """(width, rows, packs, heights, at_one), once per group (see _group):
-    rows (label, size, coefficients of f_c) in the order of _class_rows,
-    and per class F_c = f_c(B), max|f_c| and f_c(1).  The graded character
-    f_c(q) = prod_i (1 - q**d_i) / det(1 - q w) of the coinvariant algebra
-    at c is one exact big-int division at q = B = 2**(8 * width), decoded
-    once; F_c is the quotient itself, so no class is packed twice.
-    Coefficient tuples are immutable, so no caller can alter the cache."""
+def _class_characters(family: str, rank: int) -> tuple:
+    """(width, classes, fs, packs, heights, at_one, sizes), once per group
+    (see _group).  Each distinct graded character f_k of the coinvariant
+    algebra is kept once, at index k of the parallel tuples: fs its
+    coefficients, packs F_k = f_k(B), heights max|f_k|, at_one f_k(1) and
+    sizes the total size of the classes that share it.  classes maps each
+    label of _class_rows, in their order, to (k, class size).  The graded
+    character f_c(q) = prod_i (1 - q**d_i) / det(1 - q w) at c is one exact
+    big-int division at q = B = 2**(8 * width), decoded once; F_c is the
+    quotient itself, so no class is packed twice.  The tuples are immutable
+    and the label map is only read, so no caller alters the cache."""
     wt = weyl_type(family, rank)
     npos, order = wt.num_positive_roots, wt.order
     rows = list(_class_rows(family, rank))
     # A digit holds |W| 2**len(a) and 2**(rank + len(b)), the bounds of the
-    # division below.  The class sums check their own bounds and widen when
-    # they need more (_widened).
+    # division below.  The class averages check their own bounds and widen
+    # when they need more (_widened).
     bound = max(max(order << len(a), 1 << (rank + len(b))) for _, _, a, b in rows)
     width = _digit_bytes(bound)
     bits = 8 * width
-    characters, packs, heights = [], [], []
+    classes, merged = {}, {}  # label: (k, size); f_k: [k, F_k, max|f_k|, summed size]
     for label, size, a, b in rows:
         packed, remainder = divmod(_at_base((*wt.degrees, *b), bits), _at_base(a, bits))
         # Exact at B is exact in q by the argument of
@@ -398,31 +404,49 @@ def _class_characters(family: str, rank: int) -> tuple[int, tuple, tuple, tuple,
             raise AssertionError(f"graded character of class {label} is not of degree {npos}")
         if (height := max(map(abs, f))) > order:
             raise AssertionError(f"graded character of class {label} has a coefficient above |W|")
-        characters.append((label, size, f))
-        packs.append(packed)
-        heights.append(height)
-    at_one = tuple(sum(f) for _, _, f in characters)
-    return width, tuple(characters), tuple(packs), tuple(heights), at_one
+        entry = merged.setdefault(f, [len(merged), packed, height, 0])
+        entry[3] += size
+        classes[label] = entry[0], size
+    _, packs, heights, sizes = zip(*merged.values())
+    fs = tuple(merged)
+    return width, classes, fs, packs, heights, tuple(map(sum, fs)), sizes
 
 
 def _widened(
     width: int, packs: Sequence[int], fs: Iterable[tuple[int, ...]], bound: int
 ) -> tuple[int, Sequence[int]]:
     """(width, packs) whose digits hold values up to bound: the group's, or
-    its classes packed anew, uncached, at the wider width bound needs."""
+    its characters packed anew, uncached, at the wider width bound needs."""
     if (wide := _digit_bytes(bound)) <= width:
         return width, packs
     bits = 8 * wide
     return wide, [sum(map(lshift, f, range(0, bits * len(f), bits))) for f in fs]
 
 
-def _merged_classes(family: str, rank: int) -> list[list]:
-    """[size, f_c, F_c, f_c(1)] per distinct f_c, summing the sizes that share it."""
-    merged: dict[tuple[int, ...], list] = {}
-    _, rows, packs, _, at_one = _class_characters(family, rank)
-    for (_, size, f), packed, f1 in zip(rows, packs, at_one):
-        merged.setdefault(f, [0, f, packed, f1])[0] += size
-    return list(merged.values())
+def _class_averages(wt: WeylType, table: tuple, rows: list[list[int]]) -> list[list[int]]:
+    """(1/|W|) sum_k row[k] f_k, as N + 1 coefficients, for each row of
+    weights on the distinct characters f_k of table (_class_characters of
+    wt's group): one packed sum sum_k row[k] F_k, decoded once.  Its digits
+    are at most sum_k |row[k]| max|f_k|, and rows that need wider digits
+    than the group's pack the characters anew, once (_widened).  A decoded
+    sum must total sum_k row[k] f_k(1), or a digit wrapped
+    (AssertionError).  It must then clear |W| exactly and land on
+    nonnegative integers; anything else means the weights are not those of
+    a character (ValueError)."""
+    width, _, fs, packs, heights, at_one, _ = table
+    bound = max(sum(map(mul, map(abs, row), heights)) for row in rows)
+    width, packs = _widened(width, packs, fs, bound)
+    count, order, averages = wt.num_positive_roots + 1, wt.order, []
+    for row in rows:
+        digits = _signed_digits(sum(map(mul, row, packs)), width, count)
+        if sum(digits) != sum(map(mul, row, at_one)):
+            raise AssertionError("packed class sum wrapped a digit")
+        if any(map(order.__rmod__, digits)):
+            raise ValueError("class average is not integral: input is not a character")
+        averages.append(list(map(order.__rfloordiv__, digits)))
+        if min(averages[-1]) < 0:
+            raise ValueError("class average has negative multiplicities: input is not a character")
+    return averages
 
 
 def _group(wt: WeylType) -> tuple[str, int]:
@@ -480,10 +504,9 @@ def fake_degree_molien(
     wt: WeylType, character_values: Mapping[str, int]
 ) -> LaurentPoly:
     """Graded multiplicity of the character in the coinvariant algebra, by
-    class averaging:  (1/|W|) sum_c size_c * chi(c) * f_c(q), one packed sum
-    with digits up to sum_c |size_c chi(c)| max|f_c| (a chi that needs wider
-    digits than the group's packs its classes anew, uncached).  The digits
-    must total sum_c size_c chi(c) f_c(1) = |W| chi(1), or one wrapped.
+    class averaging:  (1/|W|) sum_c size_c * chi(c) * f_c(q), one row of
+    _class_averages, whose weight on each distinct f_c sums size_c chi(c)
+    over the classes that share it.
 
     The average must clear |W| exactly and land on nonnegative integers;
     anything else means the supplied values are not a character."""
@@ -491,32 +514,24 @@ def fake_degree_molien(
     if not isinstance(character_values, Mapping):
         kind = type(character_values).__name__
         raise TypeError(f"character values must be a Mapping of class labels, not {kind}")
-    width, classes, packs, heights, at_one = _class_characters(*group)
-    missing = [label for label, _, _ in classes if label not in character_values]
+    table = _class_characters(*group)
+    classes = table[1]
+    missing = [label for label in classes if label not in character_values]
     if missing:
         raise ValueError(f"character values missing for classes: {missing}")
-    unknown = sorted(set(character_values) - {label for label, _, _ in classes})
+    # in mapping order: keys of mixed types do not sort
+    unknown = [key for key in character_values if key not in classes]
     if unknown:
         raise ValueError(f"character values given for no class of {wt}: {unknown}")
-    weights = []  # size_c * chi(c)
-    for label, size, _ in classes:
+    weights = [0] * len(table[2])  # sum of size_c * chi(c) per character
+    for label, (k, size) in classes.items():
         chi = character_values[label]
         if type(chi) is not int:  # bool is not a character value
             raise TypeError(
                 f"character value of class {label} must be an int, not {type(chi).__name__}"
             )
-        weights.append(size * chi)
-    bound = sum(map(mul, map(abs, weights), heights))
-    width, packs = _widened(width, packs, (f for _, _, f in classes), bound)
-    digits = _signed_digits(sum(map(mul, weights, packs)), width, wt.num_positive_roots + 1)
-    if sum(digits) != sum(map(mul, weights, at_one)):
-        raise AssertionError("packed class sum of a fake degree wrapped a digit")
-    if any(map(wt.order.__rmod__, digits)):
-        raise ValueError("class average is not integral: input is not a character")
-    fd = list(map(wt.order.__rfloordiv__, digits))
-    if min(fd) < 0:
-        raise ValueError("class average has negative multiplicities: input is not a character")
-    return LaurentPoly.from_coefficients(fd, "q")
+        weights[k] += size * chi
+    return LaurentPoly.from_coefficients(_class_averages(wt, table, [weights])[0], "q")
 
 
 def pn_series_molien(wt: WeylType) -> BiLaurentPoly:
@@ -538,27 +553,19 @@ def _flag_series(family: str, rank: int) -> BiLaurentPoly:
     """pn_series_molien of one group:
     x**(2N - 2i) y**(2j - 2N) has |W| M[i][j] = sum_c size_c f_c[i] f_c[j].
     Row i, for i <= N/2 (row N - i is row i reversed; see the module
-    docstring), is a packed sum over _merged_classes decoded to N + 1 powers
-    of y, which must total sum_c size_c f_c[i] f_c(1) = |W| f_1[i].  Its
-    digits are at most sum_c size_c max|f_c|**2, which the group's width
-    holds for true class data (_class_characters); else it is widened."""
+    docstring), is one row of _class_averages, weighted size_k f_k[i] on
+    the distinct characters of _class_characters.  The class data is the
+    package's own, so a row that is not integral and nonnegative is a fault
+    (AssertionError)."""
     wt = weyl_type(family, rank)
     npos = wt.num_positive_roots
-    width, classes, _, heights, _ = _class_characters(family, rank)
-    sizes, fs, packs, at_one = zip(*_merged_classes(family, rank))
-    bound = sum(size * h * h for (_, size, _), h in zip(classes, heights))
-    width, packs = _widened(width, packs, fs, bound)
-    weights = list(zip(*([size * x for x in f] for size, f in zip(sizes, fs))))  # [i][c]
-    rows = []
-    for i in range(npos // 2 + 1):
-        digits = _signed_digits(sum(map(mul, weights[i], packs)), width, npos + 1)
-        if sum(digits) != sum(map(mul, weights[i], at_one)):
-            raise AssertionError(f"packed row {i} of the flag series wrapped a digit")
-        if any(map(wt.order.__rmod__, digits)):
-            raise AssertionError("non-integral class average in the flag series")
-        rows.append(list(map(wt.order.__rfloordiv__, digits)))
-        if min(rows[-1]) < 0:
-            raise AssertionError("negative coefficient in the flag series")
+    table = _class_characters(family, rank)
+    _, _, fs, _, _, _, sizes = table
+    weights = [[size * f[i] for size, f in zip(sizes, fs)] for i in range(npos // 2 + 1)]
+    try:
+        rows = _class_averages(wt, table, weights)
+    except ValueError as exc:
+        raise AssertionError(f"flag series of {wt}: {exc}") from exc
     rows += [row[::-1] for row in reversed(rows[: (npos + 1) // 2])]
     ys = range(-2 * npos, 1, 2)
     return BiLaurentPoly._from_clean(

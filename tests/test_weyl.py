@@ -38,6 +38,13 @@ def label(mu):
     return ",".join(map(str, mu.parts))
 
 
+def character_rows(family, rank):
+    """(label, size, coefficients of f_c) for every class of
+    _class_characters, in the order of _class_rows."""
+    _, classes, fs, *_ = _class_characters(family, rank)
+    return [(name, size, fs[k]) for name, (k, size) in classes.items()]
+
+
 def one_minus(k):
     return LaurentPoly({0: 1, k: -1}, "t")
 
@@ -374,16 +381,16 @@ class TestMolienGradedCharacter:
     _class_characters keeps as coefficient tuples."""
 
     def test_s2_identity(self):
-        assert ("1,1", 1, (1, 1)) in _class_characters("A", 1)[1]
+        assert ("1,1", 1, (1, 1)) in character_rows("A", 1)
 
     def test_s2_reflection(self):
-        assert ("2", 1, (1, -1)) in _class_characters("A", 1)[1]
+        assert ("2", 1, (1, -1)) in character_rows("A", 1)
 
     @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G2", 2), ("F4", 4)])
     def test_identity_gives_group_order_at_one(self, family, rank):
         wt = weyl_type(family, rank)
         identity_factor = one_minus_power(1, wt.rank)
-        rows = _class_characters(family, rank)[1]
+        rows = character_rows(family, rank)
         for (name, _, factor), (row_name, _, coeffs) in zip(class_data(wt), rows, strict=True):
             assert row_name == name
             assert sum(coeffs) == (wt.order if factor == identity_factor else 0)
@@ -413,11 +420,30 @@ class TestClassCharacters:
         degree_product = LaurentPoly.one("q")
         for d in wt.degrees:
             degree_product = degree_product * LaurentPoly({0: 1, d: -1}, "q")
-        rows = _class_characters(family, rank)[1]
+        rows = character_rows(family, rank)
         for (name, size, factor), row in zip(class_data(wt), rows, strict=True):
             assert row[:2] == (name, size)
             coeffs, det = row[2], LaurentPoly(factor.terms, "q")
             assert LaurentPoly.from_coefficients(coeffs, "q") * det == degree_product
+
+    @pytest.mark.parametrize(
+        "family,rank", [("A", 3), ("B", 2), ("B", 4), ("D", 4), ("D", 5), ("G2", 2), ("F4", 4)]
+    )
+    def test_each_character_is_kept_once_with_its_classes(self, family, rank):
+        # fs distinct, and per character k: F_k = f_k(B) at the table's
+        # width, max|f_k|, f_k(1) and the sizes of the classes with f_c = f_k
+        wt = weyl_type(family, rank)
+        width, classes, fs, packs, heights, at_one, sizes = _class_characters(family, rank)
+        assert len(set(fs)) == len(fs) == len(packs) == len(heights) == len(at_one) == len(sizes)
+        bits = 8 * width
+        for k, f in enumerate(fs):
+            assert packs[k] == sum(c << bits * j for j, c in enumerate(f))
+            assert (heights[k], at_one[k]) == (max(map(abs, f)), sum(f))
+            assert sizes[k] == sum(size for i, size in classes.values() if i == k)
+        assert [(name, size) for name, size, _ in class_data(wt)] == [
+            (name, size) for name, (_, size) in classes.items()
+        ]
+        assert sum(sizes) == wt.order
 
     @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("G2", 2), ("F4", 4)])
     def test_a_dropped_denominator_part_trips(self, monkeypatch, family, rank):
@@ -596,6 +622,39 @@ class TestFakeDegreeMolien:
         with pytest.raises(ValueError, match="no class"):
             fake_degree_molien(wt, values)
 
+    def test_unknown_keys_of_mixed_types_are_named_in_mapping_order(self):
+        # an int and a str key cannot be sorted together
+        values = {**sn_character_values(P((2, 1))), 1: 0, "x": 0}
+        with pytest.raises(ValueError, match=r"no class of A2: \[1, 'x'\]$"):
+            fake_degree_molien(weyl_type("A", 2), values)
+
+    def test_b2_linear_characters(self):
+        # B2 = signed permutations of 2; label "alpha|beta" has the positive
+        # cycles alpha and the negative cycles beta.  The sign of the
+        # underlying permutation and the parity of the negative cycles
+        # differ on "2|" and "1|1", two classes with det(1 - tw) = 1 - t^2
+        # and so one shared character f_c: only a correct per-label sum
+        # into it gives each its fake degree q^2
+        wt = weyl_type("B", 2)
+        _, classes, *_ = _class_characters("B", 2)
+        assert classes["2|"][0] == classes["1|1"][0]
+        cycles = {
+            name: [[int(k) for k in side.split(",") if k] for side in name.split("|")]
+            for name in classes
+        }
+        permutation_sign = {
+            name: (-1) ** sum(k - 1 for side in sides for k in side)
+            for name, sides in cycles.items()
+        }
+        parity = {name: (-1) ** len(beta) for name, (_, beta) in cycles.items()}
+        assert {name for name in classes if permutation_sign[name] != parity[name]} == {"2|", "1|1"}
+        det = {name: permutation_sign[name] * parity[name] for name in classes}
+        trivial = dict.fromkeys(classes, 1)
+        characters = (trivial, permutation_sign, parity, det)
+        assert [fake_degree_molien(wt, chi).terms for chi in characters] == [
+            {0: 1}, {2: 1}, {2: 1}, {4: 1}
+        ]
+
     @pytest.mark.parametrize("bad", [2.0, True])
     def test_non_int_value_rejected(self, bad):
         wt = weyl_type("A", 2)
@@ -652,19 +711,27 @@ class TestPnSeriesMolien:
         assert sum(pn_series_molien(wt).terms.values()) == wt.order
 
     @pytest.mark.parametrize("family,rank,merged", [("B", 7, 64), ("B", 6, 40), ("D", 7, 45)])
-    def test_classes_sharing_a_character_are_merged(self, monkeypatch, family, rank, merged):
-        counts = []
-        merge = weyl._merged_classes
-
-        def counting(family, rank):
-            classes = merge(family, rank)
-            counts.append(len(classes))
-            return classes
-
-        monkeypatch.setattr(weyl, "_merged_classes", counting)
+    def test_classes_sharing_a_character_are_merged(self, family, rank, merged):
         wt = weyl_type(family, rank)
         assert sum(pn_series_molien(wt).terms.values()) == wt.order
-        assert counts == [merged]
+        assert len(_class_characters(family, rank)[2]) == merged
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("G2", 2), ("F4", 4)])
+    def test_every_row_is_the_fake_degree_of_a_graded_piece(self, family, rank):
+        # row i (the x**(2(N - i)) terms, y shifted by 2N) is the class
+        # average of chi_i(c) = f_c[i], the degree-i coinvariants; the rows
+        # past N/2, which the series takes by reversal, are averaged directly
+        wt = weyl_type(family, rank)
+        npos, series = wt.num_positive_roots, pn_series_molien(wt).terms
+        characters = {
+            name: q_quotient((*wt.degrees, *b), a, "q")
+            for name, _, a, b in weyl._class_rows(family, rank)
+        }
+        for i in range(npos + 1):
+            chi = {name: f.coeff(i) for name, f in characters.items()}
+            x = 2 * (npos - i)
+            row = {(ye + 2 * npos) // 2: c for (xe, ye), c in series.items() if xe == x}
+            assert row == fake_degree_molien(wt, chi).terms, i
 
     def test_non_weyl_type_rejected(self):
         with pytest.raises(TypeError, match="WeylType.*tuple"):
@@ -720,7 +787,7 @@ class TestPackedClassSumTripwires:
         return weyl_type("B", 4)
 
     def test_a_moved_class_size_trips_the_flag_series(self, moved_size):
-        with pytest.raises(AssertionError, match="non-integral"):
+        with pytest.raises(AssertionError, match="^flag series of B4: .* is not integral"):
             pn_series_molien(moved_size)
 
     def test_a_moved_class_size_trips_a_fake_degree(self, moved_size):
@@ -748,5 +815,5 @@ class TestPackedClassSumTripwires:
         monkeypatch.setattr(weyl, "_digit_bytes", lambda bound: 1)
         wt = weyl_type("B", 4)
         trivial = {name: 1 for name, _, _ in class_data(wt)}
-        with pytest.raises(AssertionError, match="fake degree wrapped a digit"):
+        with pytest.raises(AssertionError, match="^packed class sum wrapped a digit$"):
             fake_degree_molien(wt, trivial)
