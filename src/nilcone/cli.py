@@ -8,7 +8,9 @@ leaves a remainder, an assertion fails), 4 when the reader of stdout
 closes it early (a broken pipe, as under `| head`), 5 when the process runs
 out of memory or recursion depth (a MemoryError or RecursionError); 1, 3,
 4 and 5 print a one-line diagnostic on stderr.  A warning prints as one
-`warning: ...` line there.
+`warning: ...` line there; where the warning filters make it an error
+(`python -W error`, PYTHONWARNINGS=error), such as the empty s3 slice, it
+exits 1 with one `error: <Class>: <message>` line instead.
 
 Output formats: text (ascending exponents, explicit signs), json (the
 schema below), latex.  JSON coefficients are decimal strings so arbitrary
@@ -340,7 +342,8 @@ def parse_args(argv) -> dict | str:
 def run(argv=None) -> int:
     """Parse, compute and emit; returns the process exit code.  A warning
     raised on the way, such as an empty s3 slice, is printed as one
-    `warning: <message>` line on stderr."""
+    `warning: <message>` line on stderr, unless the warning filters make
+    it an error, which _query reports with exit 1."""
     with warnings.catch_warnings(record=True) as caught:
         try:
             return _query(argv)
@@ -380,6 +383,9 @@ def _query(argv) -> int:
         return 4
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Warning as exc:  # raised as an error by the warning filters
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, AssertionError) as exc:
         kind = type(exc).__name__

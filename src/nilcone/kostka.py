@@ -264,7 +264,8 @@ def _column_entry(packed: int, width: int) -> tuple[LaurentPoly, int, int]:
     peak memory of compute_kostka_table(18) in a fresh process is 105 MB
     with 1024 entries, 118 MB unbounded and 110 MB with no memo."""
     digits = _signed_digits(packed, width, abs(packed).bit_length() // (8 * width) + 1)
-    return LaurentPoly.from_coefficients(digits, "t"), sum(digits), min(digits)
+    poly = LaurentPoly._from_clean({e: c for e, c in enumerate(digits) if c}, "t")
+    return poly, sum(digits), min(digits)
 
 
 def _column_error(mu_parts: Shape, nu: Shape, poly: LaurentPoly, what: str) -> AssertionError:

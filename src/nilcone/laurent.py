@@ -38,17 +38,21 @@ itself, as it does each fake degree.  They have no ring
 arithmetic, only shifts; the value at (1, 1) is the sum of the
 coefficients.
 
-One decoder, _signed_digits, serves every Kronecker-packed int: the rows
-of _packed_rows, the t -> 2**bits entries of the Jing column in
-kostka.py, every q-quotient (q_quotient_coefficients and weyl.py's class
-characters), the W-algebra series (one product of packed ints each), and
-the Molien class averages of weyl._class_averages (each fake degree and
-each row of the flag series).  It decodes in C: an XOR with the digit
-offset leaves two's-complement digits, which memoryview.cast reads from
-the value's bytes in native byte order at 1, 2, 4 or 8 bytes a digit
-(int.from_bytes slices for wider digits), and a value its digits cannot
-hold raises AssertionError.  The caller sizes the digit (_digit_bytes) from a bound
-on the coefficients it packs.
+One codec, written here alone, serves every Kronecker-packed int: one
+encoder, _packed, and one decoder, _signed_digits, its inverse.  Both
+work in C on two's-complement digits in the value's bytes, in native byte
+order, at 1, 2, 4 or 8 bytes a digit (array and memoryview.cast; to_bytes
+and from_bytes slices for wider digits), and an XOR with the digit offset
+turns those bytes into the value and back.  _packed packs springer.py's
+degree series and the characters that weyl._class_averages re-packs at a
+wider digit.  _signed_digits decodes the rows of _packed_rows, the
+t -> 2**bits entries of the Jing column in kostka.py, every q-quotient
+(q_quotient_coefficients and weyl.py's class characters), the W-algebra
+series (one product of packed ints each), and the Molien class averages
+of weyl._class_averages (each fake degree and each row of the flag
+series); a value its digits cannot hold raises AssertionError.  The
+caller sizes the digit (_digit_bytes) from a bound on the coefficients
+it packs.
 
 Grading convention used across the package: a graded vector space shifted
 down by d (written V[-d]) has its Hilbert series multiplied by var**d.
@@ -84,7 +88,12 @@ def _check_ints(owner: str, *values: object) -> None:
             raise TypeError(f"{owner} needs an int, not {type(v).__name__}")
 
 
-# memoryview.cast formats of the signed machine ints, by width in bytes
+def _check_var(owner: str, var: object) -> None:
+    if type(var) is not str:
+        raise TypeError(f"{owner} variable name must be a str, not {type(var).__name__}")
+
+
+# array and memoryview.cast formats of the signed machine ints, by width in bytes
 _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
@@ -130,6 +139,27 @@ def _signed_digits(value: int, width: int, count: int) -> list[int]:
     if sys.byteorder == "big":  # the top digit's bytes came first
         digits.reverse()
     return digits
+
+
+def _packed(digits: Sequence[int], width: int) -> int:
+    """sum_k digits[k] 2**(8 * width * k), the inverse of _signed_digits on
+    its digit range, in linear time: the digits are written as
+    two's-complement machine ints, by an array of the _SIGNED format (by
+    int.to_bytes for a wider width), and read back in native byte order as
+    one unsigned U, which is value + offset with each digit's top bit
+    flipped, so (U ^ offset) - offset is the value.  array is imported
+    here, so that a process loads it only when it packs."""
+    from array import array
+
+    if sys.byteorder == "big":  # the top digit's bytes go first
+        digits = digits[::-1]
+    fmt = _SIGNED.get(width)
+    if fmt:
+        buf = array(fmt, digits)
+    else:
+        buf = b"".join(d.to_bytes(width, sys.byteorder, signed=True) for d in digits)
+    offset = _digit_offset(width, len(digits))
+    return (int.from_bytes(buf, sys.byteorder) ^ offset) - offset
 
 
 def _packed_rows(
@@ -241,8 +271,9 @@ class LaurentPoly(_TermMap):
     The variable name is display metadata only: arithmetic and equality look
     at the term map alone.  substitute_power, shift and with_var map the
     exponents one-to-one, so a clean term map stays clean: they build
-    through _from_clean and strip no zeros again.  Only the constructor
-    checks its terms; the arithmetic builds through _from_clean.
+    through _from_clean and strip no zeros again.  Only the constructor and
+    from_coefficients check their terms, and the public builders their
+    variable name; the arithmetic builds through _from_clean.
     """
 
     __slots__ = ("var",)
@@ -250,15 +281,18 @@ class LaurentPoly(_TermMap):
 
     def __init__(self, terms: Mapping[int, int] | None = None, var: str = "t"):
         terms = _clean_terms(terms, "LaurentPoly", "int", lambda e: type(e) is int)
+        _check_var("LaurentPoly", var)
         _set_terms(self, MappingProxyType(terms))
         _set_var(self, var)
 
     @classmethod
     def zero(cls, var: str = "t") -> "LaurentPoly":
+        _check_var("LaurentPoly.zero", var)
         return cls._from_clean({}, var)
 
     @classmethod
     def one(cls, var: str = "t") -> "LaurentPoly":
+        _check_var("LaurentPoly.one", var)
         return cls._from_clean({0: 1}, var)
 
     @classmethod
@@ -276,6 +310,12 @@ class LaurentPoly(_TermMap):
     def from_coefficients(cls, coeffs: Iterable[int], var: str = "t") -> "LaurentPoly":
         """sum_e coeffs[e] * var**e, constant term first; the zeros are
         skipped as the term map is built, so it is not cleaned twice."""
+        _check_var("LaurentPoly.from_coefficients", var)
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if type(c) is not int:  # bool is not a coefficient
+                kind = type(c).__name__
+                raise TypeError(f"LaurentPoly.from_coefficients needs int coefficients, not {kind}")
         return cls._from_clean({e: c for e, c in enumerate(coeffs) if c}, var)
 
     def coeff(self, exponent: int) -> int:
@@ -296,6 +336,7 @@ class LaurentPoly(_TermMap):
         return max(self.terms)
 
     def with_var(self, var: str) -> "LaurentPoly":
+        _check_var("LaurentPoly.with_var", var)
         return LaurentPoly._from_clean(dict(self.terms), var)
 
     def __neg__(self) -> "LaurentPoly":
@@ -417,6 +458,7 @@ class TruncatedSeries:
                 raise TypeError(f"TruncatedSeries coefficients must be ints, not {type(c).__name__}")
         if len(coefficients) == 0:
             raise ValueError("a truncated series needs at least its constant term")
+        _check_var("TruncatedSeries", var)
         self.coefficients = list(coefficients)
         self.var = var
 
@@ -544,4 +586,6 @@ def q_quotient_coefficients(
 
 def q_quotient(numerator: Iterable[int], denominator: Iterable[int], var: str = "q") -> LaurentPoly:
     """q_quotient_coefficients as a LaurentPoly in var."""
-    return LaurentPoly.from_coefficients(q_quotient_coefficients(numerator, denominator, var), var)
+    _check_var("q_quotient", var)
+    coeffs = q_quotient_coefficients(numerator, denominator, var)
+    return LaurentPoly._from_clean({e: c for e, c in enumerate(coeffs) if c}, var)

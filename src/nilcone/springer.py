@@ -17,11 +17,8 @@ a point.
 
 from __future__ import annotations
 
-import sys
 import warnings
-from array import array
 from functools import lru_cache
-from itertools import repeat
 from math import comb, factorial, isqrt
 from typing import Iterable, NamedTuple
 
@@ -31,10 +28,10 @@ from .laurent import (
     ExactDivisionError,
     LaurentPoly,
     TruncatedSeries,
-    _SIGNED,
     _at_base,
     _digit_bytes,
     _digit_offset,
+    _packed,
     _packed_rows,
     _signed_digits,
     divide_one_minus,
@@ -172,32 +169,15 @@ def hp0_slice_series(phi: Partition) -> LaurentPoly:
     return _reflected(_fake_degree(phi.parts)[0], orbit_dim(phi), "y")
 
 
-def _packed(digits: list[int], width: int) -> int:
-    """sum_k digits[k] 2**(8 * width * k) for digits in [0, 2**(8 * width - 1)),
-    the inverse of _signed_digits, in linear time: the digits are written
-    as machine ints by an array of the _SIGNED format (by to_bytes for a
-    wider width) and read back as one int in native byte order.  It sits
-    with its one caller, so that only the processes that load springer
-    import array."""
-    if sys.byteorder == "big":
-        digits = digits[::-1]
-    fmt = _SIGNED.get(width)
-    if fmt:
-        buf = array(fmt, digits)
-    else:
-        buf = b"".join(map(int.to_bytes, digits, repeat(width), repeat(sys.byteorder)))
-    return int.from_bytes(buf, sys.byteorder)
-
-
 @lru_cache(maxsize=16)
 def _degree_series(n: int, count: int) -> tuple[int, int]:
     """(width, P_n(B)), B = 2**(8 * width): the degree series
     P_n(u) = 1 / prod_{d=2..n} (1 - u**d) to count coefficients, packed
-    with the coefficient of u**k as digit k.  1 / (1 - u**n) is 1 at the
-    multiples of n, and the prefix sums of divide_one_minus divide that by
-    the other degrees, the largest first.  The width holds isqrt(n!) *
-    max P, which bounds every coefficient of N_phi * P for every phi of n
-    (hp0_walg_full_series)."""
+    by laurent._packed with the coefficient of u**k as digit k.
+    1 / (1 - u**n) is 1 at the multiples of n, and the prefix sums of
+    divide_one_minus divide that by the other degrees, the largest first.
+    The width holds isqrt(n!) * max P, which bounds every coefficient of
+    N_phi * P for every phi of n (hp0_walg_full_series)."""
     coeffs = [1] + [0] * (count - 1)
     if n >= 2:
         coeffs[::n] = [1] * len(range(0, count, n))

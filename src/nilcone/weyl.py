@@ -44,10 +44,10 @@ big-int sum of their F_c, decoded by _signed_digits and checked for its
 digit sum, integrality and sign.  A fake degree is one row,
 sum_c size_c chi(c) F_c, and row i of the flag series, computed once per
 group, is sum_c (size_c f_c[i]) F_c.  Each call bounds the digits of its
-rows, and one that needs wider digits than the group's packs the
-characters anew (_widened): the flag series of B7 and of D8 do, once per
-process.  Only the flag series' rows i <= N/2 are summed, and row N - i is
-row i reversed.  That is exact: each f_c is a quotient of factors
+rows, and one that needs wider digits than the group's re-packs the
+characters with laurent._packed: the flag series of B7 and of D8 do, once
+per process.  Only the flag series' rows i <= N/2 are summed, and row
+N - i is row i reversed.  That is exact: each f_c is a quotient of factors
 (1 - q**k) of degree N (checked), so q**N f_c(1/q) = +-f_c(q), and class
 data that passes that check, right or wrong, gives a symmetric sum.
 """
@@ -58,10 +58,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
-from operator import lshift, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import mul
+from typing import Iterator, Mapping
 
-from .laurent import BiLaurentPoly, LaurentPoly, _at_base, _digit_bytes, _signed_digits, q_quotient
+from .laurent import BiLaurentPoly, LaurentPoly, _at_base, _digit_bytes, _packed, _signed_digits
+from .laurent import q_quotient
 from .partitions import Partition, _check_partition, partitions_of
 
 # Fundamental degrees of the exceptional types; the rank is their number.
@@ -380,8 +381,8 @@ def _class_characters(family: str, rank: int) -> tuple:
     npos, order = wt.num_positive_roots, wt.order
     rows = list(_class_rows(family, rank))
     # A digit holds |W| 2**len(a) and 2**(rank + len(b)), the bounds of the
-    # division below.  The class averages check their own bounds and widen
-    # when they need more (_widened).
+    # division below.  The class averages check their own bounds and re-pack
+    # at a wider digit when they need more.
     bound = max(max(order << len(a), 1 << (rank + len(b))) for _, _, a, b in rows)
     width = _digit_bytes(bound)
     bits = 8 * width
@@ -412,30 +413,20 @@ def _class_characters(family: str, rank: int) -> tuple:
     return width, classes, fs, packs, heights, tuple(map(sum, fs)), sizes
 
 
-def _widened(
-    width: int, packs: Sequence[int], fs: Iterable[tuple[int, ...]], bound: int
-) -> tuple[int, Sequence[int]]:
-    """(width, packs) whose digits hold values up to bound: the group's, or
-    its characters packed anew, uncached, at the wider width bound needs."""
-    if (wide := _digit_bytes(bound)) <= width:
-        return width, packs
-    bits = 8 * wide
-    return wide, [sum(map(lshift, f, range(0, bits * len(f), bits))) for f in fs]
-
-
 def _class_averages(wt: WeylType, table: tuple, rows: list[list[int]]) -> list[list[int]]:
     """(1/|W|) sum_k row[k] f_k, as N + 1 coefficients, for each row of
     weights on the distinct characters f_k of table (_class_characters of
     wt's group): one packed sum sum_k row[k] F_k, decoded once.  Its digits
     are at most sum_k |row[k]| max|f_k|, and rows that need wider digits
-    than the group's pack the characters anew, once (_widened).  A decoded
-    sum must total sum_k row[k] f_k(1), or a digit wrapped
-    (AssertionError).  It must then clear |W| exactly and land on
-    nonnegative integers; anything else means the weights are not those of
-    a character (ValueError)."""
+    than the group's re-pack the characters, uncached, once per call, with
+    laurent._packed.  A decoded sum must total sum_k row[k] f_k(1), or a
+    digit wrapped (AssertionError).  It must then clear |W| exactly and
+    land on nonnegative integers; anything else means the weights are not
+    those of a character (ValueError)."""
     width, _, fs, packs, heights, at_one, _ = table
     bound = max(sum(map(mul, map(abs, row), heights)) for row in rows)
-    width, packs = _widened(width, packs, fs, bound)
+    if (wide := _digit_bytes(bound)) > width:
+        width, packs = wide, [_packed(f, wide) for f in fs]
     count, order, averages = wt.num_positive_roots + 1, wt.order, []
     for row in rows:
         digits = _signed_digits(sum(map(mul, row, packs)), width, count)
@@ -531,7 +522,8 @@ def fake_degree_molien(
                 f"character value of class {label} must be an int, not {type(chi).__name__}"
             )
         weights[k] += size * chi
-    return LaurentPoly.from_coefficients(_class_averages(wt, table, [weights])[0], "q")
+    average = _class_averages(wt, table, [weights])[0]
+    return LaurentPoly._from_clean({e: c for e, c in enumerate(average) if c}, "q")
 
 
 def pn_series_molien(wt: WeylType) -> BiLaurentPoly:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -173,6 +174,16 @@ class TestOtherCommands:
         assert err.count("\n") == 1
         assert err.startswith("warning: slice of orbit closure (2,2) at (3,1) is empty")
         assert ".py" not in err and "warnings.warn" not in err
+
+    def test_s3_empty_slice_under_error_filter_exits_1(self, capsys):
+        """Under python -W error the warning is raised, not recorded: one
+        `error: <Class>: <message>` line and exit 1, no traceback."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, "s3", "--nu", "2,1,1", "--phi", "2,2")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: UserWarning: slice of orbit closure (2,1,1) at (2,2) is empty")
 
     def test_springer_fiber(self, capsys):
         code, out, _ = invoke(capsys, "springer-fiber", "--phi", "2,1", "--format", "json")

@@ -90,9 +90,11 @@ def test_detector_sees_unread_and_read_names():
 # `dataclasses` stays, in weyl and verify: library workers load it through
 # weyl_type, and the pace reference takes about 12.8 ms with it loaded against
 # 8.8 ms without, so dropping it would move paced kostka-table times by about
-# 30% for no work of their own.
+# 30% for no work of their own.  `array` is imported by laurent._packed when
+# it first packs, so that only the processes that pack load it; the probes
+# at the end check that too.
 STDLIB_IMPORTS = {
-    "__future__", "array", "collections", "dataclasses", "functools", "itertools",
+    "__future__", "collections", "dataclasses", "functools", "itertools",
     "math", "operator", "sys", "time", "types", "typing", "warnings",
 }
 
@@ -187,7 +189,7 @@ def test_kostka_query_loads_no_heavy_module():
         "assert run(['kostka', '--lambda', '3,1', '--mu', '2,1,1', '--format', 'json']) == 0"
     )
     assert "nilcone.kostka" in loaded
-    assert loaded & HEAVY == set()
+    assert loaded & (HEAVY | {"array"}) == set()
 
 
 def test_hp0_query_loads_neither_weyl_nor_verify():
@@ -195,7 +197,15 @@ def test_hp0_query_loads_neither_weyl_nor_verify():
         "from nilcone.cli import run\nassert run(['hp0', '--phi', '3,2,1']) == 0"
     )
     assert "nilcone.springer" in loaded
-    assert loaded & {"nilcone.weyl", "nilcone.verify", "dataclasses"} == set()
+    assert loaded & {"nilcone.weyl", "nilcone.verify", "dataclasses", "array"} == set()
+
+
+def test_walg_query_loads_array_to_pack():
+    loaded = loaded_modules(
+        "from nilcone.cli import run\nassert run(['walg', '--phi', '3,2,1', '--truncate', '8']) == 0"
+    )
+    assert "array" in loaded
+    assert loaded & {"nilcone.weyl", "nilcone.verify"} == set()
 
 
 PARSER_MODULES = {"argparse", "gettext", "locale"}

@@ -206,6 +206,35 @@ class TestConstructorsRefuseNonIntegerData:
             (lambda: TruncatedSeries(1.5), "TruncatedSeries coefficients must be a Sequence of ints, not float"),
             (lambda: TruncatedSeries([1, 0.5]), "TruncatedSeries coefficients must be ints, not float"),
             (lambda: TruncatedSeries([True]), "TruncatedSeries coefficients must be ints, not bool"),
+            (
+                lambda: LaurentPoly.from_coefficients([True, 2.5, "3"]),
+                "LaurentPoly.from_coefficients needs int coefficients, not bool",
+            ),
+            (
+                lambda: LaurentPoly.from_coefficients([1, 0, 2.0]),
+                "LaurentPoly.from_coefficients needs int coefficients, not float",
+            ),
+            (
+                lambda: LaurentPoly.from_coefficients("13"),
+                "LaurentPoly.from_coefficients needs int coefficients, not str",
+            ),
+            (lambda: LaurentPoly({1: 1}, var=7), "LaurentPoly variable name must be a str, not int"),
+            (lambda: LaurentPoly(var=b"t"), "LaurentPoly variable name must be a str, not bytes"),
+            (
+                lambda: LaurentPoly.from_coefficients([1], var=None),
+                "LaurentPoly.from_coefficients variable name must be a str, not NoneType",
+            ),
+            (lambda: LaurentPoly.zero(0), "LaurentPoly.zero variable name must be a str, not int"),
+            (lambda: LaurentPoly.one(("q",)), "LaurentPoly.one variable name must be a str, not tuple"),
+            (
+                lambda: LaurentPoly({1: 1}).with_var(7),
+                "LaurentPoly.with_var variable name must be a str, not int",
+            ),
+            (
+                lambda: TruncatedSeries([1, 2], var=None),
+                "TruncatedSeries variable name must be a str, not NoneType",
+            ),
+            (lambda: q_quotient([2], [1], 7), "q_quotient variable name must be a str, not int"),
         ],
     )
     def test_non_integer_data_is_refused(self, build, message):
@@ -254,7 +283,7 @@ class TestConstructorsRefuseNonIntegerData:
             raise AssertionError("checked again")
 
         monkeypatch.setattr(laurent, "_clean_terms", refused)
-        p = LaurentPoly.from_coefficients([1, 0, -2], "q")
+        p = LaurentPoly._from_clean({0: 1, 2: -2}, "q")
         assert LaurentPoly.zero("q").terms == {} and LaurentPoly.one().terms == {0: 1}
         assert (p + p - p * 2).terms == {} and (-p * p).terms == {0: -1, 2: 4, 4: -4}
         assert TruncatedSeries.from_poly(p, 3).coefficients == [1, 0, -2, 0]
@@ -401,8 +430,10 @@ class TestBiLaurent:
 
 
 class TestSignedDigits:
-    """laurent._signed_digits, the one decoder of Kronecker-packed ints: 1,
-    2, 4 and 8 bytes go through memoryview.cast, 9 through int.from_bytes."""
+    """laurent._signed_digits, the one decoder of Kronecker-packed ints, and
+    laurent._packed, its encoder: 1, 2, 4 and 8 bytes go through
+    memoryview.cast and array, 9 and 16 through int.from_bytes and
+    int.to_bytes."""
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
     @given(data=st.data())
@@ -412,6 +443,18 @@ class TestSignedDigits:
         digits = data.draw(st.lists(digit, min_size=1, max_size=12))
         value = sum(d << (8 * width * k) for k, d in enumerate(digits))
         assert laurent._signed_digits(value, width, len(digits)) == digits
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 16])
+    @given(data=st.data())
+    def test_packed_inverts_signed_digits(self, width, data):
+        """The encoder is the sum of shifts and the decoder's inverse on
+        the whole signed digit range, both ends included."""
+        half = 1 << (8 * width - 1)
+        digit = st.one_of(st.sampled_from([0, 1, -1, half - 1, -half]), st.integers(-half, half - 1))
+        digits = data.draw(st.lists(digit, min_size=1, max_size=12))
+        packed = laurent._packed(digits, width)
+        assert packed == sum(d << (8 * width * k) for k, d in enumerate(digits))
+        assert laurent._signed_digits(packed, width, len(digits)) == digits
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
     @given(data=st.data())
