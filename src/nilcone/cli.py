@@ -33,8 +33,8 @@ import time
 import warnings
 
 from . import __version__
-from .kostka import CONVENTION_TAG
-from .laurent import LaurentPoly, TruncatedSeries, render
+from .kostka import CONVENTION_TAG, _FAKE_DEGREE_ROUTES, kostka_foulkes
+from .laurent import TruncatedSeries, render
 from .partitions import Partition
 
 # Each command imports the modules it runs when it runs.  So that the parser
@@ -102,12 +102,9 @@ def latex_poly(obj) -> str:
 # ---------------------------------------------------------------------------
 
 _RENDERERS = {"text": str, "latex": latex_poly, "json": encode_poly}
-_FAKE_DEGREE_ROUTES = ("charge", "qhook", "molien")
 
 
 def _kostka(o: dict):
-    from .kostka import kostka_foulkes
-
     lam, mu = o["lambda"], o["mu"]
     if lam.size != mu.size:
         raise UsageError(f"|lambda| = {lam.size} and |mu| = {mu.size} differ")
@@ -115,36 +112,17 @@ def _kostka(o: dict):
 
 
 def _fake_degree(o: dict):
-    from .kostka import fake_degree_qhook, kostka_foulkes_charge
-
     lam = o["lambda"]
-    n = lam.size
-    top, ones = n * (n - 1) // 2, Partition((1,) * n)
-
-    def molien():
-        from .weyl import fake_degree_molien, sn_character_values, weyl_type
-
-        if n < 2:
-            return LaurentPoly.one("q")
-        wt, chi = weyl_type("A", n - 1), sn_character_values(lam)
-        try:
-            return fake_degree_molien(wt, chi)
-        except ValueError as exc:  # chi is the package's own character, so this is a fault
-            raise AssertionError(f"Molien average of chi^{lam}: {exc}") from exc
-
-    routes = {
-        "charge": lambda: kostka_foulkes_charge(lam, ones).substitute_power(-1).shift(top).with_var("q"),
-        "qhook": lambda: fake_degree_qhook(lam),
-        "molien": molien,
-    }
-    wanted = _FAKE_DEGREE_ROUTES if o["algorithm"] == "all" else (o["algorithm"],)
-    values = {name: routes[name]() for name in wanted}
-    first = values[wanted[0]]
-    if any(v != first for v in values.values()):
+    wanted = tuple(_FAKE_DEGREE_ROUTES) if o["algorithm"] == "all" else (o["algorithm"],)
+    try:
+        values = {name: _FAKE_DEGREE_ROUTES[name](lam) for name in wanted}
+    except ValueError as exc:  # only Molien raises it; chi is the package's own character
+        raise AssertionError(f"Molien average of chi^{lam}: {exc}") from exc
+    if len(set(values.values())) > 1:
         detail = "; ".join(f"{k}: {v}" for k, v in values.items())
         print(f"error: fake-degree cross-check failed for {lam}: {detail}", file=sys.stderr)
         return None, 2
-    return first, 0
+    return values[wanted[0]], 0
 
 
 def _pn(o: dict):

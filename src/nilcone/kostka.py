@@ -33,6 +33,12 @@ them: every filling semistandard and distinct, and sum_lam f^lam
 |SSYT(lam,mu)| = n!/prod mu_i!.  The series consumers of the (1^n) column
 take the q-hook closed form (kostka_from_fake_degree).
 
+The fake degree FD_lam(q) = q**N K[lam,(1^n)](1/q) has three independent
+routes, kept in one private table, _FAKE_DEGREE_ROUTES: charge, the q-hook
+and the Molien class average of chi^lam over S_n (weyl.fake_degree_molien).
+The command line's `fake-degree --algorithm` and the fake-degrees verify
+suite both read that table.
+
 Charge convention (pinned; recorded in CONVENTION_TAG, which the JSON
 output of the command line prints): on a standard word the index of
 letter 1 is 0 and the index of r+1 increments exactly when r+1 occurs to
@@ -325,6 +331,27 @@ def kostka_from_fake_degree(lam: Partition) -> LaurentPoly:
     coeffs = _qhook_coefficients(lam, "kostka_from_fake_degree")
     top = comb(lam.size, 2) - lam.n_stat()
     return LaurentPoly._from_clean({top - k: c for k, c in enumerate(coeffs) if c}, "t")
+
+
+def _fake_degree_molien(lam: Partition) -> LaurentPoly:
+    """FD_lam(q) as the Molien class average of chi^lam over S_n, 1 for
+    n < 2; ValueError when the average is not a character's.  weyl is
+    imported here, when the route runs, and not with this module."""
+    from .weyl import fake_degree_molien, sn_character_values, weyl_type
+
+    if lam.size < 2:
+        return LaurentPoly.one("q")
+    return fake_degree_molien(weyl_type("A", lam.size - 1), sn_character_values(lam))
+
+
+# The three routes to FD_lam(q), each lam -> LaurentPoly in q; charge reads
+# K[lam,(1^n)](t) with t**k as q**(N - k).
+_FAKE_DEGREE_ROUTES = {
+    "charge": lambda lam: kostka_foulkes_charge(lam, Partition((1,) * lam.size))
+        .substitute_power(-1).shift(comb(lam.size, 2)).with_var("q"),
+    "qhook": fake_degree_qhook,
+    "molien": _fake_degree_molien,
+}
 
 
 def compute_kostka_table(n: int) -> dict[tuple[Partition, Partition], LaurentPoly]:

@@ -445,9 +445,11 @@ class TruncatedSeries:
 
     coefficients[m] is the coefficient of var**m for 0 <= m <= order.  A
     value type with no arithmetic: divide_one_minus works on the list.
+    Immutable, as the polynomials are: no attribute can be rebound, and
+    coefficients hands out a new list, so no reader alters the stored one.
     """
 
-    __slots__ = ("coefficients", "var")
+    __slots__ = ("_coefficients", "var")
 
     def __init__(self, coefficients: Sequence[int], var: str = "y"):
         if isinstance(coefficients, str) or not isinstance(coefficients, Sequence):
@@ -459,19 +461,31 @@ class TruncatedSeries:
         if len(coefficients) == 0:
             raise ValueError("a truncated series needs at least its constant term")
         _check_var("TruncatedSeries", var)
-        self.coefficients = list(coefficients)
-        self.var = var
+        _set_coeffs(self, list(coefficients))
+        _set_series_var(self, var)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TruncatedSeries is immutable: cannot assign {name}")
 
     @classmethod
     def _from_clean(cls, coefficients: list[int], var: str) -> "TruncatedSeries":
         """A series that owns coefficients, a nonempty list of ints."""
         series = cls.__new__(cls)
-        series.coefficients, series.var = coefficients, var
+        _set_coeffs(series, coefficients)
+        _set_series_var(series, var)
         return series
+
+    def __reduce__(self):
+        return TruncatedSeries, (self._coefficients, self.var)
+
+    @property
+    def coefficients(self) -> list[int]:
+        """A new list of the coefficients, constant term first."""
+        return list(self._coefficients)
 
     @property
     def order(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self._coefficients) - 1
 
     @classmethod
     def from_poly(cls, p: LaurentPoly, order: int) -> "TruncatedSeries":
@@ -479,10 +493,7 @@ class TruncatedSeries:
         order, in its variable."""
         if not isinstance(p, LaurentPoly):
             raise TypeError(f"TruncatedSeries.from_poly needs a LaurentPoly, not {type(p).__name__}")
-        if type(order) is not int:  # bool is not an order
-            raise TypeError(f"truncation order must be an int, not {type(order).__name__}")
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        _check_order(order)
         if p.terms and p.valuation < 0:
             raise ValueError("cannot truncate a polynomial with negative exponents")
         coeffs = [0] * (order + 1)
@@ -494,21 +505,33 @@ class TruncatedSeries:
     def coeff(self, m: int) -> int:
         if m < 0 or m > self.order:
             raise ValueError(f"coefficient {m} outside truncation order {self.order}")
-        return self.coefficients[m]
+        return self._coefficients[m]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncatedSeries):
-            return self.coefficients == other.coefficients
+            return self._coefficients == other._coefficients
         return NotImplemented
 
     def monomials(self) -> Monomials:
         """Variable name and the nonzero (exponent, coefficient) pairs, ascending."""
-        return (self.var,), [((e,), c) for e, c in enumerate(self.coefficients) if c != 0]
+        return (self.var,), [((e,), c) for e, c in enumerate(self._coefficients) if c != 0]
 
     __str__ = render
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({self.coefficients!r}, var={self.var!r})"
+        return f"TruncatedSeries({self._coefficients!r}, var={self.var!r})"
+
+
+# as for the polynomials, the constructors write through the slot setters
+_set_coeffs, _set_series_var = TruncatedSeries._coefficients.__set__, TruncatedSeries.var.__set__
+
+
+def _check_order(order: object) -> None:
+    """A truncation order is a nonnegative int."""
+    if type(order) is not int:  # bool is not an order
+        raise TypeError(f"truncation order must be an int, not {type(order).__name__}")
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
 
 
 def divide_one_minus(coeffs: Iterable[int], exponents: Iterable[int]) -> list[int]:

@@ -29,6 +29,7 @@ from .laurent import (
     LaurentPoly,
     TruncatedSeries,
     _at_base,
+    _check_order,
     _digit_bytes,
     _digit_offset,
     _packed,
@@ -219,10 +220,7 @@ def hp0_walg_full_series(phi: Partition, truncation: int) -> TruncatedSeries:
     W mod u**half.  A digit with its sign bit set, the mark of a wrapped
     one, raises AssertionError; _signed_digits decodes the rest."""
     _check_partition(phi, "hp0_walg_full_series")
-    if type(truncation) is not int:  # bool is not an order
-        raise TypeError(f"truncation order must be an int, not {type(truncation).__name__}")
-    if truncation < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_order(truncation)
     n, half = phi.size, truncation // 2 + 1
     width, degrees = _degree_series(n, 1 << (half - 1).bit_length())
     bits = 8 * width

@@ -230,7 +230,7 @@ class TestOtherCommands:
     def test_fake_degree_disagreement_exits_two(self, capsys, monkeypatch):
         import nilcone.kostka as kostka
 
-        monkeypatch.setattr(kostka, "fake_degree_qhook", lambda lam: LaurentPoly.one("q"))
+        monkeypatch.setitem(kostka._FAKE_DEGREE_ROUTES, "qhook", lambda lam: LaurentPoly.one("q"))
         code, out, err = invoke(capsys, "fake-degree", "--lambda", "2,1")
         assert code == 2
         assert out == ""
@@ -395,6 +395,15 @@ def test_parser_choices_match_the_library_tables():
 
     assert cli._FAMILIES == weyl.SUPPORTED_FAMILIES
     assert cli._SUITES == tuple(verify.SUITES)
+
+
+def test_fake_degree_algorithms_are_the_route_table():
+    """--algorithm offers each route of kostka's table, then all."""
+    import nilcone.kostka as kostka
+
+    algorithm = dict(COMMANDS["fake-degree"][1])["--algorithm"]
+    assert algorithm["choices"] == (*kostka._FAKE_DEGREE_ROUTES, "all")
+    assert algorithm["choices"] == ("charge", "qhook", "molien", "all")
 
 
 def test_run_suite_is_read_from_verify():

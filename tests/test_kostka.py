@@ -404,6 +404,16 @@ class TestFakeDegrees:
             for lam in partitions_of(n):
                 assert kostka_from_fake_degree(lam) == kostka_foulkes(lam, ones(n))
 
+    def test_route_table_entries_agree(self):
+        """Charge, the q-hook and the Molien class average give one FD(q)
+        for every lam of n <= 7, the empty partition and (1) included."""
+        assert list(kostka._FAKE_DEGREE_ROUTES) == ["charge", "qhook", "molien"]
+        for n in range(8):
+            for lam in partitions_of(n):
+                values = [route(lam) for route in kostka._FAKE_DEGREE_ROUTES.values()]
+                assert values == [fake_degree_qhook(lam)] * 3, lam
+                assert {v.var for v in values} == {"q"}, lam
+
     def test_reversal_hand_case(self):
         assert kostka_from_fake_degree(P((2, 1))).terms == {1: 1, 2: 1}
         assert kostka_from_fake_degree(ones(4)) == 1

@@ -663,6 +663,18 @@ class TestStorageContract:
         for s in (TruncatedSeries((1, 2, 3)), TruncatedSeries.from_poly(L({0: 1, 2: 5}), 4)):
             assert type(s.coefficients) is list
 
+    def test_series_is_immutable(self):
+        """No attribute rebinds, a reader's edit of coefficients does not
+        reach the series, and copies rebuild through the constructor."""
+        s = TruncatedSeries([1, 2])
+        for name in ("var", "coefficients", "_coefficients"):
+            with pytest.raises(AttributeError, match=f"^TruncatedSeries is immutable: cannot assign {name}$"):
+                setattr(s, name, 5)
+        s.coefficients.append(2.5)
+        assert s.coefficients == [1, 2] and s.order == 1 and str(s) == "1 + 2*y + O(y^2)"
+        for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert twin == s and twin.var == "y"
+
 
 def one_minus_product(exponents):
     """prod (1 - q**e) by LaurentPoly.__mul__."""
