@@ -36,8 +36,9 @@ take the q-hook closed form (kostka_from_fake_degree).
 The fake degree FD_lam(q) = q**N K[lam,(1^n)](1/q) has three independent
 routes, kept in one private table, _FAKE_DEGREE_ROUTES: charge, the q-hook
 and the Molien class average of chi^lam over S_n (weyl.fake_degree_molien).
-The command line's `fake-degree --algorithm` and the fake-degrees verify
-suite both read that table.
+The command line's `fake-degree --algorithm` reads that table, and it is
+the "fake degree" row of verify._ROUTES, the table of every route the
+verify suites compare.
 
 Charge convention (pinned; recorded in CONVENTION_TAG, which the JSON
 output of the command line prints): on a standard word the index of

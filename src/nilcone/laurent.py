@@ -11,7 +11,8 @@ MappingProxyType) and its attributes not rebindable, so no caller can
 change a memoised value and the package shares them as they are.
 Negative exponents are allowed everywhere (the weight gradings computed
 downstream genuinely produce them).  Exponents and coefficients are ints,
-not bools: the public constructors refuse anything else by name, and the
+not bools: the public constructors, and the methods that take an exponent
+(coeff, shift, substitute_power), refuse anything else by name, and the
 package builds its own values unchecked.
 
 Products of cyclotomic-type factors, prod_a (1 - var**a) / prod_b
@@ -319,6 +320,7 @@ class LaurentPoly(_TermMap):
         return cls._from_clean({e: c for e, c in enumerate(coeffs) if c}, var)
 
     def coeff(self, exponent: int) -> int:
+        _check_ints("LaurentPoly.coeff", exponent)
         return self.terms.get(exponent, 0)
 
     @property
@@ -503,6 +505,7 @@ class TruncatedSeries:
         return cls._from_clean(coeffs, p.var)
 
     def coeff(self, m: int) -> int:
+        _check_ints("TruncatedSeries.coeff", m)
         if m < 0 or m > self.order:
             raise ValueError(f"coefficient {m} outside truncation order {self.order}")
         return self._coefficients[m]

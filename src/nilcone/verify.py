@@ -3,31 +3,33 @@ package's structural identities over a parameter range and reports
 pass/fail with a counterexample when something breaks.  They are the
 checks the test suite pins at fixed sizes, over user-chosen ranges.
 
-A suite compares routes that compute their values separately.  It is kept
-only while it alone catches a defect of the mutation catalogue
-(tests/test_mutations.py), its lone catch; a check or a compared route
-that catches nothing alone is folded away.  Each suite's routes, the
-kernels they share, and what it alone catches:
+A suite compares routes that compute their values separately.  The
+routes are the rows of one table, _ROUTES: one row per compared quantity,
+route name -> function of one input, and one loop (_check) runs every
+route of a row on each input a suite feeds it.  The fake-degree row is
+kostka._FAKE_DEGREE_ROUTES itself, which the command line's fake-degree
+also reads.  A suite is kept only while it alone catches a defect of the
+mutation catalogue (tests/test_mutations.py), its lone catch; a check or
+a compared route that catches nothing alone is folded away.  Each suite's
+rows, the kernels their routes share, and what it alone catches:
 
-  counts        pn_series, the Kostka table, Molien and the coset counts,
-                each against a count or Partition.dominates; shared: none;
-                alone: a B3 class size, a D5 degree table, the F4 orbit
-                walk, the keys of compute_kostka_table
-  fake-degrees  charge (ssyt_enumerate) = q-hook = Molien, the three
-                routes of kostka._FAKE_DEGREE_ROUTES that the command line's
-                fake-degree also reads, and the Jing column = charge;
-                shared: _at_base and _signed_digits by the q-hook and
-                Molien; alone: charge, ssyt_enumerate, _mn_beads
-  cone-series   pn_series = pn_series_molien; shared: _at_base and
-                _signed_digits; alone: K[lam] read through kostka_g
-  proudfoot     a single-route identity, the q-hook on both sides, that
-                tests _reflected and orbit_dim; alone: _reflected
-  fibers        the Springer series at the zero orbit = pn_series_molien,
-                and at y = 1 = the flag count; shared: _at_base and
-                _signed_digits by the zero orbit alone, as in cone-series;
-                alone: the Jing column that springer reads, _flag_count
-  walg          walg's packed product N_phi * P_n = the q-hook slice
-                series; shared: Partition.hooks, _at_base and
+  counts        no row: pn_series, the Kostka table, Molien and the coset
+                counts, each against a count or Partition.dominates;
+                shared: none; alone: a B3 class size, a D5 degree table,
+                the F4 orbit walk, the keys of compute_kostka_table
+  fake-degrees  "fake degree" and "Kostka entry"; shared: _at_base and
+                _signed_digits by the q-hook and Molien; alone: charge,
+                ssyt_enumerate, _mn_beads
+  cone-series   "cone series"; shared: _at_base and _signed_digits;
+                alone: K[lam] read through kostka_g
+  proudfoot     no row: a single-route identity, the q-hook on both
+                sides, that tests _reflected and orbit_dim; alone:
+                _reflected
+  fibers        "zero-orbit fiber" and "fiber at y = 1"; shared: _at_base
+                and _signed_digits by the zero orbit alone, as in
+                cone-series; alone: the Jing column that springer reads,
+                _flag_count
+  walg          "walg"; shared: Partition.hooks, _at_base and
                 _signed_digits, through which walg and the q-hook both
                 divide and decode; alone: the prefix sums of walg's
                 degree series P_n, its packed product
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
+from typing import Iterable
 
 from .kostka import (
     _FAKE_DEGREE_ROUTES,
@@ -46,7 +49,7 @@ from .kostka import (
     kostka_foulkes,
     kostka_foulkes_charge,
 )
-from .laurent import LaurentPoly, TruncatedSeries
+from .laurent import BiLaurentPoly, LaurentPoly, TruncatedSeries
 from .partitions import Partition, partitions_of
 from .springer import (
     hp0_slice_series,
@@ -87,6 +90,77 @@ class VerificationReport:
 
 def _single(name: str, params: str, failures: list[str]) -> CheckResult:
     return CheckResult(name, params, not failures, "; ".join(failures[:3]) or None)
+
+
+def _cone_molien(n: int) -> BiLaurentPoly | int:
+    """The flag series of the nilpotent cone of gl_n, as the class average
+    over A_(n-1); the cone of gl_1 is a point."""
+    return pn_series_molien(weyl_type("A", n - 1)) if n >= 2 else 1
+
+
+def _at_y_one(case: tuple[Partition, dict]) -> LaurentPoly:
+    """S_phi(x, 1), the Springer series of phi summed over y."""
+    at_y1: dict[int, int] = {}
+    for (xe, _), c in springer_fiber_series(case[0]).poly.terms.items():
+        at_y1[xe] = at_y1.get(xe, 0) + c
+    return LaurentPoly(at_y1, "x")
+
+
+def _flag_side(case: tuple[Partition, dict]) -> LaurentPoly:
+    """x**(2 n(phi)) F_phi(x**-2), the flag count through the run's memo."""
+    phi, memo = case
+    return _flag_count(phi.parts, memo).substitute_power(-2).shift(2 * phi.n_stat())
+
+
+def _walg_multiplied_back(case: tuple[Partition, int, LaurentPoly]) -> TruncatedSeries:
+    """walg's series of phi to the order, multiplied back by the factor
+    prod_d (1 - y**(2d)) over the degrees d of A_(n-1)."""
+    phi, order, factor = case
+    walg = hp0_walg_full_series(phi, order).coefficients
+    return TruncatedSeries.from_poly(LaurentPoly(dict(enumerate(walg)), "y") * factor, order)
+
+
+def _slice_side(case: tuple[Partition, int, LaurentPoly]) -> TruncatedSeries:
+    """The q-hook slice series of phi, truncated to the order."""
+    return TruncatedSeries.from_poly(hp0_slice_series(case[0]), case[1])
+
+
+# Every compared quantity -> {route name -> function of one input}, the
+# input named beside the row.  _check runs a row's routes in this order, so
+# a planted defect raises from the first route it trips; the suites call
+# no route themselves.
+_ROUTES = {
+    "fake degree": _FAKE_DEGREE_ROUTES,  # lam
+    "Kostka entry": {  # (lam, mu)
+        "column": lambda pair: kostka_foulkes(*pair),
+        "charge": lambda pair: kostka_foulkes_charge(*pair),
+    },
+    "cone series": {"pn": lambda n: pn_series(n).poly, "molien": _cone_molien},  # n >= 2
+    "zero-orbit fiber": {  # n
+        "molien": _cone_molien,
+        "springer": lambda n: springer_fiber_series(Partition((1,) * n)).poly,
+    },
+    "fiber at y = 1": {"springer": _at_y_one, "flag count": _flag_side},  # (phi, memo)
+    "walg": {"walg": _walg_multiplied_back, "qhook": _slice_side},  # (phi, order, factor)
+}
+
+
+def _agree(quantity: str, x: object) -> bool:
+    """Whether every route of the quantity gives one value on x.  A
+    ValueError counts as a disagreement: each route is fed an input it
+    accepts, so the fault is a route's (a class average that is no
+    character's is not integral)."""
+    try:
+        first, *rest = [route(x) for route in _ROUTES[quantity].values()]
+    except ValueError:
+        return False
+    return all(value == first for value in rest)
+
+
+def _check(name: str, params: str, cases: Iterable[tuple[str, str, object]]) -> CheckResult:
+    """The check over (quantity, label, input) cases, failed by the label of
+    each case on which the routes of the quantity do not agree."""
+    return _single(name, params, [label for quantity, label, x in cases if not _agree(quantity, x)])
 
 
 def _kostka_table_failures(n: int) -> list[str]:
@@ -156,55 +230,33 @@ def suite_counts(max_n: int = 8) -> list[CheckResult]:
 
 
 def suite_fake_degrees(max_n: int = 7) -> list[CheckResult]:
-    """The three routes of kostka._FAKE_DEGREE_ROUTES, charge, q-hook and
-    Molien, agree on every fake degree, and the column route agrees with
-    charge on every K[lam,mu].  Charge alone reads ssyt_enumerate; the
-    q-hook and Molien share _at_base and _signed_digits.  Lone catches: a
-    wrong charge, a dropped tableau in ssyt_enumerate, a wrong _mn_beads
-    character."""
-    failures = []
-    for n in range(1, max_n + 1):
-        for lam in partitions_of(n):
-            try:  # a character's class average is integral
-                agree = len({route(lam) for route in _FAKE_DEGREE_ROUTES.values()}) == 1
-            except ValueError:
-                agree = False
-            if not agree:
-                failures.append(f"lam={lam}")
-    column_failures = [
-        f"K[{lam},{mu}]"
-        for n in range(1, max_n + 1)
+    """The rows "fake degree" and "Kostka entry": the three routes of
+    kostka._FAKE_DEGREE_ROUTES, charge, q-hook and Molien, agree on every
+    fake degree, and the column route agrees with charge on every
+    K[lam,mu].  Charge alone reads ssyt_enumerate; the q-hook and Molien
+    share _at_base and _signed_digits.  Lone catches: a wrong charge, a
+    dropped tableau in ssyt_enumerate, a wrong _mn_beads character."""
+    sizes = range(1, max_n + 1)
+    lams = (("fake degree", f"lam={lam}", lam) for n in sizes for lam in partitions_of(n))
+    pairs = (
+        ("Kostka entry", f"K[{lam},{mu}]", (lam, mu))
+        for n in sizes
         for mu in partitions_of(n)
         for lam in partitions_of(n)
-        if kostka_foulkes(lam, mu) != kostka_foulkes_charge(lam, mu)
-    ]
+    )
     return [
-        _single(
-            "fake-degrees: charge = q-hook = molien",
-            f"all partitions of n <= {max_n}",
-            failures,
-        ),
-        _single(
-            "fake-degrees: column route = charge on every K[lam,mu]",
-            f"n <= {max_n}",
-            column_failures,
-        ),
+        _check("fake-degrees: charge = q-hook = molien", f"all partitions of n <= {max_n}", lams),
+        _check("fake-degrees: column route = charge on every K[lam,mu]", f"n <= {max_n}", pairs),
     ]
 
 
 def suite_cone_series(max_n: int = 6) -> list[CheckResult]:
-    """Per-partition flag series equals the character-free class average;
-    the two share _at_base and _signed_digits.  Lone catch: a shifted
-    K[lam] read through kostka_g, as only pn reads it."""
-    failures = []
-    for n in range(2, max_n + 1):
-        if pn_series(n).poly != pn_series_molien(weyl_type("A", n - 1)):
-            failures.append(f"n={n}")
-    return [
-        _single(
-            "cone-series: per-partition pn = class-average pn", f"n <= {max_n}", failures
-        )
-    ]
+    """The row "cone series": the per-partition flag series equals the
+    character-free class average; the two share _at_base and
+    _signed_digits.  Lone catch: a shifted K[lam] read through kostka_g,
+    as only pn reads it."""
+    cases = (("cone series", f"n={n}", n) for n in range(2, max_n + 1))
+    return [_check("cone-series: per-partition pn = class-average pn", f"n <= {max_n}", cases)]
 
 
 def suite_proudfoot(max_n: int = 7) -> list[CheckResult]:
@@ -242,60 +294,50 @@ def _flag_count(phi: tuple[int, ...], memo: dict) -> LaurentPoly:
 
 
 def suite_fibers(max_n: int = 6) -> list[CheckResult]:
-    """Slice series degeneration: the zero orbit recovers the full cone
+    """The rows "zero-orbit fiber" and "fiber at y = 1", in turn for each n.
+    Slice series degeneration: the zero orbit recovers the full cone
     (pn_series_molien).  A graded closed form, read through no Kostka
     route, pins the x side of every S_phi(x, y), and so its dimension:
     S_phi(x, 1) = x**(2 n(phi)) F_phi(x**-2), the Springer fiber's point
-    count (_flag_count).  Lone catches: a shifted entry of the Jing column
-    that springer reads, a wrong _flag_count."""
-    failures = []
-    memo: dict = {}
-    for n in range(1, max_n + 1):
-        cone = pn_series_molien(weyl_type("A", n - 1)) if n >= 2 else 1
-        if springer_fiber_series(Partition((1,) * n)).poly != cone:
-            failures.append(f"zero-orbit n={n}")
-        for phi in partitions_of(n):
-            at_y1: dict[int, int] = {}
-            for (xe, _), c in springer_fiber_series(phi).poly.terms.items():
-                at_y1[xe] = at_y1.get(xe, 0) + c
-            flags = _flag_count(phi.parts, memo).substitute_power(-2).shift(2 * phi.n_stat())
-            if LaurentPoly(at_y1, "x") != flags:
-                failures.append(f"x side phi={phi}")
-    return [
-        _single("fibers: slice series degenerations and closed forms", f"n <= {max_n}", failures)
-    ]
+    count (_flag_count), through one memo per run.  Lone catches: a
+    shifted entry of the Jing column that springer reads, a wrong
+    _flag_count."""
+    memo: dict = {}  # the flag counts of this run
+
+    def cases():
+        for n in range(1, max_n + 1):
+            yield "zero-orbit fiber", f"zero-orbit n={n}", n
+            for phi in partitions_of(n):
+                yield "fiber at y = 1", f"x side phi={phi}", (phi, memo)
+
+    return [_check("fibers: slice series degenerations and closed forms", f"n <= {max_n}", cases())]
 
 
 def suite_walg(max_n: int = 8) -> list[CheckResult]:
-    """The full W-algebra series, taken as one packed product of its hook
-    numerator N_phi and the degree series P_n (hp0_walg_full_series), then
-    multiplied back by prod_i (1 - y**(2 d_i)) with LaurentPoly.__mul__ and
-    truncated by from_poly, is the truncated q-hook slice series
-    hp0_slice_series.  The two routes share Partition.hooks() and the
-    kernels _at_base and _signed_digits: walg divides its hook product at
-    B = 2**bits for N_phi and decodes its product, and the q-hook divides
-    and decodes through q_quotient_coefficients, whose coefficients walg
-    does not read.  P_n comes from the prefix sums of
-    divide_one_minus, which nothing else calls, and the multiplication back
-    shares no code with either.  Lone catches: a wrong stride in those
-    prefix sums, cold or over a warm memo, and a shifted packed P_n."""
-    failures = []
-    for n in range(1, max_n + 1):
-        order = 2 * n * (n - 1) + 8  # 4N + 8, N the number of positive roots
-        factor = LaurentPoly.one("y")
-        for d in weyl_type("A", n - 1).degrees if n >= 2 else ():
-            factor = factor * LaurentPoly({0: 1, 2 * d: -1}, "y")
-        for phi in partitions_of(n):
-            walg = hp0_walg_full_series(phi, order).coefficients
-            back = LaurentPoly(dict(enumerate(walg)), "y") * factor
-            expected = TruncatedSeries.from_poly(hp0_slice_series(phi), order)
-            if TruncatedSeries.from_poly(back, order) != expected:
-                failures.append(f"phi={phi}")
-    return [
-        _single(
-            "walg: walg * prod (1 - y^(2d)) = hp0(slice phi)", f"n <= {max_n}", failures
-        )
-    ]
+    """The row "walg": the full W-algebra series, taken as one packed
+    product of its hook numerator N_phi and the degree series P_n
+    (hp0_walg_full_series), then multiplied back by prod_i (1 - y**(2 d_i)),
+    built once per n, with LaurentPoly.__mul__ and truncated by from_poly,
+    is the truncated q-hook slice series hp0_slice_series.  The two
+    routes share Partition.hooks() and the kernels _at_base and
+    _signed_digits: walg divides its hook product at B = 2**bits for N_phi
+    and decodes its product, and the q-hook divides and decodes through
+    q_quotient_coefficients, whose coefficients walg does not read.  P_n
+    comes from the prefix sums of divide_one_minus, which nothing else
+    calls, and the multiplication back shares no code with either.  Lone
+    catches: a wrong stride in those prefix sums, cold or over a warm memo,
+    and a shifted packed P_n."""
+
+    def cases():
+        for n in range(1, max_n + 1):
+            order = 2 * n * (n - 1) + 8  # 4N + 8, N the number of positive roots
+            factor = LaurentPoly.one("y")
+            for d in weyl_type("A", n - 1).degrees if n >= 2 else ():
+                factor = factor * LaurentPoly({0: 1, 2 * d: -1}, "y")
+            for phi in partitions_of(n):
+                yield "walg", f"phi={phi}", (phi, order, factor)
+
+    return [_check("walg: walg * prod (1 - y^(2d)) = hp0(slice phi)", f"n <= {max_n}", cases())]
 
 
 SUITES = {
@@ -316,14 +358,11 @@ def run_suite(suite: str, max_n: int | None = None) -> VerificationReport:
             raise TypeError(f"max_n must be an int, not {type(max_n).__name__}")
         if max_n < 0:
             raise ValueError(f"max_n must be nonnegative, not {max_n}")
-    if suite == "all":
-        names = list(SUITES)
-    elif suite in SUITES:
-        names = [suite]
-    else:
-        raise ValueError(
-            f"unknown suite {suite!r}; choose from {', '.join(SUITES)} or 'all'"
-        )
+    if type(suite) is not str:  # a list would fail unworded on hashing
+        raise TypeError(f"suite must be a str, not {type(suite).__name__}")
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)} or 'all'")
+    names = list(SUITES) if suite == "all" else [suite]
     checks: list[CheckResult] = []
     for name in names:
         fn = SUITES[name]

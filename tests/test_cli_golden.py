@@ -56,6 +56,7 @@ QUERIES = (
     ("proudfoot", "--lambda", "3,1"),
     ("verify", "--suite", "proudfoot", "--max-n", "4"),
     ("verify", "--suite", "counts", "--max-n", "3"),
+    ("verify", "--suite", "all", "--max-n", "4"),
     ("verify", "--max-n", "-1"),
     ("verify", "--suite", "bogus"),
     ("frobnicate",),

@@ -258,6 +258,14 @@ class TestConstructorsRefuseNonIntegerData:
                 lambda: LaurentPoly({1: 1}).substitute_power(False),
                 "LaurentPoly.substitute_power needs an int, not bool",
             ),
+            # True and 1.0 hash like 1, so the term map would answer for them
+            (lambda: L({1: 2}).coeff(True), "LaurentPoly.coeff needs an int, not bool"),
+            (lambda: L({1: 2}).coeff(1.0), "LaurentPoly.coeff needs an int, not float"),
+            (lambda: L({1: 2}).coeff("1"), "LaurentPoly.coeff needs an int, not str"),
+            # True would index the list as 1, and 1.0 fail there unworded
+            (lambda: TruncatedSeries([1, 2]).coeff(True), "TruncatedSeries.coeff needs an int, not bool"),
+            (lambda: TruncatedSeries([1, 2]).coeff(1.0), "TruncatedSeries.coeff needs an int, not float"),
+            (lambda: TruncatedSeries([1, 2]).coeff("1"), "TruncatedSeries.coeff needs an int, not str"),
             (lambda: BiLaurentPoly({(1, 1): 1}).shift(0.5, 1), "BiLaurentPoly.shift needs an int, not float"),
             (lambda: BiLaurentPoly({(1, 1): 1}).shift(1, "2"), "BiLaurentPoly.shift needs an int, not str"),
             (lambda: BiLaurentPoly({(1, 1): 1}).shift(True, 0), "BiLaurentPoly.shift needs an int, not bool"),

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from nilcone import kostka, springer, weyl
+from nilcone import kostka, springer, verify, weyl
 from nilcone.laurent import ExactDivisionError
 from nilcone.partitions import Partition
 from nilcone.verify import SUITES, run_suite
@@ -111,6 +111,12 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("nonsense")
 
+    @pytest.mark.parametrize("suite", [["all"], ("all",), None])
+    def test_non_str_suite_rejected(self, suite):
+        """A list would fail unworded on hashing, a tuple or None as unknown."""
+        with pytest.raises(TypeError, match=f"suite must be a str, not {type(suite).__name__}$"):
+            run_suite(suite)
+
     @pytest.mark.parametrize("max_n", [True, 2.0, "3"])
     def test_non_int_max_n_rejected(self, max_n):
         """True is not 1: it would run every suite at n <= 1 and print n <= True."""
@@ -134,3 +140,36 @@ class TestSuites:
         elapsed = time.perf_counter() - started
         assert report.passed
         assert elapsed < 60.0
+
+
+# The suite that compares each quantity of verify._ROUTES, and the label of
+# its first input at max_n = 4.
+OWNERS = {
+    "fake degree": ("fake-degrees", "lam=(1)"),
+    "Kostka entry": ("fake-degrees", "K[(1),(1)]"),
+    "cone series": ("cone-series", "n=2"),
+    "zero-orbit fiber": ("fibers", "zero-orbit n=1"),
+    "fiber at y = 1": ("fibers", "x side phi=(1)"),
+    "walg": ("walg", "phi=(1)"),
+}
+
+
+class TestRouteTable:
+    def test_fake_degree_row_is_kostkas_table(self):
+        assert verify._ROUTES["fake degree"] is kostka._FAKE_DEGREE_ROUTES
+
+    @pytest.mark.parametrize(
+        "quantity,route",
+        [(quantity, route) for quantity, row in verify._ROUTES.items() for route in row],
+    )
+    def test_every_check_reads_the_table(self, quantity, route, monkeypatch):
+        """A route of the table replaced by one whose value equals nothing
+        fails the suite that owns its quantity from the first input on, so
+        every compared value comes from the table: a check that called a
+        route itself would still pass."""
+        monkeypatch.setitem(verify._ROUTES[quantity], route, lambda x: object())
+        suite, first = OWNERS[quantity]
+        report = run_suite(suite, max_n=4)
+        assert not report.passed
+        [check] = [c for c in report.checks if not c.passed]
+        assert check.counterexample.startswith(first)
